@@ -86,6 +86,67 @@ func TestCompiledConcurrentDecompose(t *testing.T) {
 	}
 }
 
+// TestThreadedDenseUpdateDeterministic pins the contract of the
+// row-parallel dense update: on a fixed thread count, same-seed solves
+// are bit-identical whether they run one after another or concurrently on
+// one handle (run under -race in scripts/check.sh), and they fit the
+// tensor as well as the one-thread solve, whose reductions run in another
+// order, to within 1e-9.
+func TestThreadedDenseUpdateDeterministic(t *testing.T) {
+	tt := tensor.Random([]int{40, 300, 25}, 4000, nil, 13)
+	opts := stef.Options{Rank: 8, MaxIters: 6, Tol: -1, Threads: 4}
+	c, err := stef.Compile(tt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.DecomposeSeed(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	results := make([]*stef.Result, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for i := 0; i < workers; i++ {
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = c.DecomposeSeed(3)
+		}(i)
+	}
+	wg.Wait()
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("worker %d: %v", i, errs[i])
+		}
+		for it, f := range res.Fits {
+			if math.Float64bits(f) != math.Float64bits(want.Fits[it]) {
+				t.Fatalf("worker %d: fit after iteration %d is %.17g, the first solve's %.17g", i, it+1, f, want.Fits[it])
+			}
+		}
+		for m := range res.Factors {
+			if diff := res.Factors[m].MaxAbsDiff(want.Factors[m]); diff != 0 {
+				t.Fatalf("worker %d mode %d: factors differ by %g", i, m, diff)
+			}
+		}
+	}
+
+	opts.Threads = 1
+	one, err := stef.Compile(tt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := one.DecomposeSeed(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for it, f := range serial.Fits {
+		if d := math.Abs(f - want.Fits[it]); !(d <= 1e-9) {
+			t.Fatalf("fit after iteration %d: %.12g on 4 threads, %.12g on 1", it+1, want.Fits[it], f)
+		}
+	}
+}
+
 // TestCompiledDecomposeBestDeterministic checks DecomposeBest picks exactly
 // the best sequential result even though restarts run in parallel.
 func TestCompiledDecomposeBestDeterministic(t *testing.T) {

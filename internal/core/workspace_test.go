@@ -78,6 +78,36 @@ func TestSolveIterationsDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestSolveIterationsAllocateOnlyLaunchesOnTwoThreads is the two-thread
+// form of the pin above, on a one-thread engine so that only the dense
+// update runs on two threads: its one par.Blocks launch per mode may
+// allocate (the callback, the WaitGroup, one closure per goroutine), but
+// no more than 2·d·T objects per iteration.
+func TestSolveIterationsAllocateOnlyLaunchesOnTwoThreads(t *testing.T) {
+	const threads = 2
+	tt := tensor.Random([]int{12, 16, 20}, 800, nil, 5)
+	eng, _, err := core.NewEngineFor(tt, core.Options{Rank: 6, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := eng.NewWorkspace()
+	dims, normX := tt.Dims, tt.NormFrobenius()
+	solve := func(iters int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			ws.Reset()
+			if _, err := cpd.RunWith(dims, normX, eng, ws, cpd.Options{Rank: 6, MaxIters: iters, Tol: -1, Seed: 2, Threads: threads}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short := solve(4)
+	long := solve(12)
+	perIter := (long - short) / 8
+	if limit := float64(2 * len(dims) * threads); perIter > limit {
+		t.Fatalf("each extra iteration allocates %.1f objects on %d threads, want at most %.0f (goroutine launches only)", perIter, threads, limit)
+	}
+}
+
 // TestWorkspaceTypeMismatchPanics pins the diagnostic for handing an engine
 // a workspace it did not create.
 func TestWorkspaceTypeMismatchPanics(t *testing.T) {

@@ -88,6 +88,11 @@ type Options struct {
 	// matrices (cloned, indexed by mode) instead of random ones —
 	// e.g. to resume a checkpointed decomposition (see LoadKruskal).
 	InitialFactors []*tensor.Matrix
+	// Threads is the worker count of the dense factor update (default 1);
+	// the engine's MTTKRP runs on the threads it was built with. A
+	// one-thread solve is bit-identical for every engine; more threads
+	// change only the order of the cross-thread reductions.
+	Threads int
 }
 
 func (o *Options) fill() {
@@ -99,6 +104,9 @@ func (o *Options) fill() {
 	}
 	if o.Rank <= 0 {
 		o.Rank = 16
+	}
+	if o.Threads < 1 {
+		o.Threads = 1
 	}
 }
 
@@ -181,7 +189,6 @@ func RunWith(dims []int, normX float64, eng Engine, ws Workspace, opts Options) 
 	lambda := make([]float64, r)
 	res := &Result{Factors: factors, Lambda: lambda, ModeTime: make([]time.Duration, d)}
 	res.Fits = make([]float64, 0, opts.MaxIters)
-	lastMode := order[d-1]
 	prevFit := math.Inf(-1)
 	deadline := time.Time{}
 	if opts.TimeBudget > 0 {
@@ -193,11 +200,12 @@ func RunWith(dims []int, normX float64, eng Engine, ws Workspace, opts Options) 
 	// does no per-iteration heap allocation.
 	v := tensor.NewMatrix(r, r)
 	fitG := tensor.NewMatrix(r, r)
-	norms := make([]float64, r)
+	upd := dense.NewUpdater(r, opts.Threads)
 	var chol dense.Cholesky
 	ws.Reset()
 
 	for it := 0; it < opts.MaxIters; it++ {
+		var inner float64
 		for pos := 0; pos < d; pos++ {
 			m := order[pos]
 			start := time.Now()
@@ -222,26 +230,17 @@ func RunWith(dims []int, normX float64, eng Engine, ws Workspace, opts Options) 
 				//lint:allow hotpath-alloc cold error path, aborts the iteration
 				return nil, fmt.Errorf("cpd: engine %q iteration %d mode %d: %w", eng.Name(), it, m, err)
 			}
-			factors[m].CopyFrom(mttkrp[m])
-			chol.SolveRowsInPlace(factors[m])
-			if opts.NonNegative {
-				for i, v := range factors[m].Data {
-					if v < 0 {
-						factors[m].Data[i] = 0
-					}
-				}
-			}
-
-			if it == 0 {
-				dense.NormalizeColumnsInto(factors[m], norms)
-			} else {
-				dense.NormalizeColumnsMaxInto(factors[m], norms)
-			}
-			copy(lambda, norms)
-			dense.Gram(factors[m], grams[m])
+			// The fused update solves, clamps and normalises the factor,
+			// leaves its column scaling in lambda and its new Gram in
+			// grams[m], and after the last mode also returns <X, M>.
+			inner = upd.Update(&chol, factors[m], mttkrp[m], dense.UpdateOptions{
+				NonNegative: opts.NonNegative,
+				TwoNorm:     it == 0,
+				Inner:       pos == d-1,
+			}, lambda, grams[m])
 		}
 
-		fit := computeFit(normX, factors, grams, lambda, mttkrp[lastMode], lastMode, fitG)
+		fit := computeFit(normX, grams, lambda, inner, fitG)
 		//lint:allow hotpath-alloc append stays within the MaxIters capacity reserved above
 		res.Fits = append(res.Fits, fit)
 		res.Iters = it + 1
@@ -258,10 +257,11 @@ func RunWith(dims []int, normX float64, eng Engine, ws Workspace, opts Options) 
 }
 
 // computeFit evaluates 1 - ||X - model||_F / ||X||_F using the standard
-// identity: ||X - M||² = ||X||² + ||M||² - 2<X, M>, where <X, M> is
-// recovered from the last MTTKRP result (already available) and ||M||² from
-// the Gram matrices and lambda. g is an R×R scratch matrix overwritten here.
-func computeFit(normX float64, factors []*tensor.Matrix, grams []*tensor.Matrix, lambda []float64, lastMTTKRP *tensor.Matrix, lastMode int, g *tensor.Matrix) float64 {
+// identity: ||X - M||² = ||X||² + ||M||² - 2<X, M>, where inner = <X, M>
+// comes from the last mode's update (which has the last MTTKRP result at
+// hand) and ||M||² from the Gram matrices and lambda. g is an R×R scratch
+// matrix overwritten here.
+func computeFit(normX float64, grams []*tensor.Matrix, lambda []float64, inner float64, g *tensor.Matrix) float64 {
 	r := len(lambda)
 	// ||M||² = λᵀ (G_0 ⊙ G_1 ⊙ ... ⊙ G_{d-1}) λ
 	dense.OnesInto(g)
@@ -273,16 +273,6 @@ func computeFit(normX float64, factors []*tensor.Matrix, grams []*tensor.Matrix,
 		row := g.Row(p)
 		for q := 0; q < r; q++ {
 			normM2 += lambda[p] * lambda[q] * row[q]
-		}
-	}
-	// <X, M> = Σ_{i,p} MTTKRP_last[i,p] · A_last[i,p] · λ[p]
-	inner := 0.0
-	a := factors[lastMode]
-	for i := 0; i < a.Rows; i++ {
-		ar := a.Row(i)
-		mr := lastMTTKRP.Row(i)
-		for p := 0; p < r; p++ {
-			inner += mr[p] * ar[p] * lambda[p]
 		}
 	}
 	resid2 := normX*normX + normM2 - 2*inner

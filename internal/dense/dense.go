@@ -2,6 +2,11 @@
 // needs around the sparse MTTKRP: Gram matrices, Hadamard products,
 // symmetric positive-definite solves and column normalisation. All matrices
 // are tensor.Matrix values (row-major).
+//
+// The kernels whose work grows with the factor rows (solve, normalise,
+// Gram) are single-threaded calls into the two blocked row passes of
+// update.go, which Updater runs fused and row-parallel as one ALS factor
+// update.
 package dense
 
 import (
@@ -22,25 +27,8 @@ func Gram(a *tensor.Matrix, out *tensor.Matrix) *tensor.Matrix {
 		panic(fmt.Sprintf("dense: Gram output shape %dx%d, want %dx%d", out.Rows, out.Cols, r, r))
 	}
 	out.Zero()
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		for p := 0; p < r; p++ {
-			vp := row[p]
-			if vp == 0 {
-				continue
-			}
-			orow := out.Row(p)
-			for q := p; q < r; q++ {
-				orow[q] += vp * row[q]
-			}
-		}
-	}
-	// Mirror the upper triangle.
-	for p := 0; p < r; p++ {
-		for q := p + 1; q < r; q++ {
-			out.Set(q, p, out.At(p, q))
-		}
-	}
+	scalePass(a.Data[:a.Rows*r], nil, nil, out.Data, r)
+	mirrorUpper(out)
 	return out
 }
 
@@ -97,8 +85,9 @@ func MatMul(a, b *tensor.Matrix) *tensor.Matrix {
 // Cholesky holds the lower-triangular factor of a symmetric
 // positive-definite matrix, for repeated right-hand-side solves.
 type Cholesky struct {
-	n int
-	l []float64 // row-major lower triangle (full storage)
+	n  int
+	l  []float64 // row-major lower triangle (full storage)
+	lt []float64 // its transpose, so back substitution reads rows too
 }
 
 // NewCholesky factors the symmetric matrix v, adding an escalating diagonal
@@ -139,6 +128,7 @@ func (c *Cholesky) Refactor(v *tensor.Matrix) error {
 	if c.n != n || len(c.l) != n*n {
 		c.n = n
 		c.l = make([]float64, n*n)
+		c.lt = make([]float64, n*n)
 	}
 	l := c.l
 	jitter := 0.0
@@ -166,6 +156,11 @@ func (c *Cholesky) Refactor(v *tensor.Matrix) error {
 			}
 		}
 		if ok {
+			for i := 0; i < n; i++ {
+				for k := i; k < n; k++ {
+					c.lt[i*n+k] = l[k*n+i]
+				}
+			}
 			return nil
 		}
 		if jitter == 0 {
@@ -183,23 +178,7 @@ func (c *Cholesky) SolveVec(b []float64) {
 	if len(b) != c.n {
 		panic(fmt.Sprintf("dense: SolveVec length %d, want %d", len(b), c.n))
 	}
-	n, l := c.n, c.l
-	// Forward substitution L·y = b.
-	for i := 0; i < n; i++ {
-		sum := b[i]
-		for k := 0; k < i; k++ {
-			sum -= l[i*n+k] * b[k]
-		}
-		b[i] = sum / l[i*n+i]
-	}
-	// Back substitution Lᵀ·x = y.
-	for i := n - 1; i >= 0; i-- {
-		sum := b[i]
-		for k := i + 1; k < n; k++ {
-			sum -= l[k*n+i] * b[k]
-		}
-		b[i] = sum / l[i*n+i]
-	}
+	c.solve4(b, b, b, b)
 }
 
 // SolveRowsInPlace overwrites each row b of m with the solution x of
@@ -209,9 +188,7 @@ func (c *Cholesky) SolveRowsInPlace(m *tensor.Matrix) {
 	if m.Cols != c.n {
 		panic(fmt.Sprintf("dense: SolveRowsInPlace cols %d, want %d", m.Cols, c.n))
 	}
-	for i := 0; i < m.Rows; i++ {
-		c.SolveVec(m.Row(i))
-	}
+	solvePass(c, m.Data[:m.Rows*m.Cols], nil, m.Cols, false, statNone, nil)
 }
 
 // NormalizeColumns scales each column of a to unit 2-norm and returns the
@@ -229,27 +206,7 @@ func NormalizeColumnsInto(a *tensor.Matrix, norms []float64) {
 	if len(norms) != a.Cols {
 		panic(fmt.Sprintf("dense: NormalizeColumnsInto norms length %d, want %d", len(norms), a.Cols))
 	}
-	for j := range norms {
-		norms[j] = 0
-	}
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		for j, v := range row {
-			norms[j] += v * v
-		}
-	}
-	for j := range norms {
-		norms[j] = math.Sqrt(norms[j])
-		if norms[j] == 0 {
-			norms[j] = 1
-		}
-	}
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		for j := range row {
-			row[j] /= norms[j]
-		}
-	}
+	normalizeColumns(a, norms, statSumSq)
 }
 
 // NormalizeColumnsMax scales each column by its max absolute value when that
@@ -267,26 +224,18 @@ func NormalizeColumnsMaxInto(a *tensor.Matrix, norms []float64) {
 	if len(norms) != a.Cols {
 		panic(fmt.Sprintf("dense: NormalizeColumnsMaxInto norms length %d, want %d", len(norms), a.Cols))
 	}
-	for j := range norms {
-		norms[j] = 0
+	normalizeColumns(a, norms, statMaxAbs)
+}
+
+// normalizeColumns is the one-thread form of the update's normalisation:
+// the column statistic of pass A, its reduction, and pass B's division.
+func normalizeColumns(a *tensor.Matrix, norms []float64, stat colStat) {
+	if a.Cols == 0 {
+		return
 	}
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		for j, v := range row {
-			if av := math.Abs(v); av > norms[j] {
-				norms[j] = av
-			}
-		}
-	}
-	for j := range norms {
-		if norms[j] < 1 {
-			norms[j] = 1
-		}
-	}
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		for j := range row {
-			row[j] /= norms[j]
-		}
-	}
+	rows := a.Data[:a.Rows*a.Cols]
+	clear(norms)
+	solvePass(nil, rows, nil, a.Cols, false, stat, norms)
+	reduceNorms(norms, norms, stat)
+	scalePass(rows, nil, norms, nil, a.Cols)
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"stef/internal/csf"
@@ -33,6 +34,17 @@ func TestHugeDimBoundary(t *testing.T) {
 		T    = 2
 	)
 	dims := tensor.HugeDims()
+	// The factor matrices and the one shared accumulation buffer below are
+	// reserved at full extent together. Where the host refuses that much
+	// address space (a strict overcommit policy, a small memory limit), the
+	// runtime would abort the whole test binary, so probe first.
+	sizes := []int{slices.Max(dims) * rank * 8}
+	for _, n := range dims {
+		sizes = append(sizes, n*rank*8)
+	}
+	if err := reserveVirtual(sizes); err != nil {
+		t.Skipf("host cannot reserve the near-2^31-row virtual buffers: %v", err)
+	}
 	tt := tensor.HugeBoundary(dims, nnz, 7)
 	if err := tt.Validate(true); err != nil {
 		t.Fatalf("boundary tensor invalid: %v", err)

@@ -88,6 +88,10 @@ func Default() *Manifest {
 			{Func: "par.Blocks", Note: "thread launcher wrapping every parallel kernel"},
 			{Func: "par.Do", Note: "thread launcher wrapping every parallel kernel"},
 			{Func: "sched.NewPartition", Note: "nnz-balanced partition walk (Alg. 3), O(nnz) leaf scan at build time"},
+			{Func: "dense.Cholesky.solve4", Note: "four-row interleaved SPD solve, O(R²) per factor row in every ALS mode update"},
+			{Func: "dense.solvePass", Note: "dense update pass A (copy, solve, clamp, column statistic), once per factor row per mode"},
+			{Func: "dense.scalePass", Note: "dense update pass B (normalise, Gram partial, fit inner product), O(R²) per factor row per mode"},
+			{Func: "dense.foldStat", Note: "pass A's column statistic (sum of squares or max magnitude), once per factor row per mode"},
 		},
 		// Hand-written shape rules for the variable-length scalar
 		// primitives; vecShapeRules() adds one per generated R-blocked
@@ -105,6 +109,18 @@ func Default() *Manifest {
 			{
 				Func: "kernels.hadamardInto", Note: "8-wide unrolled elementwise product",
 				MaxCalls: 0, MaxLoopCalls: 0, MaxBounds: Unchecked, MinFPMul: 8, MaxLoopFrameLoads: 0,
+			},
+			{
+				Func: "dense.Cholesky.solve4", Note: "four right-hand sides per substitution step: call-free, 4 FP muls in each sweep",
+				MaxCalls: 0, MaxLoopCalls: 0, MaxBounds: Unchecked, MinFPMul: 8, MaxLoopFrameLoads: Unchecked,
+			},
+			{
+				Func: "dense.solvePass", Note: "pass A: per four-row group, one call to the call-free solve and one to the column fold",
+				MaxCalls: 2, MaxLoopCalls: 2, MaxBounds: Unchecked, MinFPMul: 0, MaxLoopFrameLoads: Unchecked,
+			},
+			{
+				Func: "dense.scalePass", Note: "pass B: call-free, the 4-row Gram update multiplies four rows per element",
+				MaxCalls: 0, MaxLoopCalls: 0, MaxBounds: Unchecked, MinFPMul: 4, MaxLoopFrameLoads: Unchecked,
 			},
 		}, vecShapeRules()...),
 	}

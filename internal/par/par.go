@@ -22,11 +22,13 @@ func Blocks(n, t int, fn func(th, lo, hi int)) {
 	for th := 0; th < t; th++ {
 		lo := th * n / t
 		hi := (th + 1) * n / t
+		// One closure per goroutine: passing th, lo and hi as arguments
+		// would wrap it in a second, argument-capturing one.
 		//gate:allow escape goroutine closure, one allocation per thread launch, not per-nnz
-		go func(th, lo, hi int) {
+		go func() {
 			defer wg.Done()
 			fn(th, lo, hi)
-		}(th, lo, hi)
+		}()
 	}
 	wg.Wait()
 }
@@ -44,10 +46,10 @@ func Do(t int, fn func(th int)) {
 	wg.Add(t)
 	for th := 0; th < t; th++ {
 		//gate:allow escape goroutine closure, one allocation per thread launch, not per-nnz
-		go func(th int) {
+		go func() {
 			defer wg.Done()
 			fn(th)
-		}(th)
+		}()
 	}
 	wg.Wait()
 }

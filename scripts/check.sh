@@ -21,7 +21,7 @@ echo "==> go test ./..."
 go test ./...
 
 echo "==> go test -race (parallel packages + shared-plan concurrency + int32-boundary dims)"
-go test -race . ./internal/par/ ./internal/sched/ ./internal/kernels/ ./internal/cpd/ ./internal/core/
+go test -race . ./internal/par/ ./internal/sched/ ./internal/kernels/ ./internal/cpd/ ./internal/core/ ./internal/dense/
 
 echo "==> arena storage seam (mmap round trip, corrupt-header fuzz seeds, heap-vs-arena solve parity, csf-backing self-check)"
 go test -race -run 'Arena|CSFBacking' . ./internal/csf/ ./internal/lint/

@@ -48,7 +48,8 @@ type Options struct {
 	// Tol is the fit-change convergence tolerance (default 1e-5;
 	// negative runs all iterations).
 	Tol float64
-	// Threads is the worker count (default 1).
+	// Threads is the worker count of the MTTKRP kernels and of the dense
+	// factor update (default 1).
 	Threads int
 	// Seed seeds the random initial factors.
 	Seed int64
@@ -220,7 +221,7 @@ func (c *Compiled) Decompose() (*Result, error) { return c.DecomposeSeed(c.opts.
 // is shared read-only and each call checks a workspace out of the pool.
 func (c *Compiled) DecomposeSeed(seed int64) (*Result, error) {
 	res, err := c.solver.Run(c.dims, c.normX, cpd.Options{
-		Rank: c.opts.Rank, MaxIters: c.opts.MaxIters, Tol: c.opts.Tol, Seed: seed,
+		Rank: c.opts.Rank, MaxIters: c.opts.MaxIters, Tol: c.opts.Tol, Seed: seed, Threads: c.opts.Threads,
 	})
 	if err != nil {
 		return nil, err
