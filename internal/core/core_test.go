@@ -1,9 +1,11 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"stef/internal/csf"
 	"stef/internal/model"
 	"stef/internal/tensor"
 )
@@ -206,6 +208,34 @@ func TestBestSaveForMatchesExhaustive(t *testing.T) {
 	for _, save := range model.EnumerateSaves(4) {
 		if c := params.IterationCost(save).Total(); c < bestCost {
 			t.Fatalf("save %v (cost %d) beats bestSaveFor %v (cost %d)", save, c, best, bestCost)
+		}
+	}
+}
+
+// TestPlanSameThroughComparatorSort builds the CSF and the plan of every
+// profile, at a tenth of its non-zeros, once with the radix sort and once
+// with the comparator sort it replaced: the trees, the configuration, the
+// accumulation plans and the model parameters must be identical.
+func TestPlanSameThroughComparatorSort(t *testing.T) {
+	defer func(old bool) { tensor.RadixSort = old }(tensor.RadixSort)
+	for _, p := range tensor.Profiles() {
+		p.NNZ /= 10
+		tt := p.Generate()
+		build := func(radix bool) (*csf.Tree, *Plan) {
+			tensor.RadixSort = radix
+			plan, err := NewPlan(tt, Options{Rank: 16, Threads: 2})
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name, err)
+			}
+			return csf.Build(tt, nil), plan
+		}
+		tree, plan := build(true)
+		wantTree, want := build(false)
+		if !csf.Equal(tree, wantTree) || !csf.Equal(plan.Tree, want.Tree) {
+			t.Errorf("%s: the radix-sorted CSF differs from the comparator-sorted one", p.Name)
+		}
+		if !reflect.DeepEqual(plan.Config, want.Config) || !reflect.DeepEqual(plan.Accum, want.Accum) || !reflect.DeepEqual(plan.Params, want.Params) {
+			t.Errorf("%s: the plan differs from the one built through the comparator sort", p.Name)
 		}
 	}
 }

@@ -209,9 +209,15 @@ func NewPlan(t *tensor.Tensor, opts Options) (*Plan, error) {
 	}
 	var swappedParams model.Params
 	if opts.SwapRule != SwapNever {
-		swappedFibers := baseTree.CountSwappedFibers(opts.Threads)
+		// One Algorithm 9 scan yields both the swapped layout's row-write
+		// histograms and, as the d2 histogram's total, its fiber count.
+		d2, leaf := baseTree.SwappedRowCounts(opts.Threads)
+		var swappedFibers int64
+		for _, c := range d2 {
+			swappedFibers += c
+		}
 		swappedParams = model.SwappedParams(baseParams, swappedFibers)
-		swappedParams.AttachAccum(swappedRowStats(baseTree, baseParams.Accum, opts.Threads), opts.Threads, opts.MaxPrivElems)
+		swappedParams.AttachAccum(swappedRowStats(baseParams.Accum, d2, leaf), opts.Threads, opts.MaxPrivElems)
 		if opts.RemapRule != RemapOff {
 			swappedParams.AttachRemap()
 		}
@@ -382,12 +388,11 @@ func levelRowStats(tree *csf.Tree) []model.RowStats {
 
 // swappedRowStats derives the swapped layout's row stats without building
 // the swapped tree: levels 1..d-3 are unchanged, the last two come from
-// the extended Algorithm 9 scan (csf.SwappedRowCounts).
-func swappedRowStats(baseTree *csf.Tree, baseStats []model.RowStats, threads int) []model.RowStats {
-	d := baseTree.Order()
+// the histograms of the extended Algorithm 9 scan (csf.SwappedRowCounts).
+func swappedRowStats(baseStats []model.RowStats, d2, leaf []int64) []model.RowStats {
+	d := len(baseStats)
 	stats := make([]model.RowStats, d)
 	copy(stats[:d-2], baseStats[:d-2])
-	d2, leaf := baseTree.SwappedRowCounts(threads)
 	stats[d-2] = model.NewRowStats(d2)
 	stats[d-1] = model.NewRowStats(leaf)
 	return stats

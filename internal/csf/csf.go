@@ -114,8 +114,7 @@ func Build(t *tensor.Tensor, perm []int) *Tree {
 	if err := tensor.CheckPerm(perm, d); err != nil {
 		panic("csf: " + err.Error())
 	}
-	pt := t.PermuteModes(perm)
-	pt.SortLex()
+	pt := t.PermuteSorted(perm)
 
 	nnz := pt.NNZ()
 	tr := &Tree{

@@ -5,68 +5,96 @@ package frostt
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 
+	"stef/internal/par"
 	"stef/internal/tensor"
 )
+
+// blockSize is the length of text cut into one parse block. A block ends
+// after the last newline it holds, and grows past blockSize only to finish
+// a line longer than itself.
+const blockSize = 1 << 20
+
+// maxLine is the longest accepted line, in bytes without its newline.
+const maxLine = 1<<22 - 1
+
+// errTooLong reports a line longer than maxLine. It keeps the text the
+// parser gave when it read lines through a bufio.Scanner with that limit.
+var errTooLong = fmt.Errorf("frostt: scan: %w", bufio.ErrTooLong)
 
 // Read parses a .tns stream. The tensor order is inferred from the first
 // data line; mode lengths are the maxima of the observed coordinates unless
 // dims is non-nil, in which case dims is used and validated.
+//
+// The stream is cut into newline-aligned blocks of about blockSize bytes,
+// and runtime.GOMAXPROCS(0) blocks at a time are parsed in parallel, each
+// into its own output. The outputs are appended in file order, so the
+// tensor does not depend on the thread count, and an error names its line
+// in the whole stream.
 func Read(r io.Reader, dims []int) (*tensor.Tensor, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	return read(r, dims, blockSize)
+}
+
+// read is Read with the block length as a parameter, so that tests can
+// cut small inputs into many blocks.
+func read(r io.Reader, dims []int, size int) (*tensor.Tensor, error) {
+	c := cutter{r: r, size: size, line: 1}
+	blocks := make([]block, runtime.GOMAXPROCS(0))
 	var (
-		inds  []int32
-		vals  []float64
-		order int
-		maxes []int32
-		line  int
+		order  int
+		maxes  []int32
+		chunks []block // every block's output, in file order
+		nnz    int
 	)
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
+	for more := true; more; {
+		n := 0
+		var cutErr error
+		for n < len(blocks) {
+			ok, err := c.next(&blocks[n])
+			if !ok {
+				more, cutErr = false, err
+				break
+			}
+			n++
 		}
-		fields := strings.Fields(text)
+		batch := blocks[:n]
 		if order == 0 {
-			order = len(fields) - 1
-			if order < 1 {
-				return nil, fmt.Errorf("frostt: line %d: need at least one coordinate and a value", line)
+			var err error
+			if order, err = firstOrder(batch); err != nil {
+				return nil, err
 			}
 			maxes = make([]int32, order)
 		}
-		if len(fields) != order+1 {
-			return nil, fmt.Errorf("frostt: line %d: got %d fields, want %d", line, len(fields), order+1)
-		}
-		for m := 0; m < order; m++ {
-			c, err := strconv.ParseInt(fields[m], 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("frostt: line %d: bad coordinate %q: %v", line, fields[m], err)
+		if order > 0 && n > 0 {
+			par.Do(n, func(th int) { batch[th].parse(order) })
+			for i := range batch {
+				b := &batch[i]
+				if b.err != nil {
+					return nil, b.err
+				}
+				for m, x := range b.maxes {
+					maxes[m] = max(maxes[m], x)
+				}
+				chunks = append(chunks, block{inds: b.inds, vals: b.vals})
+				nnz += len(b.vals)
 			}
-			if c < 1 {
-				return nil, fmt.Errorf("frostt: line %d: coordinate %d is not 1-based", line, c)
-			}
-			ci := int32(c - 1)
-			if ci > maxes[m] {
-				maxes[m] = ci
-			}
-			inds = append(inds, ci)
 		}
-		v, err := strconv.ParseFloat(fields[order], 64)
-		if err != nil {
-			return nil, fmt.Errorf("frostt: line %d: bad value %q: %v", line, fields[order], err)
+		if cutErr != nil {
+			return nil, cutErr
 		}
-		vals = append(vals, v)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("frostt: scan: %w", err)
+	if c.err != nil {
+		return nil, fmt.Errorf("frostt: scan: %w", c.err)
 	}
 	if order == 0 {
 		return nil, fmt.Errorf("frostt: empty input")
@@ -85,11 +113,259 @@ func Read(r io.Reader, dims []int) (*tensor.Tensor, error) {
 			}
 		}
 	}
-	t := &tensor.Tensor{Dims: dims, Inds: inds, Vals: vals}
+	// One copy into exactly sized storage, instead of growing it batch by
+	// batch.
+	t := &tensor.Tensor{Dims: dims, Inds: make([]int32, 0, nnz*order), Vals: make([]float64, 0, nnz)}
+	for _, b := range chunks {
+		t.Inds = append(t.Inds, b.inds...)
+		t.Vals = append(t.Vals, b.vals...)
+	}
 	if err := t.Validate(false); err != nil {
 		return nil, fmt.Errorf("frostt: %w", err)
 	}
 	return t, nil
+}
+
+// maxEmptyReads is how many reads in a row may return neither data nor an
+// error before the reader is given up as stuck.
+const maxEmptyReads = 100
+
+// cutter cuts a stream into blocks of whole lines.
+type cutter struct {
+	r     io.Reader
+	size  int    // block length
+	carry []byte // the start of the line the last block cut through
+	line  int    // number of the next block's first line
+	eof   bool   // r has nothing more to give
+	err   error  // why r stopped, if not io.EOF; reported after the text before it
+}
+
+// next fills b.text with the carry and up to size more bytes of the
+// stream, cut after the last newline; at the end of the stream it takes
+// everything left. It reports false when no text is left, with an error
+// if a line outgrew maxLine before its newline.
+func (c *cutter) next(b *block) (bool, error) {
+	if cap(b.text) < c.size {
+		b.text = make([]byte, 0, c.size)
+	}
+	buf := append(b.text[:0], c.carry...)
+	for {
+		for empty := 0; len(buf) < cap(buf) && !c.eof; {
+			n, err := c.r.Read(buf[len(buf):cap(buf)])
+			buf = buf[:len(buf)+n]
+			switch {
+			case err == io.EOF:
+				c.eof = true
+			case err != nil:
+				c.eof, c.err = true, err
+			case n == 0:
+				if empty++; empty == maxEmptyReads {
+					c.eof, c.err = true, io.ErrNoProgress
+				}
+			default:
+				empty = 0
+			}
+		}
+		if c.eof {
+			c.carry = nil
+			break
+		}
+		if i := bytes.LastIndexByte(buf, '\n'); i >= 0 {
+			buf, c.carry = buf[:i+1], buf[i+1:]
+			break
+		}
+		if len(buf) > maxLine {
+			return false, errTooLong
+		}
+		buf = slices.Grow(buf, len(buf)) // the line goes on past the buffer
+	}
+	b.text = buf
+	if len(buf) == 0 {
+		return false, nil
+	}
+	b.line = c.line
+	b.newlines = bytes.Count(buf, []byte{'\n'})
+	c.line += b.newlines
+	return true, nil
+}
+
+// block is one cut of the stream and what parsing it produced.
+type block struct {
+	text     []byte // whole lines; the last lacks its newline at the end of the stream
+	line     int    // number of text's first line in the whole stream
+	newlines int    // newlines in text
+	toks     [][]byte
+	inds     []int32
+	vals     []float64
+	maxes    []int32
+	err      error
+}
+
+// cutLine splits the first line, without its newline, off text.
+func cutLine(text []byte) (ln, rest []byte) {
+	if i := bytes.IndexByte(text, '\n'); i >= 0 {
+		return text[:i], text[i+1:]
+	}
+	return text, nil
+}
+
+// firstOrder returns the tensor order set by the first data line among the
+// batch's blocks, or 0 if they hold none.
+func firstOrder(batch []block) (int, error) {
+	for i := range batch {
+		b := &batch[i]
+		for line, text := b.line, b.text; len(text) > 0; line++ {
+			var ln []byte
+			ln, text = cutLine(text)
+			toks, err := b.fields(ln)
+			if err != nil {
+				return 0, err
+			}
+			if len(toks) == 0 {
+				continue
+			}
+			if len(toks) < 2 {
+				return 0, fmt.Errorf("frostt: line %d: need at least one coordinate and a value", line)
+			}
+			return len(toks) - 1, nil
+		}
+	}
+	return 0, nil
+}
+
+// parse parses every line of b.text into new b.inds and b.vals and into
+// b.maxes, stopping at the first bad line with b.err set.
+func (b *block) parse(order int) {
+	lines := b.newlines + 1
+	b.inds = make([]int32, 0, lines*order)
+	b.vals = make([]float64, 0, lines)
+	if cap(b.maxes) < order {
+		b.maxes = make([]int32, order)
+	}
+	b.maxes = b.maxes[:order]
+	clear(b.maxes)
+	b.err = nil
+	for line, text := b.line, b.text; len(text) > 0; line++ {
+		var ln []byte
+		ln, text = cutLine(text)
+		if b.err = b.parseLine(ln, line, order); b.err != nil {
+			return
+		}
+	}
+}
+
+// parseLine appends the non-zero on one line, if the line holds one.
+func (b *block) parseLine(ln []byte, line, order int) error {
+	toks, err := b.fields(ln)
+	if err != nil || len(toks) == 0 {
+		return err
+	}
+	if len(toks) != order+1 {
+		return fmt.Errorf("frostt: line %d: got %d fields, want %d", line, len(toks), order+1)
+	}
+	for m, tok := range toks[:order] {
+		c, ok := atoi(tok)
+		if !ok {
+			if c, err = strconv.ParseInt(string(tok), 10, 32); err != nil {
+				return fmt.Errorf("frostt: line %d: bad coordinate %q: %v", line, tok, err)
+			}
+		}
+		if c < 1 {
+			return fmt.Errorf("frostt: line %d: coordinate %d is not 1-based", line, c)
+		}
+		ci := int32(c - 1)
+		b.maxes[m] = max(b.maxes[m], ci)
+		b.inds = append(b.inds, ci)
+	}
+	v, err := strconv.ParseFloat(string(toks[order]), 64)
+	if err != nil {
+		return fmt.Errorf("frostt: line %d: bad value %q: %v", line, toks[order], err)
+	}
+	b.vals = append(b.vals, v)
+	return nil
+}
+
+// atoi parses a coordinate made of at most 10 decimal digits that fits an
+// int32, the common case, and reports false for any other token, which
+// strconv.ParseInt then parses or rejects.
+func atoi(tok []byte) (int64, bool) {
+	if len(tok) > 10 {
+		return 0, false
+	}
+	var c int64
+	for _, ch := range tok {
+		if ch < '0' || ch > '9' {
+			return 0, false
+		}
+		c = c*10 + int64(ch-'0')
+	}
+	return c, c <= math.MaxInt32
+}
+
+// Byte classes of the field splitter.
+const (
+	inField  = iota // ASCII, not white space
+	spaceSep        // ASCII white space, as strings.Fields splits on it
+	nonASCII
+)
+
+// byteClass holds every byte's class.
+var byteClass = func() (c [256]uint8) {
+	for i := 0x80; i < len(c); i++ {
+		c[i] = nonASCII
+	}
+	for _, s := range "\t\n\v\f\r " {
+		c[s] = spaceSep
+	}
+	return c
+}()
+
+// fields splits a line into b.toks as strings.Fields(strings.TrimSpace)
+// splits it, and returns no fields for a blank or comment line. An ASCII
+// line is split in place; a line with any other byte goes through the
+// strings functions, which also split on Unicode white space.
+func (b *block) fields(ln []byte) ([][]byte, error) {
+	if len(ln) > maxLine {
+		return nil, errTooLong
+	}
+	toks := b.toks[:0]
+	for i := 0; i < len(ln); {
+		switch byteClass[ln[i]] {
+		case spaceSep:
+			i++
+			continue
+		case nonASCII:
+			return b.fieldsUnicode(ln), nil
+		}
+		if len(toks) == 0 && ln[i] == '#' {
+			return nil, nil
+		}
+		j := i + 1
+		for j < len(ln) && byteClass[ln[j]] == inField {
+			j++
+		}
+		if j < len(ln) && byteClass[ln[j]] == nonASCII {
+			return b.fieldsUnicode(ln), nil
+		}
+		toks = append(toks, ln[i:j])
+		i = j
+	}
+	b.toks = toks
+	return toks, nil
+}
+
+// fieldsUnicode is fields for a line holding a non-ASCII byte.
+func (b *block) fieldsUnicode(ln []byte) [][]byte {
+	text := strings.TrimSpace(string(ln))
+	if text == "" || strings.HasPrefix(text, "#") {
+		return nil
+	}
+	toks := b.toks[:0]
+	for _, f := range strings.Fields(text) {
+		toks = append(toks, []byte(f))
+	}
+	b.toks = toks
+	return toks
 }
 
 // ReadFile reads a .tns file from disk; files ending in ".gz" (the format
@@ -100,14 +376,14 @@ func ReadFile(path string, dims []int) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	defer f.Close()
-	var r io.Reader = bufio.NewReaderSize(f, 1<<20)
+	var r io.Reader = f
 	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(r)
+		gz, err := gzip.NewReader(bufio.NewReaderSize(f, 1<<20))
 		if err != nil {
 			return nil, fmt.Errorf("frostt: gzip: %w", err)
 		}
 		defer gz.Close()
-		r = bufio.NewReaderSize(gz, 1<<20)
+		r = gz
 	}
 	return Read(r, dims)
 }

@@ -2,8 +2,10 @@ package frostt
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -151,5 +153,91 @@ func TestReadFileBadGzip(t *testing.T) {
 func TestReadFileMissing(t *testing.T) {
 	if _, err := ReadFile("/nonexistent/path.tns", nil); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// manyLines returns n data lines of varying length, so that block
+// boundaries fall inside lines, with a comment and a blank line mixed in.
+func manyLines(n int) string {
+	var sb strings.Builder
+	for k := 0; k < n; k++ {
+		switch k % 97 {
+		case 13:
+			sb.WriteString("# a comment between the data lines\n")
+		case 51:
+			sb.WriteString("\n")
+		}
+		fmt.Fprintf(&sb, "%d %d %d %d.%d\n", 1+k%7, 1+k*k%1009, 1+k%100003, k%13-6, k%1000)
+	}
+	return sb.String()
+}
+
+// TestReadAcrossBlocks parses an input of several blocks, with lines
+// straddling the block boundaries, on one and on three threads: the tensor
+// must equal the line-at-a-time oracle's, and an error in a late block
+// must name its line in the whole input.
+func TestReadAcrossBlocks(t *testing.T) {
+	in := manyLines(200000)
+	if len(in) < 3*blockSize {
+		t.Fatalf("input is %d bytes, want at least three blocks", len(in))
+	}
+	lines := strings.Count(in, "\n")
+	bad := in + "1 2\n" + manyLines(10)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		if tt := checkLikeOracle(t, in, blockSize); tt.NNZ() != 200000 {
+			t.Fatalf("GOMAXPROCS=%d: nnz %d, want 200000", procs, tt.NNZ())
+		}
+		checkLikeOracle(t, bad, blockSize)
+		_, err := Read(strings.NewReader(bad), nil)
+		if want := fmt.Sprintf("frostt: line %d: got 2 fields, want 4", lines+1); err == nil || err.Error() != want {
+			t.Fatalf("GOMAXPROCS=%d: error %v, want %q", procs, err, want)
+		}
+	}
+}
+
+// TestReadLongLines pins the line-length limit at its edge, on lines that
+// end in a newline and on a last line without one: maxLine bytes are
+// accepted and one more is rejected, as the oracle's scanner does.
+func TestReadLongLines(t *testing.T) {
+	head := "1 1 1.5\n"
+	for _, n := range []int{maxLine, maxLine + 1} {
+		comment := "#" + strings.Repeat("x", n-1)
+		for _, in := range []string{
+			head + comment + "\n2 2 2.5\n",
+			head + comment,
+			comment + "\n" + head,
+		} {
+			_, err := Read(strings.NewReader(in), nil)
+			if (err == nil) != (n == maxLine) {
+				t.Fatalf("%d-byte line: error %v", n, err)
+			}
+			checkLikeOracle(t, in, blockSize)
+		}
+	}
+}
+
+// TestReadAllocIndependentOfLines pins the byte-level tokenizer: parsing
+// allocates per block and per result slice, never per line, so 50 times
+// the lines within one block cost the same allocations.
+func TestReadAllocIndependentOfLines(t *testing.T) {
+	measure := func(n int) float64 {
+		var sb strings.Builder
+		for k := 0; k < n; k++ {
+			fmt.Fprintf(&sb, "%d %d %d 0.%d\n", 1+k%9, 1+k/9%9, 1+k/81%9, k%10)
+		}
+		in := sb.String()
+		if len(in) >= blockSize {
+			t.Fatalf("%d lines take %d bytes, more than one block", n, len(in))
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Read(strings.NewReader(in), nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := measure(1000), measure(50000); small != large {
+		t.Fatalf("Read allocations grow with the line count: %.0f at 1k lines, %.0f at 50k", small, large)
 	}
 }

@@ -1,8 +1,9 @@
 package kernels
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"stef/internal/csf"
 	"stef/internal/sched"
@@ -95,8 +96,8 @@ func CountRowWrites(tree *csf.Tree, part *sched.Partition, u, src int) *RowWrite
 			}
 		}
 		rw.Writes += hi - lo
-		sort.Slice(journal, func(i, j int) bool { return journal[i] < journal[j] }) //gate:allow escape,bounds plan-time sort of the touched-row journal, once per thread
-		rw.PerThread[th] = journal                                                  //gate:allow bounds per-thread journal slot
+		slices.Sort(journal)
+		rw.PerThread[th] = journal //gate:allow bounds per-thread journal slot
 	}
 	return rw
 }
@@ -218,12 +219,11 @@ func PlanAccum(rw *RowWrites, cols, t int, strat AccumStrategy, hotBudgetElems i
 				cand = append(cand, int32(r))
 			}
 		}
-		sort.Slice(cand, func(i, j int) bool {
-			ci, cj := rw.Counts[cand[i]], rw.Counts[cand[j]]
-			if ci != cj {
-				return ci > cj
+		slices.SortFunc(cand, func(a, b int32) int {
+			if c := cmp.Compare(rw.Counts[b], rw.Counts[a]); c != 0 {
+				return c
 			}
-			return cand[i] < cand[j]
+			return cmp.Compare(a, b)
 		})
 		k := len(cand)
 		if maxK := hotBudgetElems / int64(t*cols); int64(k) > maxK {

@@ -2,7 +2,7 @@ package model
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file extends the Section IV data-movement model with an output
@@ -102,11 +102,11 @@ func NewRowStats(counts []int64) RowStats {
 	if s.Touched == 0 {
 		return s
 	}
-	sort.Slice(nz, func(i, j int) bool { return nz[i] > nz[j] })
+	slices.Sort(nz) // ascending; read back to front, most-written first
 	var mass int64
 	next := int64(1)
-	for i, c := range nz {
-		mass += c
+	for i := range nz {
+		mass += nz[len(nz)-1-i]
 		if int64(i+1) == next {
 			s.TopMass = append(s.TopMass, mass)
 			next <<= 1
@@ -317,7 +317,7 @@ func (p Params) hybridCostAt(u int, k int64) Cost {
 		coldTouched = 0
 	}
 	var c Cost
-	c.Reads += st.Writes // remap lookup + branch: ~one element per add
+	c.Reads += st.Writes  // remap lookup + branch: ~one element per add
 	c.Writes += T * k * R // hot slabs: cache-resident by budget, cold misses only
 	cold := p.dmOut(u, coldTouched, coldW)
 	c.Reads += cold

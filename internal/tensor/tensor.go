@@ -10,7 +10,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Tensor is a sparse tensor of arbitrary order in coordinate (COO) form.
@@ -87,34 +86,6 @@ func (t *Tensor) Clone() *Tensor {
 	}
 }
 
-// PermuteModes returns a new tensor whose mode m is the receiver's mode
-// perm[m]. Dims and every coordinate are rearranged accordingly. The
-// non-zero order is preserved. It panics if perm is not a permutation of
-// 0..order-1.
-func (t *Tensor) PermuteModes(perm []int) *Tensor {
-	d := t.Order()
-	if err := CheckPerm(perm, d); err != nil {
-		panic("tensor: " + err.Error())
-	}
-	out := &Tensor{
-		Dims: make([]int, d),
-		Inds: make([]int32, len(t.Inds)),
-		Vals: append([]float64(nil), t.Vals...),
-	}
-	for m := 0; m < d; m++ {
-		out.Dims[m] = t.Dims[perm[m]]
-	}
-	nnz := t.NNZ()
-	for k := 0; k < nnz; k++ {
-		src := t.Inds[k*d : (k+1)*d]
-		dst := out.Inds[k*d : (k+1)*d]
-		for m := 0; m < d; m++ {
-			dst[m] = src[perm[m]]
-		}
-	}
-	return out
-}
-
 // CheckPerm reports whether perm is a permutation of 0..n-1.
 func CheckPerm(perm []int, n int) error {
 	if len(perm) != n {
@@ -133,61 +104,59 @@ func CheckPerm(perm []int, n int) error {
 // SortLex sorts the non-zeros lexicographically by coordinate (mode 0 is
 // the most significant). Sorting is stable with respect to equal
 // coordinates, which should not occur in a valid tensor (see Dedup).
-//
-// When the tensor's index space fits in 63 bits (every benchmark profile
-// does), coordinates are packed into single uint64 keys and sorted by key,
-// which is several times faster than comparator-based lexicographic
-// sorting; otherwise a stable comparator sort is used.
+// See PermuteSorted for the sort itself.
 func (t *Tensor) SortLex() {
+	if t.NNZ() < 2 {
+		return
+	}
+	perm := make([]int, t.Order())
+	for m := range perm {
+		perm[m] = m
+	}
+	s := t.PermuteSorted(perm)
+	t.Inds, t.Vals = s.Inds, s.Vals
+}
+
+// PermuteSorted returns a new tensor whose mode l is the receiver's mode
+// perm[l], with its non-zeros sorted as SortLex sorts them. No unsorted
+// permuted copy is made: the sort keys come from the receiver's
+// coordinates, and the permuted coordinates are gathered once, in sorted
+// order. The receiver is not modified. It panics if perm is not a
+// permutation of 0..order-1.
+//
+// When the permuted index space fits in 63 bits (every benchmark profile
+// does), each coordinate packs into one uint64 key and the keys are
+// radix-sorted (radixSort); otherwise a stable comparator sort is used.
+// Both give the same order, equal coordinates in input order.
+func (t *Tensor) PermuteSorted(perm []int) *Tensor {
 	d := t.Order()
+	if err := CheckPerm(perm, d); err != nil {
+		panic("tensor: " + err.Error())
+	}
 	nnz := t.NNZ()
-	if nnz < 2 {
-		return
+	out := &Tensor{
+		Dims: make([]int, d),
+		Inds: make([]int32, len(t.Inds)),
+		Vals: make([]float64, nnz),
 	}
-	if strides, ok := packStrides(t.Dims); ok {
-		// pos is int64, not int32: leaf positions are nnz-scale and a
-		// 100M+-nnz tensor would silently wrap a 32-bit position.
-		type kv struct {
-			key uint64
-			pos int64
-		}
-		keys := make([]kv, nnz)
-		for k := 0; k < nnz; k++ {
-			c := t.Inds[k*d : (k+1)*d]
-			key := uint64(0)
-			for m := 0; m < d; m++ {
-				key += strides[m] * uint64(c[m])
-			}
-			keys[k] = kv{key, int64(k)}
-		}
-		sort.Slice(keys, func(a, b int) bool {
-			if keys[a].key != keys[b].key {
-				return keys[a].key < keys[b].key
-			}
-			return keys[a].pos < keys[b].pos // stability for duplicates
-		})
-		perm := make([]int, nnz)
-		for i, e := range keys {
-			perm[i] = int(e.pos)
-		}
-		t.applyPerm(perm)
-		return
+	for l, m := range perm {
+		out.Dims[l] = t.Dims[m]
 	}
-	perm := make([]int, nnz)
-	for i := range perm {
-		perm[i] = i
+	var order []keyPos
+	if strides, ok := packStrides(out.Dims); ok && RadixSort {
+		order = t.radixOrder(perm, strides)
+	} else {
+		order = t.compareOrder(perm)
 	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		ca := t.Inds[perm[a]*d : perm[a]*d+d]
-		cb := t.Inds[perm[b]*d : perm[b]*d+d]
-		for m := 0; m < d; m++ {
-			if ca[m] != cb[m] {
-				return ca[m] < cb[m]
-			}
+	for i, e := range order {
+		src := t.Inds[int(e.pos)*d : int(e.pos+1)*d]
+		dst := out.Inds[i*d : (i+1)*d]
+		for l, m := range perm {
+			dst[l] = src[m]
 		}
-		return false
-	})
-	t.applyPerm(perm)
+		out.Vals[i] = t.Vals[e.pos]
+	}
+	return out
 }
 
 // packStrides returns per-mode strides packing a coordinate into a single
@@ -206,21 +175,6 @@ func packStrides(dims []int) ([]uint64, bool) {
 		s = hi
 	}
 	return strides, true
-}
-
-// applyPerm reorders non-zeros so that new position i holds old position
-// perm[i].
-func (t *Tensor) applyPerm(perm []int) {
-	d := t.Order()
-	nnz := t.NNZ()
-	inds := make([]int32, len(t.Inds))
-	vals := make([]float64, nnz)
-	for i, p := range perm {
-		copy(inds[i*d:(i+1)*d], t.Inds[p*d:(p+1)*d])
-		vals[i] = t.Vals[p]
-	}
-	t.Inds = inds
-	t.Vals = vals
 }
 
 // Dedup sorts the tensor lexicographically and merges duplicate coordinates

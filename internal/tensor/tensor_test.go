@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -86,24 +87,25 @@ func TestDedup(t *testing.T) {
 	}
 }
 
-func TestPermuteModesRoundTrip(t *testing.T) {
+func TestPermuteSortedRoundTrip(t *testing.T) {
 	tt := Random([]int{4, 6, 8, 3}, 50, nil, 9)
 	perm := []int{2, 0, 3, 1}
 	inv := make([]int, 4)
 	for l, m := range perm {
 		inv[m] = l
 	}
-	back := tt.PermuteModes(perm).PermuteModes(inv)
-	if back.NNZ() != tt.NNZ() {
-		t.Fatal("nnz changed")
-	}
-	for k := 0; k < tt.NNZ(); k++ {
-		a, b := tt.Coord(k), back.Coord(k)
-		for m := range a {
-			if a[m] != b[m] {
-				t.Fatalf("coord mismatch at %d: %v vs %v", k, a, b)
-			}
+	fwd := tt.PermuteSorted(perm)
+	for l, m := range perm {
+		if fwd.Dims[l] != tt.Dims[m] {
+			t.Fatalf("permuted dims %v from %v under %v", fwd.Dims, tt.Dims, perm)
 		}
+	}
+	if err := fwd.Validate(true); err != nil {
+		t.Fatalf("permuted copy not sorted: %v", err)
+	}
+	// Random returns its non-zeros sorted, so permuting back restores them.
+	if back := fwd.PermuteSorted(inv); !sameTensor(back, tt) {
+		t.Fatal("PermuteSorted(perm) then PermuteSorted(inverse) changed the tensor")
 	}
 }
 
@@ -306,6 +308,68 @@ func TestSortLexQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+
+	// The radix path against the comparator sort, its oracle: the same
+	// order under any mode permutation, duplicates in input order (so
+	// Dedup's sums are bit-equal), for nnz 0, 1, 2 and up, and for keys
+	// that use all 63 bits.
+	g := func(seed int64, wide bool, n8 uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		dims := make([]int, 2+rng.Intn(4))
+		for m := range dims {
+			dims[m] = 1 + rng.Intn(8)
+		}
+		if wide {
+			dims = []int{1<<31 - 1, 1<<31 - 1, 2}
+		}
+		for _, nnz := range []int{0, 1, 2, int(n8) % 40} {
+			tt := &Tensor{Dims: dims}
+			for k := 0; k < nnz; k++ {
+				if k > 0 && rng.Intn(3) == 0 {
+					tt.Inds = append(tt.Inds, tt.Coord(rng.Intn(k))...)
+				} else {
+					for _, n := range dims {
+						tt.Inds = append(tt.Inds, int32(rng.Intn(n)))
+					}
+				}
+				tt.Vals = append(tt.Vals, rng.NormFloat64())
+			}
+			perm := rng.Perm(len(dims))
+			radix, cmp := sortBoth(tt, perm, (*Tensor).PermuteSorted)
+			if !sameTensor(radix, cmp) || radix.Validate(false) != nil {
+				return false
+			}
+			a, b := sortBoth(radix, perm, func(t *Tensor, _ []int) *Tensor {
+				c := t.Clone()
+				c.Dedup()
+				return c
+			})
+			if !sameTensor(a, b) || a.Validate(true) != nil {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(g, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sortBoth applies sort to t once through the radix path and once through
+// the comparator sort.
+func sortBoth(t *Tensor, perm []int, sort func(*Tensor, []int) *Tensor) (radix, cmp *Tensor) {
+	defer func(old bool) { RadixSort = old }(RadixSort)
+	RadixSort = true
+	radix = sort(t, perm)
+	RadixSort = false
+	return radix, sort(t, perm)
+}
+
+// sameTensor reports whether a and b have equal dims and coordinates and
+// bit-identical values.
+func sameTensor(a, b *Tensor) bool {
+	return slices.Equal(a.Dims, b.Dims) && slices.Equal(a.Inds, b.Inds) &&
+		slices.EqualFunc(a.Vals, b.Vals, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 func minInt(a, b int) int {

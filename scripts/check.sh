@@ -20,8 +20,11 @@ go run ./cmd/steflint -gates
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -race (parallel packages + shared-plan concurrency + int32-boundary dims)"
-go test -race . ./internal/par/ ./internal/sched/ ./internal/kernels/ ./internal/cpd/ ./internal/core/ ./internal/dense/
+echo "==> go test -race (parallel packages + shared-plan concurrency + int32-boundary dims + block-parallel parse)"
+go test -race . ./internal/par/ ./internal/sched/ ./internal/kernels/ ./internal/cpd/ ./internal/core/ ./internal/dense/ ./internal/frostt/ ./internal/tensor/ ./internal/csf/
+
+echo "==> FuzzRead smoke (block parser against the line-at-a-time oracle, 10 s)"
+go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s ./internal/frostt/
 
 echo "==> arena storage seam (mmap round trip, corrupt-header fuzz seeds, heap-vs-arena solve parity, csf-backing self-check)"
 go test -race -run 'Arena|CSFBacking' . ./internal/csf/ ./internal/lint/
