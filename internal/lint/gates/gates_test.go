@@ -204,6 +204,11 @@ func TestCheckFixture(t *testing.T) {
 		if strings.HasPrefix(key, "gatesfix.Allowed\t") && strings.HasSuffix(key, string(KindBounds)) {
 			t.Errorf("allowed in-loop bounds diagnostic leaked into baseline counts: %q", key)
 		}
+		// Sorted's slices.Sort is reported inside GOROOT, at a path that
+		// differs between hosts; it must not reach the baseline.
+		if strings.HasPrefix(key, "/") {
+			t.Errorf("diagnostic outside the module counted: %q", key)
+		}
 	}
 }
 

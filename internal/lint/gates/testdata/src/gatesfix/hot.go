@@ -4,6 +4,8 @@
 // under //gate:allow directives and must stay silent.
 package gatesfix
 
+import "slices"
+
 // Hot allocates and indexes data-dependently inside its loop on purpose.
 func Hot(xs []int, idx []int) []*int {
 	out := make([]*int, 0, len(xs))
@@ -25,6 +27,10 @@ func Allowed(xs []int, idx []int) []*int {
 	}
 	return out
 }
+
+// Sorted instantiates generic standard-library code, whose diagnostics the
+// compiler reports at GOROOT positions.
+func Sorted(xs []int) { slices.Sort(xs) }
 
 //gate:allow directive that suppresses nothing, for the stale test
 var Unused = 0
