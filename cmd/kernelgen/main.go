@@ -1,13 +1,7 @@
-// Command kernelgen emits generated kernel sources. The unrolled non-root
-// MTTKRP kernels for one tensor order, the R-blocked rank-vector
-// specializations, and their code-shape certificates are produced by:
+// Command kernelgen emits the unrolled non-root MTTKRP kernels for one
+// tensor order:
 //
 //	go run ./cmd/kernelgen -d 5 > internal/kernels/modes5_gen.go
-//	go run ./cmd/kernelgen -vec > internal/kernels/vec_gen.go
-//	go run ./cmd/kernelgen -shape > internal/lint/gates/shape_gen.go
-//
-// -vec and -shape must be regenerated together: the shape rules assert
-// the machine code of exactly the specializations -vec emits.
 package main
 
 import (
@@ -20,23 +14,8 @@ import (
 
 func main() {
 	d := flag.Int("d", 5, "tensor order to generate mode kernels for")
-	vec := flag.Bool("vec", false, "emit the R-blocked rank-vector primitives (internal/kernels/vec_gen.go)")
-	shape := flag.Bool("shape", false, "emit the shape rules certifying -vec's output (internal/lint/gates/shape_gen.go)")
 	flag.Parse()
-	var (
-		src []byte
-		err error
-	)
-	switch {
-	case *vec && *shape:
-		err = fmt.Errorf("-vec and -shape emit different files; pass one at a time")
-	case *vec:
-		src, err = kernelgen.GenerateVec()
-	case *shape:
-		src, err = kernelgen.GenerateShapeRules()
-	default:
-		src, err = kernelgen.Generate(*d)
-	}
+	src, err := kernelgen.Generate(*d)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kernelgen:", err)
 		os.Exit(2)

@@ -2,6 +2,9 @@ package stef_test
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -200,5 +203,53 @@ func TestCompileWithReorderUnpermutes(t *testing.T) {
 		if f.Rows != tt.Dims[m] {
 			t.Fatalf("factor %d has %d rows, want %d", m, f.Rows, tt.Dims[m])
 		}
+	}
+}
+
+// TestCompileRejectsNonFinite loads a .tns file holding one NaN or ±Inf
+// value and requires both compile entry points, Compile on the loaded
+// tensor and CompileTree on its reopened arena, to refuse it before
+// planning with an error naming the non-zero and its coordinates.
+func TestCompileRejectsNonFinite(t *testing.T) {
+	opts := stef.Options{Rank: 2, MaxIters: 2}
+	for _, c := range []struct {
+		entry, val, want string
+	}{
+		{"Compile", "nan", "non-zero 2 at zero-based coordinates [1 2 0] has non-finite value NaN"},
+		{"Compile", "inf", "non-zero 2 at zero-based coordinates [1 2 0] has non-finite value +Inf"},
+		{"Compile", "-inf", "non-zero 2 at zero-based coordinates [1 2 0] has non-finite value -Inf"},
+		{"CompileTree", "nan", "at zero-based coordinates [1 2 0] has non-finite value NaN"},
+		{"CompileTree", "inf", "at zero-based coordinates [1 2 0] has non-finite value +Inf"},
+		{"CompileTree", "-inf", "at zero-based coordinates [1 2 0] has non-finite value -Inf"},
+	} {
+		t.Run(c.entry+"/"+c.val, func(t *testing.T) {
+			dir := t.TempDir()
+			tns := filepath.Join(dir, "x.tns")
+			body := "1 1 1 1.5\n1 2 3 2.0\n2 3 1 " + c.val + "\n3 4 2 -0.5\n"
+			if err := os.WriteFile(tns, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			tt, err := stef.LoadTensor(tns)
+			if err != nil {
+				t.Fatalf("LoadTensor: %v", err)
+			}
+			if c.entry == "Compile" {
+				_, err = stef.Compile(tt, opts)
+			} else {
+				arena := filepath.Join(dir, "x.stef")
+				if err := stef.SaveArena(tt, arena); err != nil {
+					t.Fatalf("SaveArena: %v", err)
+				}
+				tree, err2 := stef.OpenArena(arena)
+				if err2 != nil {
+					t.Fatalf("OpenArena: %v", err2)
+				}
+				defer tree.Close()
+				_, err = stef.CompileTree(tree, opts)
+			}
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("%s error = %v, want one containing %q", c.entry, err, c.want)
+			}
+		})
 	}
 }

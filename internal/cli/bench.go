@@ -33,7 +33,6 @@ type benchReport struct {
 	CPDCheck     []experiments.CPDCheckRow      `json:"cpdcheck,omitempty"`
 	SolveBench   []SolveBenchRow                `json:"solvebench,omitempty"`
 	AccumBench   []AccumBenchRow                `json:"accumbench,omitempty"`
-	VecBench     []VecBenchRow                  `json:"vecbench,omitempty"`
 	RemapBench   []RemapBenchRow                `json:"remapbench,omitempty"`
 	ArenaBench   []ArenaBenchRow                `json:"arenabench,omitempty"`
 }
@@ -62,7 +61,6 @@ func RunBench(args []string, stdout, stderr io.Writer) int {
 		scaling = fs.Bool("scaling", false, "modeled strong-scaling study (extension)")
 		sbench  = fs.Bool("solvebench", false, "compile-once/solve-many vs per-call planning throughput")
 		abench  = fs.Bool("accumbench", false, "output-accumulation strategy sweep (auto/priv/hybrid/atomic)")
-		vbench  = fs.Bool("vecbench", false, "generic vs R-blocked rank-primitive sweep")
 		rmbench = fs.Bool("remapbench", false, "factor-row remap off-vs-model locality sweep")
 		arbench = fs.Bool("arenabench", false, "arena vs CSF1-stream open latency + heap/mmap solve parity")
 		jsonOut = fs.Bool("json", false, "emit machine-readable JSON results on stdout (tables go to stderr)")
@@ -75,12 +73,12 @@ func RunBench(args []string, stdout, stderr io.Writer) int {
 		solves  = fs.Int("solves", 6, "with -solvebench: ALS restarts timed per path")
 		iters   = fs.Int("iters", 10, "with -solvebench: ALS iterations per solve")
 		accum   = fs.String("accum", "auto", "output accumulation strategy for stef engines: auto, priv, hybrid or atomic")
-		athr    = fs.String("accumthreads", "1,2,4,8", "with -accumbench/-vecbench/-remapbench: comma-separated thread counts to sweep")
+		athr    = fs.String("accumthreads", "1,2,4,8", "with -accumbench/-remapbench: comma-separated thread counts to sweep")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if !(*all || *table1 || *table2 || *fig3 || *fig4 || *fig5 || *fig6 || *wd || *mcheck || *ccheck || *scaling || *sbench || *abench || *vbench || *rmbench || *arbench) {
+	if !(*all || *table1 || *table2 || *fig3 || *fig4 || *fig5 || *fig6 || *wd || *mcheck || *ccheck || *scaling || *sbench || *abench || *rmbench || *arbench) {
 		fs.Usage()
 		return 2
 	}
@@ -211,17 +209,6 @@ func RunBench(args []string, stdout, stderr io.Writer) int {
 		steps = append(steps, step{true, "arenabench", func() error {
 			r, err := arenaBench(s, rankList[0], *iters, s.Opts.Reps, s.Opts.Out)
 			report.ArenaBench = r
-			return err
-		}})
-	}
-	if *vbench {
-		steps = append(steps, step{true, "vecbench", func() error {
-			threadList, err := parseIntList(*athr)
-			if err != nil {
-				return err
-			}
-			r, err := vecBench(s, rankList, threadList, s.Opts.Reps, s.Opts.Out)
-			report.VecBench = r
 			return err
 		}})
 	}

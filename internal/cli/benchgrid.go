@@ -7,8 +7,7 @@ import (
 
 // benchCell is one (tensor, rank, threads) point of a sweep grid — the
 // cross product every kernel-level stef-bench sweep (-accumbench,
-// -vecbench, -remapbench) enumerates before adding its own comparison
-// axis.
+// -remapbench) enumerates before adding its own comparison axis.
 type benchCell struct {
 	Name    string
 	Tensor  *tensor.Tensor

@@ -1,8 +1,6 @@
 //go:generate sh -c "go run stef/cmd/kernelgen -d 3 > modes3_gen.go"
 //go:generate sh -c "go run stef/cmd/kernelgen -d 4 > modes4_gen.go"
 //go:generate sh -c "go run stef/cmd/kernelgen -d 5 > modes5_gen.go"
-//go:generate sh -c "go run stef/cmd/kernelgen -vec > vec_gen.go"
-//go:generate sh -c "go run stef/cmd/kernelgen -shape > ../lint/gates/shape_gen.go"
 
 package kernels
 
@@ -86,9 +84,8 @@ func modeGeneric(tree *csf.Tree, factors []*tensor.Matrix, u, src int, partials 
 		for l := u; l < src; l++ {
 			tmp[l] = sc.vec(th, l) //gate:allow bounds scratch slots are sized to the order
 		}
-		// Rebind the rank-vector primitives to the scratch's R-specialized
-		// set (vec.go); the names shadow the generic package functions on
-		// purpose.
+		// Rebind the rank-vector primitives to the scratch's set (vec.go);
+		// the names shadow the generic package functions on purpose.
 		zero, addScaled, hadamardAccum, hadamardInto := sc.ops.zero, sc.ops.addScaled, sc.ops.hadamardAccum, sc.ops.hadamardInto
 
 		// down computes t_l for node n at level l (u <= l < src) by

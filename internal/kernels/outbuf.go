@@ -79,7 +79,7 @@ type OutBuf struct {
 	shared     []uint64         // float64 bit patterns: atomic + hybrid cold rows
 	hot        []float64        // AccumHybrid: T contiguous k×cols replicas
 	hotK       int              // hot rows per replica
-	ops        vecOps           // rank-vector primitives, R-specialized when cols matches
+	ops        vecOps           // rank-vector primitives chosen by opsFor
 	shadow     outbufShadow     // write-ownership oracle (-tags shadowtrace)
 }
 
@@ -94,7 +94,7 @@ func NewOutBuf(rows, cols, t int, maxPrivElems int64) *OutBuf {
 	if rows < 0 || cols < 0 || t < 1 {
 		panic(fmt.Sprintf("kernels: NewOutBuf(rows=%d, cols=%d, t=%d)", rows, cols, t))
 	}
-	b := &OutBuf{rows: rows, cols: cols, t: t, ops: opsFor(cols)}
+	b := &OutBuf{rows: rows, cols: cols, t: t, ops: opsFor()}
 	elems := int64(rows) * int64(cols)
 	if t == 1 || elems*int64(t) <= maxPrivElems {
 		b.priv = make([]*tensor.Matrix, t)
@@ -111,7 +111,7 @@ func NewOutBuf(rows, cols, t int, maxPrivElems int64) *OutBuf {
 // The plan is shared, read-only; the buffer holds the mutable slabs, so one
 // plan serves any number of concurrent workspaces.
 func NewOutBufPlanned(ap *AccumPlan) *OutBuf {
-	b := &OutBuf{rows: ap.Rows, cols: ap.Cols, t: ap.T, plan: ap, ops: opsFor(ap.Cols)}
+	b := &OutBuf{rows: ap.Rows, cols: ap.Cols, t: ap.T, plan: ap, ops: opsFor()}
 	switch ap.Strategy {
 	case AccumPriv:
 		b.priv = make([]*tensor.Matrix, ap.T)
@@ -168,7 +168,7 @@ type OutBufThread struct {
 	b      *OutBuf
 	th     int
 	cols   int
-	ops    vecOps    // R-specialized primitives, resolved at construction
+	ops    vecOps    // rank-vector primitives, resolved at construction
 	priv   []float64 // private replica backing (AccumPriv / legacy)
 	hot    []float64 // thread's hot-row slab (AccumHybrid; may be empty)
 	remap  []int32   // row classification (AccumHybrid only)

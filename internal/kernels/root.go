@@ -85,9 +85,8 @@ func rootGeneric(tree *csf.Tree, factors []*tensor.Matrix, out *tensor.Matrix, p
 		for l := range tmp {
 			tmp[l] = sc.vec(th, l) //gate:allow bounds scratch slots are sized to the order
 		}
-		// Rebind the rank-vector primitives to the scratch's R-specialized
-		// set (vec.go); the names shadow the generic package functions on
-		// purpose.
+		// Rebind the rank-vector primitives to the scratch's set (vec.go);
+		// the names shadow the generic package functions on purpose.
 		zero, addScaled, hadamardAccum := sc.ops.zero, sc.ops.addScaled, sc.ops.hadamardAccum
 		var rec func(l int, n int64)
 		rec = func(l int, n int64) {

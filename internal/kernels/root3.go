@@ -67,8 +67,8 @@ func root3Thread(th int, tree *csf.Tree, factors []*tensor.Matrix, out *tensor.M
 	}
 	t0 := sc.vec(th, 0)
 	t1 := sc.vec(th, 1)
-	// Rebind the rank-vector primitives to the scratch's R-specialized set
-	// (vec.go); the names shadow the generic package functions on purpose.
+	// Rebind the rank-vector primitives to the scratch's set (vec.go); the
+	// names shadow the generic package functions on purpose.
 	zero, addScaled, hadamardAccum := sc.ops.zero, sc.ops.addScaled, sc.ops.hadamardAccum
 	for n0 := s[0]; n0 < e[0]; n0++ {
 		zero(t0)
@@ -142,8 +142,8 @@ func root4Thread(th int, tree *csf.Tree, factors []*tensor.Matrix, out *tensor.M
 	t0 := sc.vec(th, 0)
 	t1 := sc.vec(th, 1)
 	t2 := sc.vec(th, 2)
-	// Rebind the rank-vector primitives to the scratch's R-specialized set
-	// (vec.go); the names shadow the generic package functions on purpose.
+	// Rebind the rank-vector primitives to the scratch's set (vec.go); the
+	// names shadow the generic package functions on purpose.
 	zero, addScaled, hadamardAccum := sc.ops.zero, sc.ops.addScaled, sc.ops.hadamardAccum
 	for n0 := s[0]; n0 < e[0]; n0++ {
 		zero(t0)

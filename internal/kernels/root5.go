@@ -53,8 +53,8 @@ func root5Thread(th int, tree *csf.Tree, factors []*tensor.Matrix, out *tensor.M
 	t1 := sc.vec(th, 1)
 	t2 := sc.vec(th, 2)
 	t3 := sc.vec(th, 3)
-	// Rebind the rank-vector primitives to the scratch's R-specialized set
-	// (vec.go); the names shadow the generic package functions on purpose.
+	// Rebind the rank-vector primitives to the scratch's set (vec.go); the
+	// names shadow the generic package functions on purpose.
 	zero, addScaled, hadamardAccum := sc.ops.zero, sc.ops.addScaled, sc.ops.hadamardAccum
 	for n0 := s[0]; n0 < e[0]; n0++ {
 		zero(t0)

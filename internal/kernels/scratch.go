@@ -23,9 +23,9 @@ type Scratch struct {
 	// (level 0 stands in for the root output). Kernels must zero the rows
 	// they merge before writing: pooled reuse leaves stale data behind.
 	bound []*tensor.Matrix
-	// ops is the rank-vector primitive set, R-specialized when the rank
-	// has a blocked form (vec.go / vec_gen.go). Kernels rebind the
-	// primitive names from here at the top of each thread body.
+	// ops is the rank-vector primitive set chosen by opsFor (vec.go).
+	// Kernels rebind the primitive names from here at the top of each
+	// thread body.
 	ops vecOps
 	// shadow is the write-disjointness oracle; a no-op unless built with
 	// -tags shadowtrace (see shadow_off.go / shadow_on.go).
@@ -47,7 +47,7 @@ func NewScratch(d, rank, threads int) *Scratch {
 		stride:  (rank + 7) &^ 7,
 		slots:   d - 1,
 		bound:   make([]*tensor.Matrix, d-1),
-		ops:     opsFor(rank),
+		ops:     opsFor(),
 	}
 	s.vecs = make([]float64, threads*s.slots*s.stride)
 	for l := range s.bound {

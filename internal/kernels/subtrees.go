@@ -19,9 +19,9 @@ func RootMTTKRPSubtrees(tree *csf.Tree, factors []*tensor.Matrix, out *tensor.Ma
 		//gate:allow escape,bounds per-call accumulator setup, once per subtree range, not per-nnz
 		tmp[l] = make([]float64, r) //lint:allow hotpath-alloc per-call setup, once per subtree range
 	}
-	// Rebind the rank-vector primitives to the R-specialized set (vec.go);
-	// the names shadow the generic package functions on purpose.
-	ops := opsFor(r)
+	// Rebind the rank-vector primitives to opsFor's set (vec.go); the
+	// names shadow the generic package functions on purpose.
+	ops := opsFor()
 	zero, addScaled, hadamardAccum := ops.zero, ops.addScaled, ops.hadamardAccum
 	var rec func(l int, n int64)
 	rec = func(l int, n int64) {
@@ -70,9 +70,9 @@ func ModeMTTKRPSubtrees(tree *csf.Tree, factors []*tensor.Matrix, u int, partial
 		//gate:allow escape,bounds per-call accumulator setup, once per subtree range, not per-nnz
 		tmp[l] = make([]float64, r) //lint:allow hotpath-alloc per-call setup, once per subtree range
 	}
-	// Rebind the rank-vector primitives to the R-specialized set (vec.go);
-	// the names shadow the generic package functions on purpose.
-	ops := opsFor(r)
+	// Rebind the rank-vector primitives to opsFor's set (vec.go); the
+	// names shadow the generic package functions on purpose.
+	ops := opsFor()
 	zero, addScaled, hadamardAccum, hadamardInto := ops.zero, ops.addScaled, ops.hadamardAccum, ops.hadamardInto
 	var down func(l int, n int64) []float64
 	down = func(l int, n int64) []float64 {

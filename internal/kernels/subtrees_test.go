@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"fmt"
 	"testing"
 
 	"stef/internal/csf"
@@ -76,27 +75,5 @@ func TestSubtreeRootDisjointRows(t *testing.T) {
 		if got := a.Data[i] + b.Data[i]; got != full.Data[i] {
 			t.Fatalf("element %d: %g + %g != %g", i, a.Data[i], b.Data[i], full.Data[i])
 		}
-	}
-}
-
-func BenchmarkVecOps(b *testing.B) {
-	for _, r := range []int{8, 32, 64} {
-		dst := make([]float64, r)
-		x := make([]float64, r)
-		y := make([]float64, r)
-		for i := range x {
-			x[i] = float64(i + 1)
-			y[i] = 1.5
-		}
-		b.Run(fmt.Sprintf("hadamardAccum/R%d", r), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				hadamardAccum(dst, x, y)
-			}
-		})
-		b.Run(fmt.Sprintf("addScaled/R%d", r), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				addScaled(dst, 1.1, x)
-			}
-		})
 	}
 }

@@ -104,15 +104,11 @@ func hadamardInto(dst, a, b []float64) {
 	}
 }
 
-// vecOps bundles the four rank-vector primitives. The generic set above
-// handles any length; cmd/kernelgen -vec emits straight-line R-blocked
-// specializations (vec_gen.go) whose compile-time-constant trip counts let
-// the prove pass delete every per-element bounds check and whose machine
-// code is certified by the shape gate (internal/lint/gates). A Scratch or
-// OutBuf picks its set once at construction via opsFor; kernels rebind the
+// vecOps bundles the four rank-vector primitives. A Scratch or OutBuf
+// picks its set once at construction via opsFor; kernels rebind the
 // primitive names to the chosen set at the top of each thread body, so the
-// per-nonzero path pays one indirect call either way and the R dispatch
-// never appears in a loop.
+// per-nonzero path pays one indirect call and the selection never appears
+// in a loop.
 type vecOps struct {
 	zero          func(v []float64)
 	addScaled     func(dst []float64, s float64, src []float64)
@@ -120,7 +116,8 @@ type vecOps struct {
 	hadamardInto  func(dst, a, b []float64)
 }
 
-// genericVecOps is the any-length fallback set.
+// genericVecOps is the portable set: the Go loops above. It is also the
+// race-build set and the oracle the SIMD set is tested against.
 var genericVecOps = vecOps{
 	zero:          zero,
 	addScaled:     addScaled,
@@ -128,32 +125,15 @@ var genericVecOps = vecOps{
 	hadamardInto:  hadamardInto,
 }
 
-// BlockedVec enables the R-blocked specializations for ranks that have
-// one. It exists for the scalar-versus-blocked benchmark sweep
-// (stef-bench -vecbench) and for debugging; it is read at Scratch/OutBuf
-// construction time only, so flip it before building workspaces, never
-// during a solve.
-var BlockedVec = true
-
-// opsFor selects the primitive set for rank-r vectors. The specializations
-// operate on exactly the first r elements, matching the generic
-// first-min(len) contract for the equal-length rank vectors the kernels
-// pass.
-func opsFor(r int) vecOps {
-	if BlockedVec {
-		if ops, ok := vecOpsFor(r); ok {
-			return ops
-		}
+// opsFor selects the primitive set for a new Scratch or OutBuf, at any
+// rank: the SIMD set (vec_amd64.s) where the CPU runs it and the build is
+// not a race build, the generic set otherwise. The two give bit-identical
+// results at every length, so the choice never changes a solve.
+func opsFor() vecOps {
+	if ops, ok := simdVecOps(); ok && !raceBuild {
+		return ops
 	}
 	return genericVecOps
-}
-
-// HasBlockedOps reports whether rank r has an R-blocked specialization set
-// (cmd/kernelgen -vec), independent of the BlockedVec toggle. The
-// vectorization benchmark uses it to annotate dispatch outcomes.
-func HasBlockedOps(r int) bool {
-	_, ok := vecOpsFor(r)
-	return ok
 }
 
 func minI64(a, b int64) int64 {

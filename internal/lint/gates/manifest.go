@@ -93,11 +93,11 @@ func Default() *Manifest {
 			{Func: "dense.scalePass", Note: "dense update pass B (normalise, Gram partial, fit inner product), O(R²) per factor row per mode"},
 			{Func: "dense.foldStat", Note: "pass A's column statistic (sum of squares or max magnitude), once per factor row per mode"},
 		},
-		// Hand-written shape rules for the variable-length scalar
-		// primitives; vecShapeRules() adds one per generated R-blocked
-		// specialization (internal/kernels/vec_gen.go), so every emitted
-		// kernel is born certified.
-		Shapes: append([]ShapeRule{
+		// Shape rules for the generic Go rank-vector primitives and the
+		// dense update's passes. The AVX2 primitives (vec_amd64.s) are
+		// assembled, not compiled, so they have no -S listing; their
+		// contract tests and vet's asmdecl cover them instead.
+		Shapes: []ShapeRule{
 			{
 				Func: "kernels.addScaled", Note: "8-wide unrolled axpy: call-free, >=8 FP muls per iteration",
 				MaxCalls: 0, MaxLoopCalls: 0, MaxBounds: Unchecked, MinFPMul: 8, MaxLoopFrameLoads: 0,
@@ -122,6 +122,6 @@ func Default() *Manifest {
 				Func: "dense.scalePass", Note: "pass B: call-free, the 4-row Gram update multiplies four rows per element",
 				MaxCalls: 0, MaxLoopCalls: 0, MaxBounds: Unchecked, MinFPMul: 4, MaxLoopFrameLoads: Unchecked,
 			},
-		}, vecShapeRules()...),
+		},
 	}
 }

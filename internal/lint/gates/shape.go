@@ -6,10 +6,10 @@ package gates
 // *diagnostics*, shape rules certify *instructions*: a kernel that the
 // manifest says is an unrolled, call-free, check-free multiply-add block
 // must actually compile to one, or the gate trips. This is what keeps the
-// R-blocked specializations emitted by internal/kernelgen honest across
-// toolchain upgrades — if a future prove pass stops eliminating the checks
-// or an inliner change inserts a call, the regression is a named finding,
-// not a silent slowdown.
+// generic rank-vector primitives and the dense update's passes honest
+// across toolchain upgrades — if a future prove pass stops eliminating the
+// checks or an inliner change inserts a call, the regression is a named
+// finding, not a silent slowdown.
 
 import (
 	"fmt"

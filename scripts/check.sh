@@ -8,8 +8,11 @@ cd "$(dirname "$0")/.."
 echo "==> go build ./..."
 go build ./...
 
-echo "==> go vet ./..."
+echo "==> go vet ./... (incl. asmdecl on the AVX2 rank-vector primitives)"
 go vet ./...
+
+echo "==> GOARCH=arm64 go vet ./... (the portable path builds without the amd64 assembly)"
+GOARCH=arm64 go vet ./...
 
 echo "==> steflint (incl. idx-width and lifetime interprocedural certification)"
 go run ./cmd/steflint ./...
@@ -20,6 +23,9 @@ go run ./cmd/steflint -gates
 echo "==> go test ./..."
 go test ./...
 
+# Race builds select the Go rank-vector loops: the detector cannot see
+# stores made by assembly. The contract tests still call the AVX2 set
+# directly, so it runs under -race too.
 echo "==> go test -race (parallel packages + shared-plan concurrency + int32-boundary dims + block-parallel parse)"
 go test -race . ./internal/par/ ./internal/sched/ ./internal/kernels/ ./internal/cpd/ ./internal/core/ ./internal/dense/ ./internal/frostt/ ./internal/tensor/ ./internal/csf/
 
@@ -29,9 +35,11 @@ go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s ./internal/frostt/
 echo "==> arena storage seam (mmap round trip, corrupt-header fuzz seeds, heap-vs-arena solve parity, csf-backing self-check)"
 go test -race -run 'Arena|CSFBacking' . ./internal/csf/ ./internal/lint/
 
+# Race build: the kernels run the Go rank-vector loops (see above).
 echo "==> go test -race -tags shadowtrace (dynamic write-disjointness oracle)"
 go test -race -tags shadowtrace ./internal/kernels/ ./internal/cpd/
 
+# Race build: the kernels run the Go rank-vector loops (see above).
 echo "==> go test -race -tags lifetrace (dynamic lifetime oracle: PROT_NONE quarantine, workspace poisoning)"
 go test -race -tags lifetrace ./...
 

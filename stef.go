@@ -97,7 +97,9 @@ type Compiled struct {
 // Compile runs every per-tensor preprocessing step — optional index
 // reordering, CSF construction and the data-movement model search — and
 // returns a handle whose Decompose variants reuse that work across solves.
+// A NaN or ±Inf value is an error, named by its non-zero and coordinates.
 func Compile(t *tensor.Tensor, opts Options) (*Compiled, error) {
+	in := t
 	var perms reorder.Perms
 	switch opts.Reorder {
 	case "":
@@ -111,6 +113,10 @@ func Compile(t *tensor.Tensor, opts Options) (*Compiled, error) {
 	if perms != nil {
 		t = reorder.Apply(t, perms)
 	}
+	normX := t.NormFrobenius()
+	if err := nonFinite(normX, in.Vals, in.Coord); err != nil {
+		return nil, err
+	}
 	eng, plan, err := buildEngine(t, opts)
 	if err != nil {
 		return nil, err
@@ -118,7 +124,7 @@ func Compile(t *tensor.Tensor, opts Options) (*Compiled, error) {
 	return &Compiled{
 		opts:   opts,
 		dims:   append([]int(nil), t.Dims...),
-		normX:  t.NormFrobenius(),
+		normX:  normX,
 		perms:  perms,
 		solver: cpd.NewSolver(eng),
 		plan:   plan,
@@ -141,7 +147,8 @@ func Compile(t *tensor.Tensor, opts Options) (*Compiled, error) {
 // representations from the COO tensor, which a pre-built tree no longer
 // has (for the same reason Options.Reorder must be empty). The caller
 // keeps ownership of the tree: close its backing only after the handle's
-// last solve.
+// last solve. A NaN or ±Inf value is an error, named by its leaf position
+// and coordinates.
 func CompileTree(tree *csf.Tree, opts Options) (*Compiled, error) {
 	if opts.Engine != "" && opts.Engine != "stef" {
 		return nil, fmt.Errorf("stef: engine %q cannot run from a pre-built tree (needs the COO tensor); use engine \"stef\"", opts.Engine)
@@ -165,27 +172,64 @@ func CompileTree(tree *csf.Tree, opts Options) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Stream the values once for ||X||_F, and reject non-finite ones
+	// before planning.
+	var sq float64
+	for _, v := range tree.ValsLevel() {
+		sq += v * v
+	}
+	normX := math.Sqrt(sq)
+	if err := nonFinite(normX, tree.ValsLevel(), func(k int) []int32 { return leafCoord(tree, k) }); err != nil {
+		return nil, err
+	}
 	plan, err := core.NewPlanFromTree(tree, core.Options{Rank: rank, Threads: threads, CacheBytes: opts.CacheBytes, MaxPrivElems: opts.MaxPrivElems, AccumRule: accum, RemapRule: remap})
 	if err != nil {
 		return nil, err
 	}
 	// The solver works in original mode order; undo the tree's level
-	// permutation for the dims and stream the values once for ||X||_F.
+	// permutation for the dims.
 	dims := make([]int, tree.Order())
 	for l, m := range tree.Perm() {
 		dims[m] = tree.Dim(l)
 	}
-	var sq float64
-	for _, v := range tree.ValsLevel() {
-		sq += v * v
-	}
 	return &Compiled{
 		opts:   opts,
 		dims:   dims,
-		normX:  math.Sqrt(sq),
+		normX:  normX,
 		solver: cpd.NewSolver(core.NewEngine(plan)),
 		plan:   plan,
 	}, nil
+}
+
+// nonFinite returns an error naming the first NaN or ±Inf in vals, with
+// its index and coord(index), or nil when there is none. norm is ||X||_F,
+// already computed from the same values: it is finite unless some value
+// is NaN or ±Inf (or the sum of squares overflows), so only then does the
+// search run.
+func nonFinite(norm float64, vals []float64, coord func(k int) []int32) error {
+	if !math.IsNaN(norm) && !math.IsInf(norm, 0) {
+		return nil
+	}
+	for k, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("stef: non-zero %d at zero-based coordinates %v has non-finite value %v", k, coord(k), v)
+		}
+	}
+	return nil
+}
+
+// leafCoord returns the coordinates of the tree's k-th leaf, in original
+// mode order.
+func leafCoord(tree *csf.Tree, k int) []int32 {
+	c := make([]int32, tree.Order())
+	tree.WalkLeaves(func(path []int64, leaf int) {
+		if leaf == k {
+			for l, n := range path {
+				c[tree.PermLevel(l)] = tree.FidLevel(l)[n]
+			}
+		}
+	})
+	return c
 }
 
 // OpenArena opens a CSF arena file written by SaveArena (or csf.WriteArena)
