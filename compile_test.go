@@ -1,14 +1,17 @@
 package stef_test
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"stef"
+	"stef/internal/csf"
 	"stef/internal/tensor"
 )
 
@@ -249,6 +252,67 @@ func TestCompileRejectsNonFinite(t *testing.T) {
 			}
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("%s error = %v, want one containing %q", c.entry, err, c.want)
+			}
+		})
+	}
+}
+
+// TestPlanAndNewEngineNormalizeLikeCompile holds the other entry points to
+// Compile's option handling: Plan plans exactly what Compile would,
+// reordering included, and Plan and NewEngine reject what Compile rejects.
+// NewEngine also rejects any Reorder, since its engine works in the
+// caller's index space.
+func TestPlanAndNewEngineNormalizeLikeCompile(t *testing.T) {
+	uber, err := stef.Benchmark("uber")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := uber.Clone()
+	nan.Vals[7] = math.NaN()
+	_, compileErr := stef.Compile(nan, stef.Options{})
+	if compileErr == nil {
+		t.Fatal("Compile accepted a NaN value")
+	}
+	plan := func(tt *tensor.Tensor, opts stef.Options) func() error {
+		return func() error { _, err := stef.Plan(tt, opts); return err }
+	}
+	engine := func(tt *tensor.Tensor, opts stef.Options) func() error {
+		return func() error { _, err := stef.NewEngine(tt, opts); return err }
+	}
+	for _, c := range []struct {
+		name string
+		run  func() error
+		want string // substring of the wanted error; "" wants success
+	}{
+		{"plan-lexi-equals-compile", func() error {
+			opts := stef.Options{Rank: 8, Threads: 2, Reorder: "lexi"}
+			c, err := stef.Compile(uber, opts)
+			if err != nil {
+				return err
+			}
+			p, err := stef.Plan(uber, opts)
+			if err != nil {
+				return err
+			}
+			if !csf.Equal(p.Tree, c.Plan().Tree) || !reflect.DeepEqual(p.Config, c.Plan().Config) {
+				return errors.New("Plan's tree or configuration differs from Compile's")
+			}
+			return nil
+		}, ""},
+		{"plan-unknown-reorder", plan(uber, stef.Options{Reorder: "bogus"}), `unknown reordering "bogus"`},
+		{"plan-unknown-engine", plan(uber, stef.Options{Engine: "bogus"}), `unknown engine "bogus"`},
+		{"plan-baseline-engine", plan(uber, stef.Options{Engine: "splatt-1"}), `engine "splatt-1" does not plan`},
+		{"plan-non-finite", plan(nan, stef.Options{}), compileErr.Error()},
+		{"engine-reorder", engine(uber, stef.Options{Reorder: "lexi"}), `reordering "lexi" needs Compile`},
+		{"engine-non-finite", engine(nan, stef.Options{}), compileErr.Error()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.run()
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatal(err)
+			case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+				t.Fatalf("error = %v, want one containing %q", err, c.want)
 			}
 		})
 	}

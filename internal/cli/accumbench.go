@@ -71,25 +71,29 @@ func accumBench(s *experiments.Suite, ranks, threadList []int, reps int, out io.
 	fmt.Fprintf(out, "\n== accumbench: output accumulation strategies (reps=%d, min taken) ==\n", reps)
 	fmt.Fprintf(out, "%-18s %4s %2s %-7s %12s  %s\n", "tensor", "R", "T", "force", "per-iter", "modes")
 	var rows []AccumBenchRow
-	err := forEachBenchCell(s, ranks, threadList, func(c benchCell) error {
-		for _, force := range accumForces {
-			row, err := accumBenchCell(c.Tensor, c.Name, c.Rank, c.Threads, reps, s.Opts.CacheBytes, force.name, force.rule)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, row)
-			var modes []string
-			for _, m := range row.Modes {
-				modes = append(modes, fmt.Sprintf("L%d=%s(hot=%d red=%s)",
-					m.Level, m.Strategy, m.HotRows, m.Reduce.Round(time.Microsecond)))
-			}
-			fmt.Fprintf(out, "%-18s %4d %2d %-7s %12s  %s\n", c.Name, c.Rank, c.Threads, force.name,
-				row.PerIter.Round(time.Microsecond), strings.Join(modes, " "))
+	for _, name := range s.Opts.Tensors {
+		tt, err := s.Tensor(name)
+		if err != nil {
+			return nil, err
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		for _, rank := range ranks {
+			for _, t := range threadList {
+				for _, force := range accumForces {
+					row, err := accumBenchCell(tt, name, rank, t, reps, s.Opts.CacheBytes, force.name, force.rule)
+					if err != nil {
+						return nil, err
+					}
+					rows = append(rows, row)
+					var modes []string
+					for _, m := range row.Modes {
+						modes = append(modes, fmt.Sprintf("L%d=%s(hot=%d red=%s)",
+							m.Level, m.Strategy, m.HotRows, m.Reduce.Round(time.Microsecond)))
+					}
+					fmt.Fprintf(out, "%-18s %4d %2d %-7s %12s  %s\n", name, rank, t, force.name,
+						row.PerIter.Round(time.Microsecond), strings.Join(modes, " "))
+				}
+			}
+		}
 	}
 	return rows, nil
 }
@@ -97,12 +101,8 @@ func accumBench(s *experiments.Suite, ranks, threadList []int, reps int, out io.
 // accumBenchCell builds one plan with the strategy forced and times every
 // non-root mode's Reset / scatter kernel / Reduce phases.
 func accumBenchCell(tt *tensor.Tensor, name string, rank, threads, reps int, cacheBytes int64, forceName string, rule core.AccumRule) (AccumBenchRow, error) {
-	// RemapOff: the cell drives raw kernels against plan.Tree with
-	// original-order factors, so the plan must not be built in packed row
-	// space (plan.Accum and plan.Tree would disagree on row identity).
 	plan, err := core.NewPlan(tt, core.Options{
 		Rank: rank, Threads: threads, CacheBytes: cacheBytes, AccumRule: rule,
-		RemapRule: core.RemapOff,
 	})
 	if err != nil {
 		return AccumBenchRow{}, err

@@ -33,7 +33,6 @@ type benchReport struct {
 	CPDCheck     []experiments.CPDCheckRow      `json:"cpdcheck,omitempty"`
 	SolveBench   []SolveBenchRow                `json:"solvebench,omitempty"`
 	AccumBench   []AccumBenchRow                `json:"accumbench,omitempty"`
-	RemapBench   []RemapBenchRow                `json:"remapbench,omitempty"`
 	ArenaBench   []ArenaBenchRow                `json:"arenabench,omitempty"`
 }
 
@@ -61,7 +60,6 @@ func RunBench(args []string, stdout, stderr io.Writer) int {
 		scaling = fs.Bool("scaling", false, "modeled strong-scaling study (extension)")
 		sbench  = fs.Bool("solvebench", false, "compile-once/solve-many vs per-call planning throughput")
 		abench  = fs.Bool("accumbench", false, "output-accumulation strategy sweep (auto/priv/hybrid/atomic)")
-		rmbench = fs.Bool("remapbench", false, "factor-row remap off-vs-model locality sweep")
 		arbench = fs.Bool("arenabench", false, "arena vs CSF1-stream open latency + heap/mmap solve parity")
 		jsonOut = fs.Bool("json", false, "emit machine-readable JSON results on stdout (tables go to stderr)")
 		ranks   = fs.String("ranks", "32,64", "comma-separated ranks")
@@ -73,12 +71,12 @@ func RunBench(args []string, stdout, stderr io.Writer) int {
 		solves  = fs.Int("solves", 6, "with -solvebench: ALS restarts timed per path")
 		iters   = fs.Int("iters", 10, "with -solvebench: ALS iterations per solve")
 		accum   = fs.String("accum", "auto", "output accumulation strategy for stef engines: auto, priv, hybrid or atomic")
-		athr    = fs.String("accumthreads", "1,2,4,8", "with -accumbench/-remapbench: comma-separated thread counts to sweep")
+		athr    = fs.String("accumthreads", "1,2,4,8", "with -accumbench: comma-separated thread counts to sweep")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if !(*all || *table1 || *table2 || *fig3 || *fig4 || *fig5 || *fig6 || *wd || *mcheck || *ccheck || *scaling || *sbench || *abench || *rmbench || *arbench) {
+	if !(*all || *table1 || *table2 || *fig3 || *fig4 || *fig5 || *fig6 || *wd || *mcheck || *ccheck || *scaling || *sbench || *abench || *arbench) {
 		fs.Usage()
 		return 2
 	}
@@ -87,7 +85,7 @@ func RunBench(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, "stef-bench", err)
 	}
-	accumRule, err := parseAccumRule(*accum)
+	accumRule, err := core.ParseAccumRule(*accum)
 	if err != nil {
 		return fail(stderr, "stef-bench", err)
 	}
@@ -212,17 +210,6 @@ func RunBench(args []string, stdout, stderr io.Writer) int {
 			return err
 		}})
 	}
-	if *rmbench {
-		steps = append(steps, step{true, "remapbench", func() error {
-			threadList, err := parseIntList(*athr)
-			if err != nil {
-				return err
-			}
-			r, err := remapBench(s, rankList, threadList, s.Opts.Reps, s.Opts.Out)
-			report.RemapBench = r
-			return err
-		}})
-	}
 	for _, st := range steps {
 		if !st.enabled {
 			continue
@@ -239,21 +226,6 @@ func RunBench(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-// parseAccumRule maps the -accum flag onto core's forcing rule.
-func parseAccumRule(s string) (core.AccumRule, error) {
-	switch s {
-	case "", "auto":
-		return core.AccumModel, nil
-	case "priv":
-		return core.AccumPriv, nil
-	case "hybrid":
-		return core.AccumHybrid, nil
-	case "atomic":
-		return core.AccumAtomic, nil
-	}
-	return core.AccumModel, fmt.Errorf("unknown accumulation strategy %q (want auto, priv, hybrid or atomic)", s)
 }
 
 func parseIntList(s string) ([]int, error) {

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -174,6 +175,47 @@ func TestBenchSmallRun(t *testing.T) {
 	for _, want := range []string{"Table I", "Table II", "Work distribution"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
+		}
+	}
+}
+
+// TestBenchSweepsJSON runs the -solvebench, -accumbench and -arenabench
+// sweeps end to end on one small tensor and checks the JSON report's
+// schema, not its timings: every section has its rows, and the heap and
+// arena solves agree bit for bit.
+func TestBenchSweepsJSON(t *testing.T) {
+	code, out, errb := run(t, benchEntry,
+		"-solvebench", "-accumbench", "-arenabench", "-json",
+		"-tensors", "uber", "-ranks", "8", "-scale", "0.02", "-threads", "2",
+		"-accumthreads", "1,2", "-reps", "1", "-solves", "2", "-iters", "2")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errb)
+	}
+	dec := json.NewDecoder(strings.NewReader(out))
+	dec.DisallowUnknownFields()
+	var rep benchReport
+	if err := dec.Decode(&rep); err != nil {
+		t.Fatalf("report does not decode: %v\n%s", err, out)
+	}
+	if len(rep.SolveBench) != 1 || rep.SolveBench[0].Tensor != "uber" || rep.SolveBench[0].Solves != 2 {
+		t.Errorf("solvebench rows %+v, want one uber row of 2 solves", rep.SolveBench)
+	}
+	// One tensor × one rank × two thread counts × four forced strategies,
+	// each row timing uber's three non-root modes.
+	if len(rep.AccumBench) != 8 {
+		t.Errorf("accumbench has %d rows, want 8", len(rep.AccumBench))
+	}
+	for _, r := range rep.AccumBench {
+		if len(r.Modes) != 3 {
+			t.Errorf("accumbench %s T=%d: %d mode rows, want 3", r.Force, r.Threads, len(r.Modes))
+		}
+	}
+	if len(rep.ArenaBench) != 1 {
+		t.Fatalf("arenabench has %d rows, want 1", len(rep.ArenaBench))
+	}
+	for _, r := range rep.ArenaBench {
+		if !r.SolveParity {
+			t.Errorf("arenabench %s: heap and arena solves differ", r.Tensor)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"stef/internal/cpd"
 	"stef/internal/kernels"
-	"stef/internal/model"
 	"stef/internal/tensor"
 )
 
@@ -28,7 +27,6 @@ type Workspace struct {
 	bufs      []*kernels.OutBuf
 	lf        []*tensor.Matrix
 	lf2       []*tensor.Matrix
-	packed    []*tensor.Matrix // per remapped level: the factor in packed row order
 	scratch   *kernels.Scratch
 }
 
@@ -65,60 +63,16 @@ func (e *Engine) NewWorkspace() cpd.Workspace {
 		lf:       make([]*tensor.Matrix, d),
 		scratch:  kernels.NewScratch(d, r, t),
 	}
-	for u := 1; u < d; u++ {
-		var ap *kernels.AccumPlan
-		if u < len(plan.Accum) {
-			ap = plan.Accum[u]
-		}
+	for u, ap := range plan.Accum {
 		if ap != nil {
 			w.bufs[u] = kernels.NewOutBufPlanned(ap)
-		} else if !(u == d-1 && plan.Tree2 != nil) {
-			// Plans predating buildAccum (tests constructing Plan by hand)
-			// fall back to the legacy footprint rule.
-			w.bufs[u] = kernels.NewOutBuf(tree.Dim(u), r, t, plan.Opts.MaxPrivElems)
 		}
 	}
 	if plan.Tree2 != nil {
 		w.partials2 = kernels.NoPartials(d)
 		w.lf2 = make([]*tensor.Matrix, d)
 	}
-	if plan.Remap != nil {
-		// One packed copy per remapped level, allocated once: Compute
-		// re-packs into these before each kernel launch, so the steady
-		// state stays allocation-free.
-		w.packed = make([]*tensor.Matrix, d)
-		for l := 1; l < d; l++ {
-			if l < len(plan.Remap) && plan.Remap[l] != nil {
-				w.packed[l] = tensor.NewMatrix(tree.Dim(l), r)
-			}
-		}
-	}
 	return w
-}
-
-// packFactors substitutes the packed copy for every remapped level the
-// pos-mode kernel reads: the caller's factors stay in original row order,
-// the kernels — whose exec-tree fiber ids are already packed — see the
-// packed layout. Mode pos's own factor is the output, not an input, and
-// levels above the memoized source are never read.
-func (w *Workspace) packFactors(plan *Plan, pos int) {
-	if w.packed == nil {
-		return
-	}
-	d := len(w.lf)
-	src := d - 1
-	if pos > 0 {
-		src = model.SourceLevel(plan.Config.Save, pos)
-	}
-	t := plan.Part.T
-	for l := 1; l < d; l++ {
-		m := plan.Remap[l]
-		if m == nil || l == pos || l > src {
-			continue
-		}
-		m.Pack(w.packed[l], w.lf[l], t)
-		w.lf[l] = w.packed[l]
-	}
 }
 
 // Compute implements cpd.Engine, writing only into ws and out.
@@ -128,42 +82,20 @@ func (e *Engine) Compute(ws cpd.Workspace, pos int, factors []*tensor.Matrix, ou
 		panic(fmt.Sprintf("core: Compute got workspace type %T, want one from Engine.NewWorkspace", ws))
 	}
 	plan := e.plan
-	tree := plan.ExecTree
-	if tree == nil {
-		tree = plan.Tree // hand-built plans predating buildAccum
-	}
+	tree := plan.Tree
 	d := tree.Order()
 	kernels.LevelFactorsInto(w.lf, factors, tree.Perm())
 	switch {
 	case pos == 0:
-		w.packFactors(plan, pos)
 		kernels.RootMTTKRPWith(tree, w.lf, out, w.partials, plan.Part, w.scratch)
 	case pos == d-1 && plan.Tree2 != nil:
 		// STeF2: the base leaf mode runs as the root of the auxiliary
 		// CSF, avoiding the scatter-heavy leaf-mode MTTV kernel. The
 		// scratch is shared with the base tree: both trees have order d
 		// and boundary rows are dead once a root call returns.
-		tree2 := plan.ExecTree2
-		if tree2 == nil {
-			tree2 = plan.Tree2
-		}
-		kernels.LevelFactorsInto(w.lf2, factors, tree2.Perm())
-		if w.packed != nil {
-			// tree2 level v stores the mode at base level v-1
-			// (leafRootedPerm); substitute the packed copies to match the
-			// view's remapped fiber ids. The root itself — the base leaf —
-			// is never remapped, so the output stays in original order.
-			t := plan.Part.T
-			for l := 1; l <= d-2; l++ {
-				if m := plan.Remap[l]; m != nil {
-					m.Pack(w.packed[l], w.lf2[l+1], t)
-					w.lf2[l+1] = w.packed[l]
-				}
-			}
-		}
-		kernels.RootMTTKRPWith(tree2, w.lf2, out, w.partials2, plan.Part2, w.scratch)
+		kernels.LevelFactorsInto(w.lf2, factors, plan.Tree2.Perm())
+		kernels.RootMTTKRPWith(plan.Tree2, w.lf2, out, w.partials2, plan.Part2, w.scratch)
 	default:
-		w.packFactors(plan, pos)
 		buf := w.bufs[pos]
 		buf.Reset()
 		kernels.ModeMTTKRPWith(tree, w.lf, pos, w.partials, buf, plan.Part, w.scratch)

@@ -60,21 +60,22 @@ const (
 	AccumAtomic
 )
 
-// RemapRule selects how the factor-row locality remap (Dynasor-style hot
-// row packing, ROADMAP item 2b) is chosen.
-type RemapRule int
-
-const (
-	// RemapModel uses the data-movement model's per-level choice: remap
-	// exactly the levels where the packed layout's modeled volume beats
-	// streaming (STeF default).
-	RemapModel RemapRule = iota
-	// RemapOff disables the remap everywhere (the baseline layout).
-	RemapOff
-	// RemapOn forces the remap on every level with a write census,
-	// sizing the hot prefix by the footprint budget alone.
-	RemapOn
-)
+// ParseAccumRule maps an accumulation name onto its rule: "" or "auto"
+// (the model's choice), "priv", "hybrid" or "atomic". The error names the
+// bad value; callers add their own prefix.
+func ParseAccumRule(s string) (AccumRule, error) {
+	switch s {
+	case "", "auto":
+		return AccumModel, nil
+	case "priv":
+		return AccumPriv, nil
+	case "hybrid":
+		return AccumHybrid, nil
+	case "atomic":
+		return AccumAtomic, nil
+	}
+	return AccumModel, fmt.Errorf("unknown accumulation strategy %q (want auto, priv, hybrid or atomic)", s)
+}
 
 // Options configures the planner and engine.
 type Options struct {
@@ -101,11 +102,6 @@ type Options struct {
 	// AccumRule overrides the model's accumulation-strategy choice for
 	// ablations and the bench's -accum forcing flag.
 	AccumRule AccumRule
-	// RemapRule overrides the model's factor-row remap choice (the CLI's
-	// -remap {auto,on,off}). Callers that pair a plan's raw kernels with
-	// original-order factors (the accum/vec benches) must pass RemapOff:
-	// a remapped plan's Accum lives in packed row space.
-	RemapRule RemapRule
 }
 
 func (o Options) withDefaults() Options {
@@ -154,24 +150,8 @@ type Plan struct {
 	// Accum[u] is the accumulation plan for the level-u MTTKRP output.
 	// Accum[0] is always nil (the root accumulates through boundary
 	// replicas), as is Accum[d-1] under STeF2 (the auxiliary CSF handles
-	// the leaf mode as a root). When Remap[u] is set, Accum[u] lives in
-	// packed row space and carries the remap as its Layout.
+	// the leaf mode as a root).
 	Accum []*kernels.AccumPlan
-	// Remap[l] is the factor-row locality remap for base CSF level l
-	// (nil when the level keeps its original row order). Level 0 is never
-	// remapped — the root kernel writes its output by fiber id directly —
-	// and neither is the base leaf under STeF2, whose auxiliary root does
-	// the same.
-	Remap []*kernels.RowRemap
-	// ExecTree is the tree the engine executes: Tree itself when no level
-	// is remapped, otherwise a csf view with the remapped levels' fiber
-	// ids rewritten into packed space (node order unchanged, so Part
-	// clamps it identically and summation order is preserved). Tree stays
-	// in original order for callers that pair raw kernels with
-	// original-order factors.
-	ExecTree *csf.Tree
-	// ExecTree2 is the STeF2 twin of ExecTree (nil unless Tree2 is set).
-	ExecTree2 *csf.Tree
 }
 
 // Ratio returns Table II's ratio: memoized partial-result storage relative
@@ -204,9 +184,6 @@ func NewPlan(t *tensor.Tensor, opts Options) (*Plan, error) {
 	preStart := time.Now()
 	baseParams := model.ParamsForCache(baseTree.Dims(), baseTree.FiberCounts(), opts.Rank, opts.CacheBytes)
 	baseParams.AttachAccum(levelRowStats(baseTree), opts.Threads, opts.MaxPrivElems)
-	if opts.RemapRule != RemapOff {
-		baseParams.AttachRemap()
-	}
 	var swappedParams model.Params
 	if opts.SwapRule != SwapNever {
 		// One Algorithm 9 scan yields both the swapped layout's row-write
@@ -218,9 +195,6 @@ func NewPlan(t *tensor.Tensor, opts Options) (*Plan, error) {
 		}
 		swappedParams = model.SwappedParams(baseParams, swappedFibers)
 		swappedParams.AttachAccum(swappedRowStats(baseParams.Accum, d2, leaf), opts.Threads, opts.MaxPrivElems)
-		if opts.RemapRule != RemapOff {
-			swappedParams.AttachRemap()
-		}
 	}
 	best, all := model.Search(baseParams, swappedParams)
 	p.AllConfigs = all
@@ -244,7 +218,7 @@ func NewPlan(t *tensor.Tensor, opts Options) (*Plan, error) {
 			chosenParams = swappedParams
 		}
 		bestForLayout := bestSaveFor(chosenParams)
-		p.Config = model.Config{Swap: swap, Save: bestForLayout, Cost: chosenParams.IterationCost(bestForLayout), Accum: chosenParams.AccumChoices(), Remap: chosenParams.RemapChoices()}
+		p.Config = model.Config{Swap: swap, Save: bestForLayout, Cost: chosenParams.IterationCost(bestForLayout), Accum: chosenParams.AccumChoices()}
 	} else if swap {
 		chosenParams = swappedParams
 	}
@@ -339,9 +313,6 @@ func NewPlanFromTree(tree *csf.Tree, opts Options) (*Plan, error) {
 	preStart := time.Now()
 	params := model.ParamsForCache(tree.Dims(), tree.FiberCounts(), opts.Rank, opts.CacheBytes)
 	params.AttachAccum(levelRowStats(tree), opts.Threads, opts.MaxPrivElems)
-	if opts.RemapRule != RemapOff {
-		params.AttachRemap()
-	}
 	save := bestSaveFor(params)
 	switch opts.SaveRule {
 	case SaveAll:
@@ -352,7 +323,7 @@ func NewPlanFromTree(tree *csf.Tree, opts Options) (*Plan, error) {
 	case SaveNone:
 		save = make([]bool, d)
 	}
-	p.Config = model.Config{Save: save, Cost: params.IterationCost(save), Accum: params.AccumChoices(), Remap: params.RemapChoices()}
+	p.Config = model.Config{Save: save, Cost: params.IterationCost(save), Accum: params.AccumChoices()}
 	p.AllConfigs = []model.Config{p.Config}
 	p.PreprocessTime = time.Since(preStart)
 
@@ -404,12 +375,6 @@ func swappedRowStats(baseStats []model.RowStats, d2, leaf []int64) []model.RowSt
 // histogram estimates before the strategy choice is re-resolved, so the
 // executed choice reflects the partition actually used. The census-backed
 // Params are stored on the plan for diagnostics.
-//
-// The same census drives the factor-row remap (ROADMAP 2b): a remapped
-// level's census transports into packed space before its accumulation plan
-// is resolved, so the plan's remap table, journals and hot set all address
-// packed rows, and the plan carries the layout for Reduce to invert. The
-// exec views the engine runs against are derived last.
 func (p *Plan) buildAccum() {
 	opts := p.Opts
 	d := p.Tree.Order()
@@ -428,40 +393,13 @@ func (p *Plan) buildAccum() {
 		stats[u] = st
 	}
 	params.AttachAccum(stats, opts.Threads, opts.MaxPrivElems)
-	params.AttachRemap()
-	if p.Tree2 != nil {
-		// The auxiliary root writes its output by base-leaf fiber id; that
-		// level has no census here and must keep original order.
-		params.DisableRemap(d - 1)
-	}
-	if opts.RemapRule == RemapOff {
-		for l := 1; l < d; l++ {
-			params.DisableRemap(l)
-		}
-	}
 	p.Params = params
 	p.Config.Accum = params.AccumChoices()
 	p.Accum = make([]*kernels.AccumPlan, d)
-	p.Remap = make([]*kernels.RowRemap, d)
 	hotBudget := (opts.CacheBytes / 8) / 2
 	for u := 1; u < d; u++ {
 		if rws[u] == nil {
 			continue
-		}
-		wantRemap := params.RemapChoices()[u]
-		maxHot := int(params.RemapHot(u))
-		if opts.RemapRule == RemapOn {
-			wantRemap = true
-			maxHot = int(hotBudget / int64(opts.Rank))
-		}
-		census := rws[u]
-		if wantRemap {
-			if m := kernels.BuildRowRemap(census.Counts, maxHot); m != nil {
-				p.Remap[u] = m
-				census = census.Remapped(m)
-			} else {
-				params.DisableRemap(u) // degenerate census: nothing hot to pack
-			}
 		}
 		strat := kernelStrategy(params.AccumChoice(u))
 		switch opts.AccumRule {
@@ -472,53 +410,7 @@ func (p *Plan) buildAccum() {
 		case AccumAtomic:
 			strat = kernels.AccumAtomic
 		}
-		p.Accum[u] = kernels.PlanAccum(census, opts.Rank, opts.Threads, strat, hotBudget)
-		p.Accum[u].Layout = p.Remap[u]
-	}
-	// Config.Remap records what is actually executed (the rule may have
-	// forced levels the model declined, or a degenerate census may have
-	// dropped levels the model wanted).
-	remapOn := make([]bool, d)
-	for l, m := range p.Remap {
-		remapOn[l] = m != nil
-	}
-	p.Config.Remap = remapOn
-	p.buildExecTrees()
-}
-
-// buildExecTrees derives the remapped views the engine executes. With no
-// remapped level both views alias the original trees. The STeF2 view
-// shifts each base level's map down one level: tree2 level v stores the
-// mode at base level v-1 (leafRootedPerm), and tree2's root — the base
-// leaf — is never remapped.
-func (p *Plan) buildExecTrees() {
-	d := p.Tree.Order()
-	fwd := make([][]int32, d)
-	any := false
-	for l, m := range p.Remap {
-		if m != nil {
-			fwd[l] = m.Fwd
-			any = true
-		}
-	}
-	p.ExecTree = p.Tree
-	p.ExecTree2 = p.Tree2
-	if !any {
-		return
-	}
-	p.ExecTree = p.Tree.RemapFids(fwd)
-	if p.Tree2 != nil {
-		fwd2 := make([][]int32, d)
-		any2 := false
-		for l := 1; l <= d-2; l++ {
-			if fwd[l] != nil {
-				fwd2[l+1] = fwd[l]
-				any2 = true
-			}
-		}
-		if any2 {
-			p.ExecTree2 = p.Tree2.RemapFids(fwd2)
-		}
+		p.Accum[u] = kernels.PlanAccum(rws[u], opts.Rank, opts.Threads, strat, hotBudget)
 	}
 }
 

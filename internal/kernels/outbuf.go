@@ -374,26 +374,6 @@ func (b *OutBuf) Reduce(out *tensor.Matrix) {
 	}
 }
 
-// layoutInv returns the packed→original row map when the plan executes
-// under a factor-row remap, nil otherwise.
-func (b *OutBuf) layoutInv() []int32 {
-	if b.plan != nil && b.plan.Layout != nil {
-		return b.plan.Layout.Inv
-	}
-	return nil
-}
-
-// outRow maps buffer row r to its output row: identity without a layout,
-// the remap's inverse with one. The inverse is a bijection, so parallel
-// reducers over disjoint packed-row blocks still write disjoint output
-// rows.
-func outRow(inv []int32, r int) int {
-	if inv == nil {
-		return r
-	}
-	return int(inv[r]) //gate:allow bounds layout inverse is a bijection over the row space
-}
-
 // combineHot folds the T hot-row replicas into replica 0 with a parallel
 // tree combine: log2(T) rounds of pairwise slab adds, each round's pairs
 // running under par.Do.
@@ -421,10 +401,9 @@ func (b *OutBuf) combineHot() {
 // multi-writer rows sum every replica.
 func (b *OutBuf) reducePrivRows(out *tensor.Matrix, lo, hi int) {
 	remap := b.plan.Remap
-	inv := b.layoutInv()
 	for i, w := range remap[lo:hi] { //gate:allow bounds row block bounds from par.Blocks
 		r := lo + i
-		dst := out.Row(outRow(inv, r)) //gate:allow bounds row index within the par.Blocks block, layout inverse is a bijection
+		dst := out.Row(r) //gate:allow bounds row index within the par.Blocks block
 		switch {
 		case w == RemapUntouched:
 			clear(dst)
@@ -444,10 +423,9 @@ func (b *OutBuf) reducePrivRows(out *tensor.Matrix, lo, hi int) {
 // out of the shared bit buffer, untouched rows are zeroed.
 func (b *OutBuf) reduceHybridRows(out *tensor.Matrix, lo, hi int) {
 	remap := b.plan.Remap
-	inv := b.layoutInv()
 	for i, slot := range remap[lo:hi] { //gate:allow bounds row block bounds from par.Blocks
 		r := lo + i
-		dst := out.Row(outRow(inv, r)) //gate:allow bounds row index within the par.Blocks block, layout inverse is a bijection
+		dst := out.Row(r) //gate:allow bounds row index within the par.Blocks block
 		switch {
 		case slot >= 0:
 			base := int(slot) * b.cols
@@ -465,10 +443,9 @@ func (b *OutBuf) reduceHybridRows(out *tensor.Matrix, lo, hi int) {
 // zeroing untouched rows.
 func (b *OutBuf) reduceAtomicRows(out *tensor.Matrix, lo, hi int) {
 	remap := b.plan.Remap
-	inv := b.layoutInv()
 	for i, w := range remap[lo:hi] { //gate:allow bounds row block bounds from par.Blocks
 		r := lo + i
-		dst := out.Row(outRow(inv, r)) //gate:allow bounds row index within the par.Blocks block, layout inverse is a bijection
+		dst := out.Row(r) //gate:allow bounds row index within the par.Blocks block
 		if w == RemapUntouched {
 			clear(dst)
 			continue

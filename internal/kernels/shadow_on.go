@@ -107,32 +107,12 @@ type outbufShadow struct {
 }
 
 // shadowReset arms the oracle for the next kernel launch and forgets the
-// previous launch's direct-write claims. When the plan executes under a
-// factor-row remap, the layout is re-verified to be a bijection over the
-// buffer's row space: every per-row claim below is in *packed* space, and
-// Reduce's inverse routing (and its parallel write-disjointness) is only
-// sound when Fwd and Inv are mutual inverses.
+// previous launch's direct-write claims.
 func (b *OutBuf) shadowReset() {
 	s := &b.shadow
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.armed = b.plan != nil
-	if s.armed {
-		if m := b.plan.Layout; m != nil {
-			if m.Rows() != b.rows || len(m.Inv) != b.rows {
-				panic(fmt.Sprintf("kernels: shadow: %d-row layout on a %d-row buffer", m.Rows(), b.rows))
-			}
-			for r, p := range m.Fwd {
-				if p < 0 || int(p) >= b.rows || int(m.Inv[p]) != r {
-					panic(fmt.Sprintf("kernels: shadow: layout is not a bijection: Fwd[%d]=%d, Inv[%d]=%d",
-						r, p, p, m.Inv[p]))
-				}
-			}
-			if m.Hot < 0 || m.Hot > b.rows {
-				panic(fmt.Sprintf("kernels: shadow: layout hot prefix %d outside [0, %d]", m.Hot, b.rows))
-			}
-		}
-	}
 	if s.direct == nil {
 		s.direct = make(map[int]int)
 	}

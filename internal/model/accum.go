@@ -71,11 +71,10 @@ type RowStats struct {
 	// resolution keeps the stats O(log rows) while still exposing the
 	// skew the hybrid strategy exploits.
 	TopMass []int64
-	// Mass2 and Touched2 cover the rows with at least two writes — the
-	// candidates for cross-thread sharing. NewRowStats fills them from the
+	// Mass2 is the write mass on rows with at least two writes — the
+	// candidates for cross-thread sharing. NewRowStats fills it from the
 	// histogram alone.
-	Mass2    int64
-	Touched2 int64
+	Mass2 int64
 	// MultiMass is the write mass landing on rows proven to be written by
 	// more than one thread. It is exact only when MultiExact is set (the
 	// planner back-fills it from the write census for the final layout);
@@ -94,7 +93,6 @@ func NewRowStats(counts []int64) RowStats {
 			s.Writes += c
 			if c >= 2 {
 				s.Mass2 += c
-				s.Touched2++
 			}
 		}
 	}

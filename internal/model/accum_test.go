@@ -11,8 +11,8 @@ func TestNewRowStats(t *testing.T) {
 	if s.Writes != 15 || s.Touched != 5 {
 		t.Fatalf("Writes=%d Touched=%d, want 15/5", s.Writes, s.Touched)
 	}
-	if s.Mass2 != 13 || s.Touched2 != 3 {
-		t.Fatalf("Mass2=%d Touched2=%d, want 13/3 (rows with >= 2 writes)", s.Mass2, s.Touched2)
+	if s.Mass2 != 13 {
+		t.Fatalf("Mass2=%d, want 13 (rows with >= 2 writes)", s.Mass2)
 	}
 	// TopMass prefixes at 1, 2, 4 rows plus the full tail.
 	want := []int64{7, 11, 14, 15}

@@ -52,12 +52,6 @@ type Params struct {
 	// Memoized per-level strategy resolution; nil until AttachAccum.
 	accumStrat []AccumStrategy
 	accumCost  []Cost
-
-	// Per-level factor-row remap resolution; nil until AttachRemap
-	// (remap.go). remapOn[l] routes dmFactor through the packed-layout
-	// volume with a remapHot[l]-row hot prefix.
-	remapOn  []bool
-	remapHot []int64
 }
 
 // ParamsForCache builds Params from level dims and fiber counts with a
@@ -91,11 +85,6 @@ func (p Params) dmFactor(l int, x int64) int64 {
 	foot := int64(p.Dims[l]) * int64(p.R)
 	vol := x * int64(p.R)
 	if foot > p.CacheElems {
-		if p.remapOn != nil && p.remapOn[l] {
-			// Factor-row remap (remap.go): the hot prefix is resident, the
-			// tail streams, and each kernel call pays the pack.
-			return p.remapVolumeAt(l, x, p.remapHot[l])
-		}
 		return vol
 	}
 	if foot < vol {

@@ -66,10 +66,6 @@ type Options struct {
 	// stef/stef2 engines: "" or "auto" (model choice), "priv", "hybrid"
 	// or "atomic".
 	Accum string
-	// Remap controls the census-driven factor-row locality remap for the
-	// stef/stef2 engines: "" or "auto" (model choice, per level), "on"
-	// (force on every level with a census) or "off".
-	Remap string
 	// Reorder optionally relabels tensor indices before decomposition to
 	// improve locality: "" (none), "lexi" (Lexi-Order) or "bfsmcs"
 	// (BFS-MCS), both from Li et al. (ICS'19). Factor matrices are
@@ -86,7 +82,7 @@ type Result = cpd.Result
 // concurrently; simultaneous solves share the plan and draw distinct
 // workspaces from the pool.
 type Compiled struct {
-	opts   Options
+	opts   Options // after normalize
 	dims   []int
 	normX  float64
 	perms  reorder.Perms
@@ -99,16 +95,17 @@ type Compiled struct {
 // returns a handle whose Decompose variants reuse that work across solves.
 // A NaN or ±Inf value is an error, named by its non-zero and coordinates.
 func Compile(t *tensor.Tensor, opts Options) (*Compiled, error) {
+	opts, co, err := normalize(opts)
+	if err != nil {
+		return nil, err
+	}
 	in := t
 	var perms reorder.Perms
 	switch opts.Reorder {
-	case "":
 	case "lexi":
 		perms = reorder.LexiOrder(t, 3)
 	case "bfsmcs":
 		perms = reorder.BFSMCS(t)
-	default:
-		return nil, fmt.Errorf("stef: unknown reordering %q", opts.Reorder)
 	}
 	if perms != nil {
 		t = reorder.Apply(t, perms)
@@ -117,7 +114,7 @@ func Compile(t *tensor.Tensor, opts Options) (*Compiled, error) {
 	if err := nonFinite(normX, in.Vals, in.Coord); err != nil {
 		return nil, err
 	}
-	eng, plan, err := buildEngine(t, opts)
+	eng, plan, err := buildEngine(t, opts, co)
 	if err != nil {
 		return nil, err
 	}
@@ -150,27 +147,15 @@ func Compile(t *tensor.Tensor, opts Options) (*Compiled, error) {
 // last solve. A NaN or ±Inf value is an error, named by its leaf position
 // and coordinates.
 func CompileTree(tree *csf.Tree, opts Options) (*Compiled, error) {
+	opts, co, err := normalize(opts)
+	if err != nil {
+		return nil, err
+	}
 	if opts.Engine != "" && opts.Engine != "stef" {
 		return nil, fmt.Errorf("stef: engine %q cannot run from a pre-built tree (needs the COO tensor); use engine \"stef\"", opts.Engine)
 	}
 	if opts.Reorder != "" {
 		return nil, fmt.Errorf("stef: reordering %q needs the COO tensor; reorder before packing the arena instead", opts.Reorder)
-	}
-	threads := opts.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	rank := opts.Rank
-	if rank <= 0 {
-		rank = 16
-	}
-	accum, err := accumRule(opts.Accum)
-	if err != nil {
-		return nil, err
-	}
-	remap, err := remapRule(opts.Remap)
-	if err != nil {
-		return nil, err
 	}
 	// Stream the values once for ||X||_F, and reject non-finite ones
 	// before planning.
@@ -182,7 +167,7 @@ func CompileTree(tree *csf.Tree, opts Options) (*Compiled, error) {
 	if err := nonFinite(normX, tree.ValsLevel(), func(k int) []int32 { return leafCoord(tree, k) }); err != nil {
 		return nil, err
 	}
-	plan, err := core.NewPlanFromTree(tree, core.Options{Rank: rank, Threads: threads, CacheBytes: opts.CacheBytes, MaxPrivElems: opts.MaxPrivElems, AccumRule: accum, RemapRule: remap})
+	plan, err := core.NewPlanFromTree(tree, co)
 	if err != nil {
 		return nil, err
 	}
@@ -200,6 +185,39 @@ func CompileTree(tree *csf.Tree, opts Options) (*Compiled, error) {
 		plan:   plan,
 	}, nil
 }
+
+// normalize is the one option-normalisation step of every entry point:
+// it applies the rank (16) and thread (1) defaults and checks the Accum,
+// Reorder and Engine names. It returns the normalised options and the
+// planner options of the stef and stef2 engines.
+func normalize(opts Options) (Options, core.Options, error) {
+	if opts.Rank <= 0 {
+		opts.Rank = 16
+	}
+	if opts.Threads < 1 {
+		opts.Threads = 1
+	}
+	accum, err := core.ParseAccumRule(opts.Accum)
+	if err != nil {
+		return opts, core.Options{}, fmt.Errorf("stef: %w", err)
+	}
+	switch opts.Reorder {
+	case "", "lexi", "bfsmcs":
+	default:
+		return opts, core.Options{}, fmt.Errorf("stef: unknown reordering %q", opts.Reorder)
+	}
+	if !plans(opts.Engine) && baselineEngines[opts.Engine] == nil {
+		return opts, core.Options{}, fmt.Errorf("stef: unknown engine %q", opts.Engine)
+	}
+	return opts, core.Options{
+		Rank: opts.Rank, Threads: opts.Threads, CacheBytes: opts.CacheBytes, MaxPrivElems: opts.MaxPrivElems,
+		AccumRule: accum, SecondCSF: opts.Engine == "stef2",
+	}, nil
+}
+
+// plans reports whether the engine name selects STeF ("", "stef" or
+// "stef2"), the engines that plan.
+func plans(engine string) bool { return engine == "" || engine == "stef" || engine == "stef2" }
 
 // nonFinite returns an error naming the first NaN or ±Inf in vals, with
 // its index and coord(index), or nil when there is none. norm is ||X||_F,
@@ -341,110 +359,78 @@ func DecomposeBest(t *tensor.Tensor, opts Options, restarts int) (*Result, error
 }
 
 // NewEngine constructs the named MTTKRP engine for the tensor. The empty
-// name selects STeF.
+// name selects STeF. The engine works in the caller's index space, so
+// Options.Reorder must be empty; reorder through Compile instead. A NaN or
+// ±Inf value is an error, as in Compile.
 func NewEngine(t *tensor.Tensor, opts Options) (cpd.Engine, error) {
-	eng, _, err := buildEngine(t, opts)
+	opts, co, err := normalize(opts)
+	if err != nil {
+		return nil, err
+	}
+	if opts.Reorder != "" {
+		return nil, fmt.Errorf("stef: NewEngine works in the caller's index space; reordering %q needs Compile", opts.Reorder)
+	}
+	if err := nonFinite(t.NormFrobenius(), t.Vals, t.Coord); err != nil {
+		return nil, err
+	}
+	eng, _, err := buildEngine(t, opts, co)
 	return eng, err
 }
 
-// buildEngine constructs the named engine plus, for stef/stef2, its plan.
-func buildEngine(t *tensor.Tensor, opts Options) (cpd.Engine, *core.Plan, error) {
-	threads := opts.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	rank := opts.Rank
-	if rank <= 0 {
-		rank = 16
-	}
-	accum, err := accumRule(opts.Accum)
-	if err != nil {
-		return nil, nil, err
-	}
-	remap, err := remapRule(opts.Remap)
-	if err != nil {
-		return nil, nil, err
-	}
-	switch opts.Engine {
-	case "", "stef":
-		eng, plan, err := core.NewEngineFor(t, core.Options{Rank: rank, Threads: threads, CacheBytes: opts.CacheBytes, MaxPrivElems: opts.MaxPrivElems, AccumRule: accum, RemapRule: remap})
+// buildEngine constructs the named engine plus, for stef/stef2, its plan,
+// from normalized options.
+func buildEngine(t *tensor.Tensor, opts Options, co core.Options) (cpd.Engine, *core.Plan, error) {
+	if plans(opts.Engine) {
+		eng, plan, err := core.NewEngineFor(t, co)
 		return eng, plan, err
-	case "stef2":
-		eng, plan, err := core.NewEngineFor(t, core.Options{Rank: rank, Threads: threads, CacheBytes: opts.CacheBytes, MaxPrivElems: opts.MaxPrivElems, AccumRule: accum, RemapRule: remap, SecondCSF: true})
-		return eng, plan, err
-	case "splatt-1":
-		return baselines.NewSplatt(t, baselines.SplattOptions{Copies: 1, Threads: threads, Rank: rank, MaxPrivElems: opts.MaxPrivElems}), nil, nil
-	case "splatt-2":
-		return baselines.NewSplatt(t, baselines.SplattOptions{Copies: 2, Threads: threads, Rank: rank, MaxPrivElems: opts.MaxPrivElems}), nil, nil
-	case "splatt-all":
-		return baselines.NewSplatt(t, baselines.SplattOptions{Copies: -1, Threads: threads, Rank: rank, MaxPrivElems: opts.MaxPrivElems}), nil, nil
-	case "adatm":
-		return baselines.NewAdaTM(t, baselines.AdaTMOptions{Threads: threads, Rank: rank, MaxPrivElems: opts.MaxPrivElems}), nil, nil
-	case "alto":
-		eng, err := baselines.NewALTO(t, baselines.ALTOOptions{Threads: threads, Rank: rank, MaxPrivElems: opts.MaxPrivElems})
-		return eng, nil, err
-	case "taco":
-		return baselines.NewTACO(t, baselines.TACOOptions{Threads: threads, Rank: rank}), nil, nil
-	case "hicoo":
-		eng, err := baselines.NewHiCOO(t, baselines.HiCOOOptions{Threads: threads, Rank: rank, MaxPrivElems: opts.MaxPrivElems})
-		return eng, nil, err
-	case "dtree":
-		eng, err := dtree.NewEngine(t, dtree.Options{Rank: rank, Threads: threads})
-		return eng, nil, err
-	case "naive":
-		return cpd.NaiveEngine(t), nil, nil
 	}
-	return nil, nil, fmt.Errorf("stef: unknown engine %q", opts.Engine)
+	eng, err := baselineEngines[opts.Engine](t, opts)
+	return eng, nil, err
+}
+
+// baselineEngines constructs the comparison engines of the paper's
+// evaluation by Options.Engine name, from normalized options.
+var baselineEngines = map[string]func(t *tensor.Tensor, o Options) (cpd.Engine, error){
+	"splatt-1":   func(t *tensor.Tensor, o Options) (cpd.Engine, error) { return splatt(t, o, 1), nil },
+	"splatt-2":   func(t *tensor.Tensor, o Options) (cpd.Engine, error) { return splatt(t, o, 2), nil },
+	"splatt-all": func(t *tensor.Tensor, o Options) (cpd.Engine, error) { return splatt(t, o, -1), nil },
+	"adatm": func(t *tensor.Tensor, o Options) (cpd.Engine, error) {
+		return baselines.NewAdaTM(t, baselines.AdaTMOptions{Threads: o.Threads, Rank: o.Rank, MaxPrivElems: o.MaxPrivElems}), nil
+	},
+	"alto": func(t *tensor.Tensor, o Options) (cpd.Engine, error) {
+		return baselines.NewALTO(t, baselines.ALTOOptions{Threads: o.Threads, Rank: o.Rank, MaxPrivElems: o.MaxPrivElems})
+	},
+	"taco": func(t *tensor.Tensor, o Options) (cpd.Engine, error) {
+		return baselines.NewTACO(t, baselines.TACOOptions{Threads: o.Threads, Rank: o.Rank}), nil
+	},
+	"hicoo": func(t *tensor.Tensor, o Options) (cpd.Engine, error) {
+		return baselines.NewHiCOO(t, baselines.HiCOOOptions{Threads: o.Threads, Rank: o.Rank, MaxPrivElems: o.MaxPrivElems})
+	},
+	"dtree": func(t *tensor.Tensor, o Options) (cpd.Engine, error) {
+		return dtree.NewEngine(t, dtree.Options{Rank: o.Rank, Threads: o.Threads})
+	},
+	"naive": func(t *tensor.Tensor, _ Options) (cpd.Engine, error) { return cpd.NaiveEngine(t), nil },
+}
+
+// splatt builds the SPLATT baseline with the given CSF copy count.
+func splatt(t *tensor.Tensor, o Options, copies int) cpd.Engine {
+	return baselines.NewSplatt(t, baselines.SplattOptions{Copies: copies, Threads: o.Threads, Rank: o.Rank, MaxPrivElems: o.MaxPrivElems})
 }
 
 // Plan exposes STeF's planning decisions (chosen layout, memoization set,
 // modeled cost, Table II byte accounting) without running a decomposition.
+// It returns exactly Compile(t, opts).Plan(), reordering included, and
+// rejects what Compile rejects. Engines other than "stef" and "stef2" do
+// not plan and are an error.
 func Plan(t *tensor.Tensor, opts Options) (*core.Plan, error) {
-	rank := opts.Rank
-	if rank <= 0 {
-		rank = 16
+	if baselineEngines[opts.Engine] != nil {
+		return nil, fmt.Errorf("stef: engine %q does not plan; use engine \"stef\" or \"stef2\"", opts.Engine)
 	}
-	threads := opts.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	accum, err := accumRule(opts.Accum)
+	c, err := Compile(t, opts)
 	if err != nil {
 		return nil, err
 	}
-	remap, err := remapRule(opts.Remap)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewPlan(t, core.Options{Rank: rank, Threads: threads, CacheBytes: opts.CacheBytes, MaxPrivElems: opts.MaxPrivElems, AccumRule: accum, RemapRule: remap, SecondCSF: opts.Engine == "stef2"})
-}
-
-// accumRule parses Options.Accum.
-func accumRule(s string) (core.AccumRule, error) {
-	switch s {
-	case "", "auto":
-		return core.AccumModel, nil
-	case "priv":
-		return core.AccumPriv, nil
-	case "hybrid":
-		return core.AccumHybrid, nil
-	case "atomic":
-		return core.AccumAtomic, nil
-	}
-	return core.AccumModel, fmt.Errorf("stef: unknown accumulation strategy %q (want auto, priv, hybrid or atomic)", s)
-}
-
-// remapRule parses Options.Remap.
-func remapRule(s string) (core.RemapRule, error) {
-	switch s {
-	case "", "auto":
-		return core.RemapModel, nil
-	case "on":
-		return core.RemapOn, nil
-	case "off":
-		return core.RemapOff, nil
-	}
-	return core.RemapModel, fmt.Errorf("stef: unknown remap rule %q (want auto, on or off)", s)
+	return c.Plan(), nil
 }
 
 // LoadTensor reads a FROSTT .tns file.
