@@ -212,7 +212,9 @@ func TestCompileWithReorderUnpermutes(t *testing.T) {
 // TestCompileRejectsNonFinite loads a .tns file holding one NaN or ±Inf
 // value and requires both compile entry points, Compile on the loaded
 // tensor and CompileTree on its reopened arena, to refuse it before
-// planning with an error naming the non-zero and its coordinates.
+// planning with an error naming the non-zero and its coordinates. A file
+// of finite values whose sum of squares overflows is refused too, with an
+// error naming the overflow.
 func TestCompileRejectsNonFinite(t *testing.T) {
 	opts := stef.Options{Rank: 2, MaxIters: 2}
 	for _, c := range []struct {
@@ -224,6 +226,8 @@ func TestCompileRejectsNonFinite(t *testing.T) {
 		{"CompileTree", "nan", "at zero-based coordinates [1 2 0] has non-finite value NaN"},
 		{"CompileTree", "inf", "at zero-based coordinates [1 2 0] has non-finite value +Inf"},
 		{"CompileTree", "-inf", "at zero-based coordinates [1 2 0] has non-finite value -Inf"},
+		{"Compile", "1e200", "the sum of squares of the 4 values overflows float64"},
+		{"CompileTree", "1e200", "the sum of squares of the 4 values overflows float64"},
 	} {
 		t.Run(c.entry+"/"+c.val, func(t *testing.T) {
 			dir := t.TempDir()
@@ -273,6 +277,14 @@ func TestPlanAndNewEngineNormalizeLikeCompile(t *testing.T) {
 	if compileErr == nil {
 		t.Fatal("Compile accepted a NaN value")
 	}
+	huge := uber.Clone()
+	for k := 0; k < 2000; k++ {
+		huge.Vals[k] = 1e200
+	}
+	_, overflowErr := stef.Compile(huge, stef.Options{})
+	if overflowErr == nil {
+		t.Fatal("Compile accepted values whose sum of squares overflows")
+	}
 	plan := func(tt *tensor.Tensor, opts stef.Options) func() error {
 		return func() error { _, err := stef.Plan(tt, opts); return err }
 	}
@@ -305,6 +317,8 @@ func TestPlanAndNewEngineNormalizeLikeCompile(t *testing.T) {
 		{"plan-non-finite", plan(nan, stef.Options{}), compileErr.Error()},
 		{"engine-reorder", engine(uber, stef.Options{Reorder: "lexi"}), `reordering "lexi" needs Compile`},
 		{"engine-non-finite", engine(nan, stef.Options{}), compileErr.Error()},
+		{"plan-overflow", plan(huge, stef.Options{}), overflowErr.Error()},
+		{"engine-overflow", engine(huge, stef.Options{}), overflowErr.Error()},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			err := c.run()
@@ -315,5 +329,29 @@ func TestPlanAndNewEngineNormalizeLikeCompile(t *testing.T) {
 				t.Fatalf("error = %v, want one containing %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestDecomposeNonFiniteFitIsTypedError solves an exactly rank-1 tensor
+// whose ||X||² is finite but whose ||X||² + ||M||² is not: the fit
+// overflows on finite factors, and the facade must return the solve's
+// *NonFiniteError, reachable with errors.As, rather than NaN fits.
+func TestDecomposeNonFiniteFitIsTypedError(t *testing.T) {
+	tt := tensor.New([]int{4, 5, 6}, 0)
+	for i := int32(0); i < 4; i++ {
+		for j := int32(0); j < 5; j++ {
+			for k := int32(0); k < 6; k++ {
+				tt.Append([]int32{i, j, k}, float64(1+i)*float64(2+j)*float64(3+k))
+			}
+		}
+	}
+	scale := 1.2e154 / tt.NormFrobenius()
+	for k := range tt.Vals {
+		tt.Vals[k] *= scale
+	}
+	res, err := stef.Decompose(tt, stef.Options{Rank: 1, MaxIters: 3, Tol: -1})
+	var nf *stef.NonFiniteError
+	if !errors.As(err, &nf) || !nf.Fit || nf.Iter != 0 {
+		t.Fatalf("Decompose = %v, %v; want a NonFiniteError for the fit of iteration 0", res, err)
 	}
 }

@@ -133,6 +133,26 @@ type Result struct {
 	ModeTime []time.Duration
 }
 
+// NonFiniteError reports a solve that went non-finite: a factor column
+// (seen through its Gram diagonal) after one mode's update, or the fit
+// after an iteration. Iter is zero-based; Mode is the original index of
+// the mode whose update came last, which for Fit is the last mode in
+// update order.
+type NonFiniteError struct {
+	Engine     string
+	Iter, Mode int
+	// Fit is set when the factors stayed finite but the fit did not.
+	Fit bool
+}
+
+func (e *NonFiniteError) Error() string {
+	what := "the updated factor has a non-finite column"
+	if e.Fit {
+		what = "the fit is not finite"
+	}
+	return fmt.Sprintf("cpd: engine %q iteration %d mode %d: %s", e.Engine, e.Iter, e.Mode, what)
+}
+
 // FinalFit returns the fit after the last iteration (NaN if none ran).
 func (r *Result) FinalFit() float64 {
 	if len(r.Fits) == 0 {
@@ -238,9 +258,19 @@ func RunWith(dims []int, normX float64, eng Engine, ws Workspace, opts Options) 
 				TwoNorm:     it == 0,
 				Inner:       pos == d-1,
 			}, lambda, grams[m])
+			// Gram diagonal p is Σ a[i][p]², finite exactly when column p
+			// is (short of overflow).
+			for p := 0; p < r; p++ {
+				if g := grams[m].Data[p*r+p]; math.IsNaN(g) || math.IsInf(g, 0) {
+					return nil, &NonFiniteError{Engine: eng.Name(), Iter: it, Mode: m}
+				}
+			}
 		}
 
 		fit := computeFit(normX, grams, lambda, inner, fitG)
+		if math.IsNaN(fit) || math.IsInf(fit, 0) {
+			return nil, &NonFiniteError{Engine: eng.Name(), Iter: it, Mode: order[d-1], Fit: true}
+		}
 		//lint:allow hotpath-alloc append stays within the MaxIters capacity reserved above
 		res.Fits = append(res.Fits, fit)
 		res.Iters = it + 1

@@ -1,6 +1,7 @@
 package cpd
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -232,5 +233,68 @@ func TestLambdaAbsorbsScale(t *testing.T) {
 	}
 	if maxL < 10 {
 		t.Fatalf("lambda %v did not absorb the x1000 scale", res.Lambda)
+	}
+}
+
+// poisonEngine wraps an engine and writes v into one element of the
+// MTTKRP output of its at-th Compute call (iteration·order + position).
+type poisonEngine struct {
+	Engine
+	at, calls int
+	v         float64
+}
+
+func (e *poisonEngine) Compute(ws Workspace, pos int, factors []*tensor.Matrix, out *tensor.Matrix) {
+	e.Engine.Compute(ws, pos, factors, out)
+	if e.calls == e.at {
+		out.Data[len(out.Data)/2] = e.v
+	}
+	e.calls++
+}
+
+// TestNonFiniteSolveIsTypedError poisons one MTTKRP output with +Inf or
+// NaN at a chosen iteration and mode, the last mode of the last iteration
+// included, and requires a *NonFiniteError naming that iteration and mode
+// instead of a later mode's Cholesky error or a NaN fit. A fit that goes
+// non-finite on finite factors (here through an infinite ‖X‖) is reported
+// the same way. An unpoisoned solve through the wrapper keeps its bits.
+func TestNonFiniteSolveIsTypedError(t *testing.T) {
+	tt := tensor.Random([]int{8, 9, 10}, 300, nil, 3)
+	opts := Options{Rank: 4, MaxIters: 3, Tol: -1, Seed: 1}
+	plain, err := Run(tt.Dims, tt.NormFrobenius(), NaiveEngine(tt), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := Run(tt.Dims, tt.NormFrobenius(), &poisonEngine{Engine: NaiveEngine(tt), at: -1}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range plain.Fits {
+		if math.Float64bits(clean.Fits[i]) != math.Float64bits(f) {
+			t.Fatalf("unpoisoned fits %v, want %v", clean.Fits, plain.Fits)
+		}
+	}
+	for _, c := range []struct {
+		iter, mode int
+		v          float64
+	}{
+		{0, 0, math.NaN()},
+		{0, 1, math.Inf(1)},
+		{1, 2, math.Inf(-1)},
+		{2, 0, math.NaN()},
+		{2, 2, math.NaN()},
+		{2, 2, math.Inf(1)},
+	} {
+		eng := &poisonEngine{Engine: NaiveEngine(tt), at: 3*c.iter + c.mode, v: c.v}
+		res, err := Run(tt.Dims, tt.NormFrobenius(), eng, opts)
+		var nf *NonFiniteError
+		if !errors.As(err, &nf) || nf.Iter != c.iter || nf.Mode != c.mode || nf.Fit {
+			t.Fatalf("%v at iteration %d mode %d: result %v, error %v; want a factor NonFiniteError there", c.v, c.iter, c.mode, res, err)
+		}
+	}
+	_, err = Run(tt.Dims, math.Inf(1), NaiveEngine(tt), opts)
+	var nf *NonFiniteError
+	if !errors.As(err, &nf) || nf.Iter != 0 || nf.Mode != 2 || !nf.Fit {
+		t.Fatalf("infinite norm: error %v, want a fit NonFiniteError at iteration 0 mode 2", err)
 	}
 }

@@ -126,7 +126,7 @@ func TestArenaCorruptHeaders(t *testing.T) {
 		{"misaligned section offset", put64(valid, secOff(2), uint64(binary.LittleEndian.Uint64(valid[secOff(2):]))+4), "misaligned"},
 		{"offset inside header", put64(valid, secOff(0), 8), "misaligned or inside the header"},
 		{"overlapping sections", put64(valid, secOff(3), uint64(binary.LittleEndian.Uint64(valid[secOff(2):]))), "overlaps"},
-		{"lying length", put64(valid, secOff(2)+8, 1 << 30), "exceeds file size"},
+		{"lying length", put64(valid, secOff(2)+8, 1<<30), "exceeds file size"},
 		{"count beyond maxCount", put64(valid, secOff(2)+8, uint64(maxCount)+1), "implausible"},
 		{"dims count wrong", put64(valid, secOff(0)+8, 2), "dims/perm section counts"},
 		// Deflating (not inflating) the ptr count keeps the geometry inside

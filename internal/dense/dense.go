@@ -27,7 +27,11 @@ func Gram(a *tensor.Matrix, out *tensor.Matrix) *tensor.Matrix {
 		panic(fmt.Sprintf("dense: Gram output shape %dx%d, want %dx%d", out.Rows, out.Cols, r, r))
 	}
 	out.Zero()
-	scalePass(a.Data[:a.Rows*r], nil, nil, out.Data, r)
+	if rows := a.Data[:a.Rows*r]; useLanes {
+		scaleLanes(rows, nil, nil, out.Data, r)
+	} else {
+		scalePass(rows, nil, nil, out.Data, r)
+	}
 	mirrorUpper(out)
 	return out
 }
@@ -85,9 +89,13 @@ func MatMul(a, b *tensor.Matrix) *tensor.Matrix {
 // Cholesky holds the lower-triangular factor of a symmetric
 // positive-definite matrix, for repeated right-hand-side solves.
 type Cholesky struct {
-	n  int
-	l  []float64 // row-major lower triangle (full storage)
-	lt []float64 // its transpose, so back substitution reads rows too
+	n     int
+	l     []float64 // row-major lower triangle (full storage)
+	lt    []float64 // its transpose, so back substitution reads rows too
+	lanes []float64 // 16·n lane buffer of SolveRowsInPlace's AVX2 pass
+	// finite records that every entry of l is finite, the condition under
+	// which the AVX2 pass writes a +0 row as +0 without solving it.
+	finite bool
 }
 
 // NewCholesky factors the symmetric matrix v, adding an escalating diagonal
@@ -129,6 +137,7 @@ func (c *Cholesky) Refactor(v *tensor.Matrix) error {
 		c.n = n
 		c.l = make([]float64, n*n)
 		c.lt = make([]float64, n*n)
+		c.lanes = make([]float64, laneRows*n)
 	}
 	l := c.l
 	jitter := 0.0
@@ -161,6 +170,8 @@ func (c *Cholesky) Refactor(v *tensor.Matrix) error {
 					c.lt[i*n+k] = l[k*n+i]
 				}
 			}
+			// The upper triangle of l is never written, so it stays zero.
+			c.finite = finite(l)
 			return nil
 		}
 		if jitter == 0 {
@@ -188,7 +199,13 @@ func (c *Cholesky) SolveRowsInPlace(m *tensor.Matrix) {
 	if m.Cols != c.n {
 		panic(fmt.Sprintf("dense: SolveRowsInPlace cols %d, want %d", m.Cols, c.n))
 	}
-	solvePass(c, m.Data[:m.Rows*m.Cols], nil, m.Cols, false, statNone, nil)
+	rows := m.Data[:m.Rows*m.Cols]
+	if useLanes {
+		var off [laneRows]int
+		solveLanes(c, rows, nil, m.Cols, false, statNone, nil, c.lanes, off[:])
+		return
+	}
+	solvePass(c, rows, nil, m.Cols, false, statNone, nil)
 }
 
 // NormalizeColumns scales each column of a to unit 2-norm and returns the
@@ -237,5 +254,9 @@ func normalizeColumns(a *tensor.Matrix, norms []float64, stat colStat) {
 	clear(norms)
 	solvePass(nil, rows, nil, a.Cols, false, stat, norms)
 	reduceNorms(norms, norms, stat)
+	if useLanes {
+		scaleLanes(rows, nil, norms, nil, a.Cols)
+		return
+	}
 	scalePass(rows, nil, norms, nil, a.Cols)
 }

@@ -284,10 +284,13 @@ type UpdateOptions struct {
 // at a time.
 type Updater struct {
 	t, r  int
+	lanes bool      // run the AVX2 passes (solveLanes, scaleLanes)
 	stats []float64 // t×r column statistics of pass A
 	norms []float64 // t×r reduced column norms, one copy per thread
 	grams []float64 // t×r×r upper-triangle Gram partials of pass B
 	inner []float64 // t fit inner-product partials of pass B
+	b     []float64 // t×16r lane buffers of the AVX2 pass A
+	off   []int     // t×16 lane row offsets of the AVX2 pass A
 	// met is the rendezvous between the passes of a multi-threaded update:
 	// no thread reduces the column statistics before all have produced
 	// theirs.
@@ -301,11 +304,13 @@ func NewUpdater(r, t int) *Updater {
 		t = 1
 	}
 	return &Updater{
-		t: t, r: r,
+		t: t, r: r, lanes: useLanes,
 		stats: make([]float64, t*r),
 		norms: make([]float64, t*r),
 		grams: make([]float64, t*r*r),
 		inner: make([]float64, t),
+		b:     make([]float64, t*laneRows*r),
+		off:   make([]int, t*laneRows),
 	}
 }
 
@@ -361,7 +366,12 @@ func (u *Updater) thread(th, lo, hi, nt int, c *Cholesky, a, x []float64, opts U
 	rows, xrows := a[lo*r:hi*r], x[lo*r:hi*r]
 	stats := u.stats[th*r : (th+1)*r]
 	clear(stats)
-	solvePass(c, rows, xrows, r, opts.NonNegative, stat, stats)
+	if u.lanes {
+		b, off := u.b[th*laneRows*r:(th+1)*laneRows*r], u.off[th*laneRows:(th+1)*laneRows]
+		solveLanes(c, rows, xrows, r, opts.NonNegative, stat, stats, b, off)
+	} else {
+		solvePass(c, rows, xrows, r, opts.NonNegative, stat, stats)
+	}
 	if nt > 1 {
 		u.met.Done()
 		u.met.Wait()
@@ -373,5 +383,9 @@ func (u *Updater) thread(th, lo, hi, nt int, c *Cholesky, a, x []float64, opts U
 	if !opts.Inner {
 		xrows = nil
 	}
-	u.inner[th] = scalePass(rows, xrows, norms, gram, r)
+	if u.lanes {
+		u.inner[th] = scaleLanes(rows, xrows, norms, gram, r)
+	} else {
+		u.inner[th] = scalePass(rows, xrows, norms, gram, r)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"stef/internal/cpu"
 	"stef/internal/tensor"
 )
 
@@ -304,26 +305,50 @@ func TestOneThreadKernelsMatchReference(t *testing.T) {
 }
 
 // BenchmarkDenseUpdate times one mode's dense update on the long-mode
-// shape of the delicious profile (170k rows, R=32): the unfused reference
-// against the fused update on one and two threads.
+// shape of the delicious profile (170k rows): the unfused reference at
+// R=32, then the fused update on the Go and the AVX2 passes at R of 16, 32
+// and 64, with no empty rows and with 17% of the MTTKRP rows all +0
+// (delicious' mode-1 share), on one and two threads.
 func BenchmarkDenseUpdate(b *testing.B) {
-	const rows, r = 170000, 32
-	c, x := updateCase(rows, r, 0, false, 1)
-	a := tensor.NewMatrix(rows, r)
-	norms := make([]float64, r)
-	gram := tensor.NewMatrix(r, r)
+	const rows = 170000
 	opts := UpdateOptions{Inner: true}
-	b.Run("unfused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			refUpdate(c, a, x, opts, norms, gram)
-		}
-	})
-	for _, threads := range []int{1, 2} {
-		u := NewUpdater(r, threads)
-		b.Run(fmt.Sprintf("fused-T%d", threads), func(b *testing.B) {
+	{
+		const r = 32
+		c, x := updateCase(rows, r, 0, false, 1)
+		a, norms, gram := tensor.NewMatrix(rows, r), make([]float64, r), tensor.NewMatrix(r, r)
+		b.Run("unfused", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				u.Update(c, a, x, opts, norms, gram)
+				refUpdate(c, a, x, opts, norms, gram)
 			}
 		})
+	}
+	passes := []struct {
+		name  string
+		lanes bool
+	}{{"go", false}, {"avx2", true}}
+	for _, r := range []int{16, 32, 64} {
+		c, x := updateCase(rows, r, 0, false, 1)
+		a, norms, gram := tensor.NewMatrix(rows, r), make([]float64, r), tensor.NewMatrix(r, r)
+		for _, empty := range []int{0, 17} {
+			if empty > 0 {
+				// Every sixth row is empty: 16.7%.
+				for i := 0; i < rows; i += 6 {
+					clear(x.Row(i))
+				}
+			}
+			for _, ps := range passes {
+				if ps.lanes && !cpu.AVX2 {
+					continue
+				}
+				for _, threads := range []int{1, 2} {
+					u := updaterWith(r, threads, ps.lanes)
+					b.Run(fmt.Sprintf("%s/R%d/empty%d/T%d", ps.name, r, empty, threads), func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							u.Update(c, a, x, opts, norms, gram)
+						}
+					})
+				}
+			}
+		}
 	}
 }

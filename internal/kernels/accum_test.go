@@ -92,7 +92,7 @@ func TestCountRowWritesLeafHistogram(t *testing.T) {
 	rw := CountRowWrites(tree, part, 2, 2)
 	d := tree.Order()
 	want := make([]int64, tree.Dim(d-1))
-	for _, f := range tree.FidLevel(d-1) {
+	for _, f := range tree.FidLevel(d - 1) {
 		want[f]++
 	}
 	for r, c := range rw.Counts {
@@ -210,8 +210,8 @@ func TestPlannedStrategiesMatchReference(t *testing.T) {
 		skew []float64
 	}{
 		{[]int{7, 9, 11}, 400, nil},
-		{[]int{3, 5, 700}, 900, []float64{3, 2, 0}},   // hot leaf boundary splits
-		{[]int{2, 300, 5}, 700, []float64{0, 2, 0}},   // two root slices, shared rows
+		{[]int{3, 5, 700}, 900, []float64{3, 2, 0}}, // hot leaf boundary splits
+		{[]int{2, 300, 5}, 700, []float64{0, 2, 0}}, // two root slices, shared rows
 		{[]int{6, 5, 9, 8}, 500, []float64{1.5, 0, 2, 0}},
 	}
 	for _, cs := range cases {

@@ -106,7 +106,7 @@ func modeGeneric(tree *csf.Tree, factors []*tensor.Matrix, u, src int, partials 
 			case l+1 == src && src == d-1:
 				for k := cLo; k < cHi; k++ {
 					sc.shadow.own(th, d-1, k)
-					addScaled(tl, tree.ValsLevel()[k], factors[d-1].Row(int(tree.FidLevel(d-1)[k]))) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
+					addScaled(tl, tree.ValsLevel()[k], factors[d-1].Row(int(tree.FidLevel(d - 1)[k]))) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
 				}
 			case l+1 == src:
 				for c := cLo; c < cHi; c++ {
@@ -115,7 +115,7 @@ func modeGeneric(tree *csf.Tree, factors []*tensor.Matrix, u, src int, partials 
 				}
 			default:
 				for c := cLo; c < cHi; c++ {
-					hadamardAccum(tl, down(l+1, c), factors[l+1].Row(int(tree.FidLevel(l+1)[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
+					hadamardAccum(tl, down(l+1, c), factors[l+1].Row(int(tree.FidLevel(l + 1)[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
 				}
 			}
 			return tl
@@ -151,7 +151,7 @@ func modeGeneric(tree *csf.Tree, factors []*tensor.Matrix, u, src int, partials 
 				// the leaf level (src == d-1 here).
 				for k := cLo; k < cHi; k++ {
 					sc.shadow.own(th, d-1, k)
-					ob.AddScaled(int(tree.FidLevel(d-1)[k]), tree.ValsLevel()[k], kcur) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
+					ob.AddScaled(int(tree.FidLevel(d - 1)[k]), tree.ValsLevel()[k], kcur) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
 				}
 			case u == src:
 				// Memoized at exactly level u: one MTTV per

@@ -96,7 +96,7 @@ func rootGeneric(tree *csf.Tree, factors []*tensor.Matrix, out *tensor.Matrix, p
 			cHi := minI64(tree.PtrLevel(l)[n+1], e[l+1])
 			if l+1 == d-1 {
 				for k := cLo; k < cHi; k++ {
-					addScaled(tl, tree.ValsLevel()[k], factors[d-1].Row(int(tree.FidLevel(d-1)[k]))) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
+					addScaled(tl, tree.ValsLevel()[k], factors[d-1].Row(int(tree.FidLevel(d - 1)[k]))) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
 				}
 				return
 			}
@@ -112,7 +112,7 @@ func rootGeneric(tree *csf.Tree, factors []*tensor.Matrix, out *tensor.Matrix, p
 						copy(bound[l+1].Row(th), child) //gate:allow bounds boundary replica row per level, sized to the order
 					}
 				}
-				hadamardAccum(tl, child, factors[l+1].Row(int(tree.FidLevel(l+1)[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
+				hadamardAccum(tl, child, factors[l+1].Row(int(tree.FidLevel(l + 1)[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
 			}
 		}
 		for n := s[0]; n < e[0]; n++ {

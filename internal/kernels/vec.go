@@ -9,6 +9,8 @@
 // and the ablation study.
 package kernels
 
+import "stef/internal/cpu"
+
 // zero clears v. The range-over-slice form is recognised by the compiler
 // and lowered to a memclr, with no per-element bounds checks.
 func zero(v []float64) {
@@ -130,7 +132,7 @@ var genericVecOps = vecOps{
 // not a race build, the generic set otherwise. The two give bit-identical
 // results at every length, so the choice never changes a solve.
 func opsFor() vecOps {
-	if ops, ok := simdVecOps(); ok && !raceBuild {
+	if ops, ok := simdVecOps(); ok && !cpu.RaceBuild {
 		return ops
 	}
 	return genericVecOps

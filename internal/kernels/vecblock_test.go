@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"runtime"
 	"slices"
-	"strings"
 	"testing"
 
+	"stef/internal/cpu"
 	"stef/internal/csf"
 	"stef/internal/sched"
 	"stef/internal/tensor"
@@ -169,38 +168,12 @@ func TestSIMDMinOfLengths(t *testing.T) {
 	}
 }
 
-// TestSIMDDetectionMatchesCPUInfo checks the CPUID/XGETBV probe against
-// the kernel's own view: the avx2 flag in /proc/cpuinfo.
-func TestSIMDDetectionMatchesCPUInfo(t *testing.T) {
-	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
-		t.Skipf("compares against /proc/cpuinfo on linux/amd64 only, not %s/%s", runtime.GOOS, runtime.GOARCH)
-	}
-	raw, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		t.Skipf("cannot read /proc/cpuinfo: %v", err)
-	}
-	var flags []string
-	for _, line := range strings.Split(string(raw), "\n") {
-		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "flags" {
-			flags = strings.Fields(v)
-			break
-		}
-	}
-	if flags == nil {
-		t.Skip("/proc/cpuinfo has no flags line")
-	}
-	_, got := simdVecOps()
-	if want := slices.Contains(flags, "avx2"); got != want {
-		t.Fatalf("detected AVX2 = %v, /proc/cpuinfo lists avx2 = %v", got, want)
-	}
-}
-
 // TestOpsForSelection pins the selection rule for every Scratch and OutBuf
 // at every rank: the SIMD set wherever the CPU runs it, except in race
 // builds, which keep the Go loops.
 func TestOpsForSelection(t *testing.T) {
 	want := genericVecOps
-	if simd, ok := simdVecOps(); ok && !raceBuild {
+	if simd, ok := simdVecOps(); ok && !cpu.RaceBuild {
 		want = simd
 	}
 	same := func(got vecOps) bool {

@@ -155,10 +155,10 @@ func (p *Program) findWrappers() {
 	// paramIndex[fn] maps each ordinary (non-receiver) parameter object
 	// of fn to its call-argument position.
 	type declParams struct {
-		fn     *types.Func
-		body   *ast.FuncDecl
-		pkg    *Package
-		byObj  map[types.Object]int
+		fn    *types.Func
+		body  *ast.FuncDecl
+		pkg   *Package
+		byObj map[types.Object]int
 	}
 	var all []declParams
 	for fn, src := range p.decls {

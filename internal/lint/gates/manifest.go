@@ -88,6 +88,8 @@ func Default() *Manifest {
 			{Func: "dense.solvePass", Note: "dense update pass A (copy, solve, clamp, column statistic), once per factor row per mode"},
 			{Func: "dense.scalePass", Note: "dense update pass B (normalise, Gram partial, fit inner product), O(R²) per factor row per mode"},
 			{Func: "dense.foldStat", Note: "pass A's column statistic (sum of squares or max magnitude), once per factor row per mode"},
+			{Func: "dense.solveLanes", Note: "AVX2 pass A glue: the +0-row skip and the 16-row lane groups, once per factor row per mode"},
+			{Func: "dense.scaleLanes", Note: "AVX2 pass B glue: the +0-row skip, the divide and four-row Gram calls and the fit inner product, once per factor row per mode"},
 		},
 		// Shape rules for the generic Go rank-vector primitives and the
 		// dense update's passes. The AVX2 primitives (vec_amd64.s) are

@@ -260,7 +260,7 @@ func (sp *SlicePartition) ToPartition(tree *csf.Tree) *Partition {
 			if node >= int64(tree.NumFibers(l-1)) {
 				node = int64(tree.NumFibers(l))
 			} else {
-				node = tree.PtrLevel(l-1)[node]
+				node = tree.PtrLevel(l - 1)[node]
 			}
 			p.Start[th][l] = node
 		}

@@ -8,7 +8,15 @@ cd "$(dirname "$0")/.."
 echo "==> go build ./..."
 go build ./...
 
-echo "==> go vet ./... (incl. asmdecl on the AVX2 rank-vector primitives)"
+echo "==> gofmt -l (every file outside testdata/ directories)"
+unformatted=$(gofmt -l . | grep -Ev '(^|/)testdata/' || true)
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l lists:"
+	echo "$unformatted"
+	exit 1
+fi
+
+echo "==> go vet ./... (incl. asmdecl on the AVX2 rank-vector primitives and dense update kernels)"
 go vet ./...
 
 echo "==> GOARCH=arm64 go vet ./... (the portable path builds without the amd64 assembly)"
@@ -23,9 +31,10 @@ go run ./cmd/steflint -gates
 echo "==> go test ./..."
 go test ./...
 
-# Race builds select the Go rank-vector loops: the detector cannot see
-# stores made by assembly. The contract tests still call the AVX2 set
-# directly, so it runs under -race too.
+# Race builds select the Go rank-vector loops and the Go dense update
+# passes: the detector cannot see stores made by assembly. The contract
+# tests still call the AVX2 kernels of both directly, so they run under
+# -race too.
 echo "==> go test -race (parallel packages + shared-plan concurrency + int32-boundary dims + block-parallel parse)"
 go test -race . ./internal/par/ ./internal/sched/ ./internal/kernels/ ./internal/cpd/ ./internal/core/ ./internal/dense/ ./internal/frostt/ ./internal/tensor/ ./internal/csf/
 

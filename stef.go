@@ -76,6 +76,10 @@ type Options struct {
 // Result re-exports the CPD result type.
 type Result = cpd.Result
 
+// NonFiniteError re-exports the error a solve returns when a factor or
+// the fit goes non-finite; match it with errors.As.
+type NonFiniteError = cpd.NonFiniteError
+
 // Compiled is a compile-once/solve-many handle: the immutable plan (index
 // reordering, CSF trees, partitions, memoization config) built once by
 // Compile, plus a pool of solve workspaces. All methods are safe to call
@@ -220,10 +224,11 @@ func normalize(opts Options) (Options, core.Options, error) {
 func plans(engine string) bool { return engine == "" || engine == "stef" || engine == "stef2" }
 
 // nonFinite returns an error naming the first NaN or ±Inf in vals, with
-// its index and coord(index), or nil when there is none. norm is ||X||_F,
-// already computed from the same values: it is finite unless some value
-// is NaN or ±Inf (or the sum of squares overflows), so only then does the
-// search run.
+// its index and coord(index), or one naming the overflow when every value
+// is finite but the sum of their squares is not; nil when norm is finite.
+// norm is ||X||_F, already computed from the same values: it is finite
+// unless some value is NaN or ±Inf or the sum of squares overflows, so
+// only then does the search run.
 func nonFinite(norm float64, vals []float64, coord func(k int) []int32) error {
 	if !math.IsNaN(norm) && !math.IsInf(norm, 0) {
 		return nil
@@ -233,7 +238,7 @@ func nonFinite(norm float64, vals []float64, coord func(k int) []int32) error {
 			return fmt.Errorf("stef: non-zero %d at zero-based coordinates %v has non-finite value %v", k, coord(k), v)
 		}
 	}
-	return nil
+	return fmt.Errorf("stef: the sum of squares of the %d values overflows float64 (||X||_F = %v); scale the values down", len(vals), norm)
 }
 
 // leafCoord returns the coordinates of the tree's k-th leaf, in original
