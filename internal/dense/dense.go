@@ -6,7 +6,11 @@
 // The kernels whose work grows with the factor rows (solve, normalise,
 // Gram) are single-threaded calls into the two blocked row passes of
 // update.go, which Updater runs fused and row-parallel as one ALS factor
-// update.
+// update. Where the CPU has AVX2 and the build is not a race build, both
+// run the passes' AVX2 forms (lanes.go, lanes_amd64.s), which give the Go
+// passes' bits and write a factor row whose MTTKRP row is all +0 as +0
+// without solving it. The Go passes stay the portable path, the race-build
+// path and the contract tests' oracle.
 package dense
 
 import (
@@ -165,13 +169,17 @@ func (c *Cholesky) Refactor(v *tensor.Matrix) error {
 			}
 		}
 		if ok {
+			// v − v is +0 for a finite v and NaN otherwise, so nan stays
+			// zero exactly when every entry of L is finite.
+			nan := 0.0
 			for i := 0; i < n; i++ {
 				for k := i; k < n; k++ {
-					c.lt[i*n+k] = l[k*n+i]
+					v := l[k*n+i]
+					c.lt[i*n+k] = v
+					nan += v - v
 				}
 			}
-			// The upper triangle of l is never written, so it stays zero.
-			c.finite = finite(l)
+			c.finite = nan == 0
 			return nil
 		}
 		if jitter == 0 {

@@ -240,12 +240,16 @@ func TestLanePassesStayInTheirRows(t *testing.T) {
 }
 
 // TestLaneSkipGuards pins the conditions under which a +0 row is skipped:
-// through a non-finite L its solve is NaN, and divided by a NaN norm it is
-// NaN, so both passes must solve and divide it like any other row.
+// Refactor marks a finite factor, but through a non-finite L a +0 row's
+// solve is NaN, and divided by a NaN norm it is NaN, so both passes must
+// solve and divide it like any other row.
 func TestLaneSkipGuards(t *testing.T) {
 	lanesOrSkip(t)
 	for _, r := range []int{1, 2, 5, 16, 20, 32, 64} {
 		c, x := updateCase(20, r, 0.5, false, int64(r))
+		if !c.finite {
+			t.Fatalf("R=%d: Refactor of a finite positive-definite V did not mark its factor finite", r)
+		}
 		clear(x.Row(3))
 		clear(x.Row(17))
 		l := slices.Clone(c.l)
