@@ -104,6 +104,16 @@ func (a *analysis) evalCall(call *ast.CallExpr, want int) []value {
 		args = append(args, a.eval(arg))
 	}
 
+	if w := a.prog.asmWrites[fn]; w != 0 {
+		// An assembly function: a store anywhere in each window its
+		// //asm:writes line names, as clear would make.
+		for p, v := range args {
+			if w.has(p) {
+				a.store(call.Pos(), a.derefRegion(v.reg), value{}, false, true)
+			}
+		}
+		return pad(opaque())
+	}
 	if fn == nil || a.prog.decls[fn] == nil {
 		// Dynamic, interface, stdlib, or external call: opaque.
 		if a.summaryMode {

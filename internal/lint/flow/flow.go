@@ -16,6 +16,12 @@
 // is bounded by Config.MaxCallDepth, beyond which calls are treated as
 // opaque (no stores, unknown results) — the analysis errs toward silence,
 // never toward noise, on truncation.
+//
+// An assembly function has no Go body to summarize. Its Go declaration
+// may name the parameters the assembly stores through in an
+// `//asm:writes p q` line of its doc comment; a call then counts as a
+// store anywhere in those arguments' windows. Without the line the call
+// is opaque.
 package flow
 
 import (
@@ -24,6 +30,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // Config parameterizes a Program.
@@ -68,6 +75,11 @@ type Program struct {
 	// fileOf maps a filename to the package that owns it, for deciding
 	// where an interprocedural finding can be reported.
 	fileOf map[string]*Package
+	// asmWrites maps a module-local assembly function to the parameters
+	// its //asm:writes line names; asmTypos holds the names that match no
+	// parameter, by package.
+	asmWrites map[*types.Func]paramMask
+	asmTypos  map[string][]Finding
 }
 
 type funcSource struct {
@@ -109,24 +121,76 @@ func NewProgram(fset *token.FileSet, pkgs []*Package, cfg Config) *Program {
 		inProgress: make(map[*types.Func]bool),
 		wrappers:   make(map[*types.Func]paramMask),
 		fileOf:     make(map[string]*Package),
+		asmWrites:  make(map[*types.Func]paramMask),
+		asmTypos:   make(map[string][]Finding),
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			p.fileOf[fset.Position(f.Pos()).Filename] = pkg
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
+				if !ok {
 					continue
 				}
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					p.decls[fn] = &funcSource{decl: fd, pkg: pkg}
+				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+				if !ok {
+					continue
 				}
+				if fd.Body == nil {
+					w, typos := asmWrites(fd)
+					if w != 0 {
+						p.asmWrites[fn] = w
+					}
+					p.asmTypos[pkg.Path] = append(p.asmTypos[pkg.Path], typos...)
+					continue
+				}
+				p.decls[fn] = &funcSource{decl: fd, pkg: pkg}
 			}
 		}
 	}
 	p.findWrappers()
 	return p
 }
+
+// asmWrites returns the parameters named by the //asm:writes lines of a
+// bodiless declaration's doc comment, and a finding for each name that
+// matches no parameter.
+func asmWrites(fd *ast.FuncDecl) (paramMask, []Finding) {
+	if fd.Doc == nil || fd.Recv != nil {
+		return 0, nil
+	}
+	params := map[string]int{}
+	i := 0
+	for _, field := range fd.Type.Params.List {
+		for _, name := range field.Names {
+			params[name.Name] = i
+			i++
+		}
+		if len(field.Names) == 0 {
+			i++
+		}
+	}
+	var w paramMask
+	var typos []Finding
+	for _, c := range fd.Doc.List {
+		rest, ok := strings.CutPrefix(c.Text, "//asm:writes ")
+		if !ok {
+			continue
+		}
+		for _, n := range strings.Fields(rest) {
+			if i, ok := params[n]; ok {
+				w |= pbit(i)
+			} else {
+				typos = append(typos, Finding{Pos: c.Pos(), Message: fmt.Sprintf("//asm:writes names %q, which is not a parameter of %s", n, fd.Name.Name)})
+			}
+		}
+	}
+	return w, typos
+}
+
+// AsmDirectiveFindings returns the //asm:writes names in package pkgPath
+// that match no parameter of their declaration.
+func (p *Program) AsmDirectiveFindings(pkgPath string) []Finding { return p.asmTypos[pkgPath] }
 
 // parCallbackPos returns the callback argument positions of fn: the
 // built-in roots par.Do (position 1) and par.Blocks (position 2), plus

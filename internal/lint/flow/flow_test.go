@@ -164,3 +164,51 @@ func TestPartitionBoundsDerived(t *testing.T) {
 		t.Fatalf("partition-bounded loop misflagged: %v", fs)
 	}
 }
+
+const asmSrc = `package main
+
+import "test/par"
+
+// fill is implemented in assembly and stores through dst only.
+//
+//asm:writes dst
+func fill(dst, src []float64)
+
+// peek is implemented in assembly and declares no stores.
+func peek(dst []float64)
+
+// poke misspells its parameter.
+//
+//asm:writes dts
+func poke(dst []float64)
+
+func helper(buf, in []float64) { fill(buf, in) }
+
+func run(t, r int, slab, shared, in []float64) {
+	par.Do(t, func(th int) {
+		fill(slab[th*r:(th+1)*r], shared)  // safe: src is only read
+		helper(slab[th*r:(th+1)*r], shared) // safe through a Go caller too
+		fill(shared[0:r], in)               // unsafe: every thread's window
+		peek(shared)                        // opaque: no //asm:writes line
+	})
+}
+`
+
+// TestAsmWritesDirective holds a call to an assembly function to the
+// stores its //asm:writes line declares: a store anywhere in a named
+// argument's window, judged like clear; unnamed arguments and undeclared
+// functions stay opaque, and a name that is no parameter is a finding.
+func TestAsmWritesDirective(t *testing.T) {
+	p := loadTest(t, asmSrc, Config{})
+	fs := findings(p)
+	if len(fs) != 1 {
+		t.Fatalf("want exactly 1 finding, for the shared window, got %d: %v", len(fs), fs)
+	}
+	if line := p.fset.Position(fs[0].Pos).Line; line != 24 {
+		t.Errorf("finding at line %d, want 24 (fill into shared): %s", line, fs[0].Message)
+	}
+	typos := p.AsmDirectiveFindings("test/main")
+	if len(typos) != 1 || !strings.Contains(typos[0].Message, `"dts", which is not a parameter of poke`) {
+		t.Fatalf("want one finding for the misspelled //asm:writes name, got %v", typos)
+	}
+}

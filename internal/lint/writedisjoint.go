@@ -43,6 +43,9 @@ func runWriteDisjoint(pass *Pass) {
 		prog = flow.NewProgram(pass.Fset, fps, flow.Config{ParPath: parPkgPath})
 		pass.Cache[flowCacheKey] = prog
 	}
+	for _, f := range prog.AsmDirectiveFindings(pass.PkgPath) {
+		pass.Reportf(f.Pos, "%s", f.Message)
+	}
 	for _, e := range prog.Entries(pass.PkgPath) {
 		for _, f := range prog.CheckEntry(e) {
 			pass.Reportf(f.Pos, "%s", f.Message)
