@@ -55,7 +55,7 @@ func TestStefCPDOnFile(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb)
 	}
-	for _, want := range []string{"loaded tensor", "iter   3", "finalFit", "factors written"} {
+	for _, want := range []string{"loaded tensor", "set-up", "CSF build", "iter   3", "finalFit", "% of solve", "factors written"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

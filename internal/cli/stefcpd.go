@@ -42,7 +42,7 @@ func RunStefCPD(args []string, stdout, stderr io.Writer) int {
 		Threads: *threads, Engine: *engine, Reorder: *reorder,
 	}
 	var (
-		res   *stef.Result
+		c     *stef.Compiled
 		start time.Time
 	)
 	if *arena != "" {
@@ -58,11 +58,7 @@ func RunStefCPD(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "opened arena %s: order %d, nnz %d, backing %s, %v\n",
 			*arena, tree.Order(), tree.NNZ(), tree.Backing().Kind(), time.Since(openStart))
 		start = time.Now()
-		c, err := stef.CompileTree(tree, opts)
-		if err != nil {
-			return fail(stderr, "stef-cpd", err)
-		}
-		if res, err = c.Decompose(); err != nil {
+		if c, err = stef.CompileTree(tree, opts); err != nil {
 			return fail(stderr, "stef-cpd", err)
 		}
 	} else {
@@ -72,18 +68,30 @@ func RunStefCPD(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "loaded %v\n", tt)
 		start = time.Now()
-		if res, err = stef.Decompose(tt, opts); err != nil {
+		if c, err = stef.Compile(tt, opts); err != nil {
 			return fail(stderr, "stef-cpd", err)
 		}
 	}
-	total := time.Since(start)
+	setup := time.Since(start)
+	if plan := c.Plan(); plan != nil {
+		fmt.Fprintf(stdout, "set-up %v (CSF build %v, Alg. 9 + census + model search %v)\n",
+			setup.Round(time.Millisecond), plan.BuildTime.Round(time.Millisecond), plan.PreprocessTime.Round(time.Millisecond))
+	} else {
+		fmt.Fprintf(stdout, "set-up %v\n", setup.Round(time.Millisecond))
+	}
+	start = time.Now()
+	res, err := c.Decompose()
+	if err != nil {
+		return fail(stderr, "stef-cpd", err)
+	}
+	solve := time.Since(start)
 
 	for i, fit := range res.Fits {
 		fmt.Fprintf(stdout, "iter %3d  fit %.6f\n", i+1, fit)
 	}
 	fmt.Fprintf(stdout, "engine=%s converged=%v iters=%d finalFit=%.6f\n", *engine, res.Converged, res.Iters, res.FinalFit())
-	fmt.Fprintf(stdout, "total %v, MTTKRP %v (%.1f%%)\n", total.Round(time.Millisecond), res.MTTKRPTime.Round(time.Millisecond),
-		100*float64(res.MTTKRPTime)/float64(total))
+	fmt.Fprintf(stdout, "solve %v, MTTKRP %v (%.1f%% of solve)\n", solve.Round(time.Millisecond), res.MTTKRPTime.Round(time.Millisecond),
+		100*float64(res.MTTKRPTime)/float64(solve))
 	if *export != "" {
 		if err := cpd.SaveKruskal(*export, res); err != nil {
 			return fail(stderr, "stef-cpd", err)

@@ -250,3 +250,33 @@ func TestPlanSameThroughComparatorSort(t *testing.T) {
 		}
 	}
 }
+
+// TestSwappedPlanTreeMatchesBuild plans every profile, at a twentieth of its
+// non-zeros, under the two swap rules that force the swapped layout in
+// some plan, at 1, 2, 3 and 8 threads: every swapped plan's tree, derived
+// from the base tree, must equal the tree built from the COO in its order.
+func TestSwappedPlanTreeMatchesBuild(t *testing.T) {
+	swapped := 0
+	for _, p := range tensor.Profiles() {
+		p.NNZ /= 20
+		tt := p.Generate()
+		for _, rule := range []SwapRule{SwapAlways, SwapOpposite} {
+			for _, threads := range []int{1, 2, 3, 8} {
+				plan, err := NewPlan(tt, Options{Rank: 16, Threads: threads, SwapRule: rule})
+				if err != nil {
+					t.Fatalf("%s: %v", p.Name, err)
+				}
+				if !plan.Config.Swap {
+					continue
+				}
+				swapped++
+				if !csf.Equal(plan.Tree, csf.Build(tt, plan.Tree.Perm())) {
+					t.Errorf("%s rule %d T=%d: the derived swapped tree differs from the build", p.Name, rule, threads)
+				}
+			}
+		}
+	}
+	if swapped < 16*4 {
+		t.Errorf("only %d swapped plans, want at least one per profile and thread count", swapped)
+	}
+}

@@ -56,7 +56,7 @@ func (p *Plan) Describe(w io.Writer) {
 	}
 	fmt.Fprintf(w, "  storage: memo %.2f MB, CSF %.2f MB, factors %.2f MB (ratio %.2f)\n",
 		mb(p.MemoBytes), mb(p.CSFBytes), mb(p.FactorBytes), p.Ratio())
-	fmt.Fprintf(w, "  preprocessing: %v (Alg. 9 + search), build: %v\n", p.PreprocessTime, p.BuildTime)
+	fmt.Fprintf(w, "  preprocessing: %v (Alg. 9 + census + model search), build: %v\n", p.PreprocessTime, p.BuildTime)
 }
 
 // runnerUp returns the cheapest evaluated configuration other than the one

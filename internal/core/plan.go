@@ -135,11 +135,13 @@ type Plan struct {
 	Config model.Config
 	// AllConfigs lists every evaluated configuration (diagnostics).
 	AllConfigs []model.Config
-	// PreprocessTime is the time spent in the Algorithm 9 counting pass
-	// plus the model search — the quantity of Figure 5.
+	// PreprocessTime is the time spent in the Algorithm 9 counting pass,
+	// the row-write census and the model search — the quantity of
+	// Figure 5.
 	PreprocessTime time.Duration
-	// BuildTime is the CSF construction time (not part of Fig. 5, which
-	// every engine pays).
+	// BuildTime is the CSF construction time, including the derivation of
+	// the swapped layout and STeF2's second tree (not part of Fig. 5,
+	// which every engine pays).
 	BuildTime time.Duration
 	// MemoBytes, CSFBytes and FactorBytes give Table II's accounting.
 	MemoBytes, CSFBytes, FactorBytes int64
@@ -237,10 +239,11 @@ func NewPlan(t *tensor.Tensor, opts Options) (*Plan, error) {
 		p.Config.Cost = chosenParams.IterationCost(p.Config.Save)
 	}
 
-	// Materialise the chosen layout.
+	// Materialise the chosen layout: the swapped tree is derived from the
+	// base tree, not rebuilt from the COO.
 	if swap {
 		start := time.Now()
-		baseTree = csf.Build(t, baseTree.SwappedPerm())
+		baseTree = baseTree.SwapLastTwo(opts.Threads)
 		p.BuildTime += time.Since(start)
 	}
 	p.Tree = baseTree
@@ -285,11 +288,11 @@ func NewPlan(t *tensor.Tensor, opts Options) (*Plan, error) {
 // NewPlanFromTree fixes every execution decision for a pre-built CSF tree
 // — typically one opened zero-copy from an arena file (csf.OpenArena) —
 // without the COO tensor. The tree's layout is taken as-is: no reorder, no
-// CSF build, and no layout swap (the swap would require rebuilding the
-// tree from non-zeros the caller no longer has), so planning reduces to
-// the memoization search, the partition, and the row-write census for the
-// accumulation plans. SwapAlways/SwapOpposite and SecondCSF are rejected
-// for the same reason: both need the COO to build an alternative tree.
+// CSF build, and no layout swap (a pre-built tree is planned in the layout
+// it was built in), so planning reduces to the memoization search, the
+// partition, and the row-write census for the accumulation plans.
+// SwapAlways/SwapOpposite are rejected for that reason, and SecondCSF
+// because the auxiliary tree is built from the COO.
 //
 // The caller keeps ownership of the tree's backing: closing an arena while
 // the returned plan is in use invalidates every kernel's view of it.
@@ -303,7 +306,7 @@ func NewPlanFromTree(tree *csf.Tree, opts Options) (*Plan, error) {
 		return nil, fmt.Errorf("core: SecondCSF needs the COO tensor to build the auxiliary tree; plan from the tensor instead")
 	}
 	if opts.SwapRule == SwapAlways || opts.SwapRule == SwapOpposite {
-		return nil, fmt.Errorf("core: swap rules need the COO tensor to rebuild the tree; a pre-built tree keeps its layout")
+		return nil, fmt.Errorf("core: swap rules do not apply to a pre-built tree; it keeps the layout it was built in")
 	}
 	p := &Plan{Opts: opts}
 
@@ -379,11 +382,14 @@ func (p *Plan) buildAccum() {
 	opts := p.Opts
 	d := p.Tree.Order()
 	params := model.ParamsForCache(p.Tree.Dims(), p.Tree.FiberCounts(), opts.Rank, opts.CacheBytes)
-	stats := levelRowStats(p.Tree)
+	stats := make([]model.RowStats, d)
 	rws := make([]*kernels.RowWrites, d)
 	for u := 1; u < d; u++ {
 		if u == d-1 && p.Tree2 != nil {
-			continue // STeF2 runs the leaf mode as the auxiliary CSF's root
+			// STeF2 runs the leaf mode as the auxiliary CSF's root: no
+			// census, so the level keeps its histogram stats.
+			stats[u] = model.NewRowStats(p.Tree.LevelRowCounts(u))
+			continue
 		}
 		src := model.SourceLevel(p.Config.Save, u)
 		rws[u] = kernels.CountRowWrites(p.Tree, p.Part, u, src)

@@ -1,6 +1,7 @@
 // Package csf implements the Compressed Sparse Fiber representation of a
 // sparse tensor (Smith et al., SPLATT), the mode-ordering heuristics used
-// by STeF, and the last-two-mode fiber-counting pass of Algorithm 9.
+// by STeF, the last-two-mode fiber-counting pass of Algorithm 9, and the
+// derivation of the swapped last-two-mode layout from a built tree.
 //
 // A CSF tree of depth d stores one level per tensor mode. Level 0 holds the
 // root slices; level d-1 holds one node per non-zero, aligned with the
@@ -11,8 +12,10 @@ package csf
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 
+	"stef/internal/par"
 	"stef/internal/tensor"
 )
 
@@ -85,8 +88,27 @@ func (t *Tree) Closed() bool { return atomic.LoadUint32(&t.closed) != 0 }
 
 // Build constructs a CSF tree from t using the given mode permutation
 // (perm[l] is the original mode placed at level l; nil means the
-// length-sorted heuristic order). The input tensor is not modified.
+// length-sorted heuristic order). The input tensor is not modified. The
+// sort (tensor.PermuteSorted) and the level build run over
+// runtime.GOMAXPROCS(0) blocks of the non-zeros; the tree does not depend
+// on the block count.
 func Build(t *tensor.Tensor, perm []int) *Tree {
+	return build(t, perm, runtime.GOMAXPROCS(0))
+}
+
+// build is Build with the level build's block count as a parameter (< 1 is
+// treated as 1), so that tests can vary it.
+//
+// The level build makes two passes over blocks of the sorted non-zeros.
+// The first counts, per block and level, the non-zeros that open a fiber
+// there; a prefix sum over the blocks turns the counts into each block's
+// first node at every level, and every level is allocated at its exact
+// size. The second fills the fiber ids and child pointers of all levels.
+// A non-zero k opens a fiber at level l exactly when l >= chg(k), the
+// shallowest level whose coordinate differs from non-zero k-1's (0 for
+// k = 0), so the fiber it opens at level l has as its first child the one
+// it opens at level l+1.
+func build(t *tensor.Tensor, perm []int, blocks int) *Tree {
 	d := t.Order()
 	if d < 2 {
 		panic(fmt.Sprintf("csf: order-%d tensor; need at least 2 modes", d))
@@ -97,8 +119,9 @@ func Build(t *tensor.Tensor, perm []int) *Tree {
 	if err := tensor.CheckPerm(perm, d); err != nil {
 		panic("csf: " + err.Error())
 	}
+	blocks = max(blocks, 1)
 	pt := t.PermuteSorted(perm)
-
+	inds := pt.Inds
 	nnz := pt.NNZ()
 	tr := &Tree{
 		dims: pt.Dims,
@@ -107,53 +130,69 @@ func Build(t *tensor.Tensor, perm []int) *Tree {
 		ptr:  make([][]int64, d),
 		vals: pt.Vals,
 	}
-	// chg[k] is the shallowest level whose coordinate differs between
-	// non-zeros k-1 and k. A new fiber starts at level l exactly when
-	// chg[k] <= l (new-fiber starts are monotone down the tree). chg[0]
-	// is defined as 0 so the first non-zero opens a fiber at every level.
-	chg := make([]int, nnz)
-	for k := 1; k < nnz; k++ {
-		a := pt.Inds[(k-1)*d:]
-		b := pt.Inds[k*d:]
-		c := d - 1
-		for m := 0; m < d-1; m++ {
-			if a[m] != b[m] {
-				c = m
-				break
+	// first[th][l] counts block th's fibers at level l (l < d-1), then
+	// holds the position of the block's first one.
+	first := make([][]int64, blocks)
+	par.Blocks(nnz, blocks, func(th, lo, hi int) {
+		n := make([]int64, d-1)
+		for k := lo; k < hi; k++ {
+			for l := changeLevel(inds, k, d); l < d-1; l++ {
+				n[l]++
 			}
 		}
-		chg[k] = c
-	}
-	// Leaf level: one node per non-zero.
-	leaf := make([]int32, nnz)
-	for k := 0; k < nnz; k++ {
-		leaf[k] = pt.Inds[k*d+d-1]
-	}
-	tr.fids[d-1] = leaf
-
+		first[th] = n
+	})
 	for l := 0; l < d-1; l++ {
-		var fids []int32
-		ptr := []int64{0}
-		children := int64(0)
-		for k := 0; k < nnz; k++ {
-			if chg[k] <= l { // new fiber at this level
-				if k > 0 {
-					ptr = append(ptr, ptr[len(ptr)-1]+children)
-					children = 0
-				}
-				fids = append(fids, pt.Inds[k*d+l])
-			}
-			if l+1 == d-1 || chg[k] <= l+1 { // new child below
-				children++
+		var m int64
+		for _, n := range first {
+			if n != nil {
+				m, n[l] = m+n[l], m
 			}
 		}
-		if nnz > 0 {
-			ptr = append(ptr, ptr[len(ptr)-1]+children)
-		}
-		tr.fids[l] = fids
-		tr.ptr[l] = ptr
+		tr.fids[l] = make([]int32, m)
+		tr.ptr[l] = make([]int64, m+1)
 	}
+	leaf := make([]int32, nnz)
+	tr.fids[d-1] = leaf
+	for l := 0; l < d-1; l++ {
+		tr.ptr[l][len(tr.fids[l])] = int64(len(tr.fids[l+1]))
+	}
+	fids, ptr := tr.fids, tr.ptr
+	par.Blocks(nnz, blocks, func(th, lo, hi int) {
+		next := first[th]
+		for k := lo; k < hi; k++ {
+			c := inds[k*d : (k+1)*d]
+			for l := changeLevel(inds, k, d); l < d-1; l++ {
+				n := next[l]
+				next[l]++
+				fids[l][n] = c[l]
+				if l+1 < d-1 {
+					ptr[l][n] = next[l+1]
+				} else {
+					ptr[l][n] = int64(k)
+				}
+			}
+			leaf[k] = c[d-1]
+		}
+	})
 	return tr
+}
+
+// changeLevel returns the shallowest level l < d-1 whose coordinate
+// differs between the sorted non-zeros k-1 and k of inds, d-1 if only the
+// leaf coordinates (or none) differ, and 0 for k = 0.
+func changeLevel(inds []int32, k, d int) int {
+	if k == 0 {
+		return 0
+	}
+	a := inds[(k-1)*d : k*d]
+	b := inds[k*d : (k+1)*d]
+	for l := 0; l < d-1; l++ {
+		if a[l] != b[l] {
+			return l
+		}
+	}
+	return d - 1
 }
 
 // Order returns the tree depth (tensor order).

@@ -3,6 +3,7 @@ package kernels
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"stef/internal/csf"
@@ -47,6 +48,10 @@ type RowWrites struct {
 // touched node of their clamped span, including zero contributions, so
 // single-writer classification must count by touch, not ownership).
 //
+// Each thread's rows are marked in a bitset as its span is walked, and the
+// journal is read back from the bitset in ascending row order, so no
+// journal is sorted.
+//
 //lint:allow hotpath-alloc plan-time census, runs once per (plan, mode)
 func CountRowWrites(tree *csf.Tree, part *sched.Partition, u, src int) *RowWrites {
 	d := tree.Order()
@@ -64,10 +69,7 @@ func CountRowWrites(tree *csf.Tree, part *sched.Partition, u, src int) *RowWrite
 	for i := range writer {
 		writer[i] = RemapUntouched
 	}
-	stamp := make([]int32, rows)
-	for i := range stamp {
-		stamp[i] = -1
-	}
+	marked := make([]uint64, (rows+63)/64)
 	fids := tree.FidLevel(u)
 	for th := 0; th < part.T; th++ {
 		var lo, hi int64
@@ -81,7 +83,7 @@ func CountRowWrites(tree *csf.Tree, part *sched.Partition, u, src int) *RowWrite
 			hi = minI64(part.Own[th+1][u], int64(len(fids))) //gate:allow bounds per-thread span lookup, T iterations
 		}
 		t32 := int32(th)
-		var journal []int32
+		touched := 0
 		for c := lo; c < hi; c++ {
 			r := fids[c]                             //gate:allow bounds partition-clamped span over the fiber-id column
 			counts[r]++                              //gate:allow bounds row addressed by stored fiber id, data-dependent
@@ -90,13 +92,24 @@ func CountRowWrites(tree *csf.Tree, part *sched.Partition, u, src int) *RowWrite
 			} else if w != t32 && w >= 0 {
 				writer[r] = RemapColdCAS
 			}
-			if stamp[r] != t32 { //gate:allow bounds row addressed by stored fiber id, data-dependent
-				stamp[r] = t32
-				journal = append(journal, r)
+			if bit := uint64(1) << (r & 63); marked[r>>6]&bit == 0 { //gate:allow bounds row addressed by stored fiber id, data-dependent
+				marked[r>>6] |= bit
+				touched++
 			}
 		}
 		rw.Writes += hi - lo
-		slices.Sort(journal)
+		var journal []int32
+		if touched > 0 {
+			journal = make([]int32, touched) //gate:allow escape one exactly sized journal per thread, T allocations
+		}
+		n := 0
+		for i, word := range marked {
+			for ; word != 0; word &= word - 1 {
+				journal[n] = int32(i<<6 + bits.TrailingZeros64(word)) //gate:allow bounds journal sized to the thread's marked rows
+				n++
+			}
+			marked[i] = 0
+		}
 		rw.PerThread[th] = journal //gate:allow bounds per-thread journal slot
 	}
 	return rw

@@ -3,6 +3,8 @@ package kernels
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -77,6 +79,69 @@ func TestCountRowWritesInvariants(t *testing.T) {
 							t.Fatalf("u=%d row %d: writer %d on a single-thread census", u, r, w)
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// sortedCensus is the census reference written with a sort: each thread's
+// rows collected as first touched, then sorted, as CountRowWrites did
+// before it read its journals from a bitset.
+func sortedCensus(tree *csf.Tree, part *sched.Partition, u, src int) *RowWrites {
+	d := tree.Order()
+	rows := tree.Dim(u)
+	rw := &RowWrites{Counts: make([]int64, rows), Writer: make([]int32, rows), PerThread: make([][]int32, part.T)}
+	for r := range rw.Writer {
+		rw.Writer[r] = RemapUntouched
+	}
+	fids := tree.FidLevel(u)
+	for th := 0; th < part.T; th++ {
+		var lo, hi int64
+		switch {
+		case u == d-1:
+			lo, hi = part.LeafRange(th)
+		case u == src:
+			lo, hi = part.OwnedRange(th, u)
+		default:
+			lo, hi = part.Start[th][u], min(part.Own[th+1][u], int64(len(fids)))
+		}
+		seen := map[int32]bool{}
+		var journal []int32
+		for c := lo; c < hi; c++ {
+			r := fids[c]
+			rw.Counts[r]++
+			if w := rw.Writer[r]; w == RemapUntouched {
+				rw.Writer[r] = int32(th)
+			} else if w != int32(th) && w >= 0 {
+				rw.Writer[r] = RemapColdCAS
+			}
+			if !seen[r] {
+				seen[r] = true
+				journal = append(journal, r)
+			}
+		}
+		slices.Sort(journal)
+		rw.PerThread[th] = journal
+		rw.Writes += hi - lo
+	}
+	return rw
+}
+
+// TestCountRowWritesMatchesSortedCensus holds the census to the sorted
+// reference for every (u, src) pair at 1, 2 and 5 threads, on a skewed
+// order-4 tensor with rows no thread touches.
+func TestCountRowWritesMatchesSortedCensus(t *testing.T) {
+	tt := tensor.Random([]int{7, 30, 90, 200}, 3000, []float64{1.5, 1.2, 0, 1.8}, 29)
+	tree := csf.Build(tt, nil)
+	d := tree.Order()
+	for _, threads := range []int{1, 2, 5} {
+		part := sched.NewPartition(tree, threads)
+		for u := 1; u < d; u++ {
+			for src := u; src < d; src++ {
+				got, want := CountRowWrites(tree, part, u, src), sortedCensus(tree, part, u, src)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("T=%d u=%d src=%d: census differs from the sorted reference", threads, u, src)
 				}
 			}
 		}

@@ -83,34 +83,61 @@ type RowStats struct {
 	MultiExact bool
 }
 
-// NewRowStats condenses a per-row write-count histogram.
+// NewRowStats condenses a per-row write-count histogram. TopMass comes
+// from a histogram of the counts, not from sorting them: a count below
+// len(counts) goes into its bucket (only up to the largest count, so the
+// histogram is no longer than the counts), and only the counts at or above
+// that bound are sorted. Each of those carries at least len(counts) of the
+// Writes, so there are at most Writes/len(counts) of them.
 func NewRowStats(counts []int64) RowStats {
 	var s RowStats
-	nz := make([]int64, 0, len(counts))
+	var top int64
 	for _, c := range counts {
 		if c > 0 {
-			nz = append(nz, c)
+			s.Touched++
 			s.Writes += c
 			if c >= 2 {
 				s.Mass2 += c
 			}
+			top = max(top, c)
 		}
 	}
-	s.Touched = int64(len(nz))
 	if s.Touched == 0 {
 		return s
 	}
-	slices.Sort(nz) // ascending; read back to front, most-written first
-	var mass int64
+	hist := make([]int64, min(top+1, int64(len(counts))))
+	var big []int64
+	for _, c := range counts {
+		switch {
+		case c >= int64(len(hist)):
+			big = append(big, c)
+		case c > 0:
+			hist[c]++
+		}
+	}
+	// Read the counts most-written first: the sorted big ones, then the
+	// buckets from the top down, each as a run of equal counts.
+	slices.Sort(big)
+	var mass, rank int64 // rank: rows taken so far
 	next := int64(1)
-	for i := range nz {
-		mass += nz[len(nz)-1-i]
-		if int64(i+1) == next {
+	take := func(c, n int64) {
+		for rank+n >= next {
+			mass += (next - rank) * c
+			n -= next - rank
+			rank = next
 			s.TopMass = append(s.TopMass, mass)
 			next <<= 1
 		}
+		mass += n * c
+		rank += n
 	}
-	if next>>1 != int64(len(nz)) {
+	for i := len(big) - 1; i >= 0; i-- {
+		take(big[i], 1)
+	}
+	for c := int64(len(hist)) - 1; c > 0; c-- {
+		take(c, hist[c])
+	}
+	if next>>1 != s.Touched {
 		s.TopMass = append(s.TopMass, mass)
 	}
 	return s

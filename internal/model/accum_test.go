@@ -1,6 +1,10 @@
 package model
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 // histStats builds RowStats from a literal histogram, as the search-time
 // (pre-census) path does.
@@ -37,6 +41,59 @@ func TestNewRowStats(t *testing.T) {
 	}
 	if z := NewRowStats(nil); z.Writes != 0 || z.TopMass != nil {
 		t.Fatalf("empty histogram: %+v", z)
+	}
+}
+
+// sortedTopMass is the TopMass reference written with a sort: the
+// positive counts in descending order, summed, recorded at every power of
+// two and at the end.
+func sortedTopMass(counts []int64) []int64 {
+	var nz []int64
+	for _, c := range counts {
+		if c > 0 {
+			nz = append(nz, c)
+		}
+	}
+	slices.Sort(nz)
+	slices.Reverse(nz)
+	var top []int64
+	var mass int64
+	for i, c := range nz {
+		mass += c
+		if n := i + 1; n&(n-1) == 0 || n == len(nz) {
+			top = append(top, mass)
+		}
+	}
+	return top
+}
+
+// TestNewRowStatsMatchesSort holds the histogram TopMass to the sorted
+// reference on random histograms: counts far above the row count (sorted
+// apart from the buckets), counts just below it, all-zero and one-row
+// histograms.
+func TestNewRowStatsMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		rows := rng.Intn(70)
+		counts := make([]int64, rows)
+		for r := range counts {
+			switch rng.Intn(5) {
+			case 0: // untouched
+			case 1:
+				counts[r] = int64(rows) + rng.Int63n(1000)
+			case 2:
+				counts[r] = max(int64(rows)-1-rng.Int63n(3), 0)
+			default:
+				counts[r] = 1 + rng.Int63n(4)
+			}
+		}
+		got := NewRowStats(counts)
+		if want := sortedTopMass(counts); !slices.Equal(got.TopMass, want) {
+			t.Fatalf("counts %v: TopMass %v, want %v", counts, got.TopMass, want)
+		}
+		if n := len(got.TopMass); n > 0 && got.TopMass[n-1] != got.Writes {
+			t.Fatalf("counts %v: last TopMass %d, Writes %d", counts, got.TopMass[n-1], got.Writes)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package tensor
 import (
 	"math/bits"
 	"sort"
+
+	"stef/internal/par"
 )
 
 // RadixSort routes the packed-key sorts of SortLex and PermuteSorted
@@ -25,65 +27,87 @@ type keyPos struct {
 
 // radixOrder returns the non-zeros' (key, position) pairs sorted by key,
 // equal keys in input order. The key of a non-zero packs its coordinates
-// under perm: level l holds mode perm[l] with weight strides[l].
-func (t *Tensor) radixOrder(perm []int, strides []uint64) []keyPos {
+// under perm: level l holds mode perm[l] with weight strides[l]. The keys
+// are computed, and the sort runs, over the given number of blocks.
+func (t *Tensor) radixOrder(perm []int, strides []uint64, blocks int) []keyPos {
 	d := t.Order()
 	weight := make([]uint64, d) // per original mode
 	for l, m := range perm {
 		weight[m] = strides[l]
 	}
 	a := make([]keyPos, t.NNZ())
-	var used uint64
-	for k := range a {
-		key := uint64(0)
-		for m, c := range t.Inds[k*d : (k+1)*d] {
-			key += weight[m] * uint64(c)
+	used := make([]uint64, blocks)
+	par.Blocks(len(a), blocks, func(th, lo, hi int) {
+		var u uint64
+		for k := lo; k < hi; k++ {
+			key := uint64(0)
+			for m, c := range t.Inds[k*d : (k+1)*d] {
+				key += weight[m] * uint64(c)
+			}
+			a[k] = keyPos{key, int64(k)}
+			u |= key
 		}
-		a[k] = keyPos{key, int64(k)}
-		used |= key
+		used[th] = u
+	})
+	var all uint64
+	for _, u := range used {
+		all |= u
 	}
-	return radixSort(a, bits.Len64(used))
+	return radixSort(a, bits.Len64(all), blocks)
 }
 
 // radixSort sorts a stably by key with an LSD radix sort over the low
-// keyBits bits, radixBits per digit. A digit that is the same in every key
-// is skipped. The passes ping-pong between a and one buffer of the same
-// length; the result is whichever of the two the last pass wrote.
-func radixSort(a []keyPos, keyBits int) []keyPos {
+// keyBits bits, radixBits per digit. Each pass splits a into the given
+// number of blocks: every block counts its digits, a prefix sum in
+// (digit, block) order turns the counts into write cursors, and every
+// block scatters its keys in order. A key thus lands after every key with
+// a smaller digit and after the equal-digit keys of the blocks before its
+// own, so each pass is stable and the order does not depend on the block
+// count. A digit that is the same in every key is skipped. The passes
+// ping-pong between a and one buffer of the same length; the result is
+// whichever of the two the last pass wrote.
+func radixSort(a []keyPos, keyBits, blocks int) []keyPos {
 	const buckets = 1 << radixBits
 	n := len(a)
 	digits := (keyBits + radixBits - 1) / radixBits
 	if n < 2 || digits == 0 {
 		return a
 	}
-	counts := make([][buckets]int, digits)
-	for _, e := range a {
-		k := e.key
-		for p := range counts {
-			counts[p][k&(buckets-1)]++
-			k >>= radixBits
-		}
-	}
+	cursor := make([][buckets]int, blocks) // per block: digit counts, then write cursors
 	var b []keyPos
-	for p := range counts {
-		c := &counts[p]
+	for p := 0; p < digits; p++ {
 		shift := uint(p * radixBits)
-		if c[a[0].key>>shift&(buckets-1)] == n {
+		par.Blocks(n, blocks, func(th, lo, hi int) {
+			c := &cursor[th]
+			*c = [buckets]int{}
+			for _, e := range a[lo:hi] {
+				c[e.key>>shift&(buckets-1)]++
+			}
+		})
+		sum, constant := 0, false
+		for dg := 0; dg < buckets; dg++ {
+			start := sum
+			for th := range cursor {
+				x := cursor[th][dg]
+				cursor[th][dg] = sum
+				sum += x
+			}
+			constant = constant || sum-start == n
+		}
+		if constant {
 			continue
 		}
 		if b == nil {
 			b = make([]keyPos, n)
 		}
-		sum := 0
-		for i, x := range c {
-			c[i] = sum
-			sum += x
-		}
-		for _, e := range a {
-			dg := e.key >> shift & (buckets - 1)
-			b[c[dg]] = e
-			c[dg]++
-		}
+		par.Blocks(n, blocks, func(th, lo, hi int) {
+			c := &cursor[th]
+			for _, e := range a[lo:hi] {
+				dg := e.key >> shift & (buckets - 1)
+				b[c[dg]] = e
+				c[dg]++
+			}
+		})
 		a, b = b, a
 	}
 	return a

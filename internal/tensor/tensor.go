@@ -10,6 +10,9 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"runtime"
+
+	"stef/internal/par"
 )
 
 // Tensor is a sparse tensor of arbitrary order in coordinate (COO) form.
@@ -127,12 +130,22 @@ func (t *Tensor) SortLex() {
 // When the permuted index space fits in 63 bits (every benchmark profile
 // does), each coordinate packs into one uint64 key and the keys are
 // radix-sorted (radixSort); otherwise a stable comparator sort is used.
-// Both give the same order, equal coordinates in input order.
+// Both give the same order, equal coordinates in input order. The keys,
+// the radix passes and the gather run over runtime.GOMAXPROCS(0) blocks
+// of the non-zeros, as frostt.Read parses; the result does not depend on
+// the block count.
 func (t *Tensor) PermuteSorted(perm []int) *Tensor {
+	return t.permuteSorted(perm, runtime.GOMAXPROCS(0))
+}
+
+// permuteSorted is PermuteSorted over the given number of blocks (< 1 is
+// treated as 1), so that tests can vary it.
+func (t *Tensor) permuteSorted(perm []int, blocks int) *Tensor {
 	d := t.Order()
 	if err := CheckPerm(perm, d); err != nil {
 		panic("tensor: " + err.Error())
 	}
+	blocks = max(blocks, 1)
 	nnz := t.NNZ()
 	out := &Tensor{
 		Dims: make([]int, d),
@@ -144,18 +157,21 @@ func (t *Tensor) PermuteSorted(perm []int) *Tensor {
 	}
 	var order []keyPos
 	if strides, ok := packStrides(out.Dims); ok && RadixSort {
-		order = t.radixOrder(perm, strides)
+		order = t.radixOrder(perm, strides, blocks)
 	} else {
 		order = t.compareOrder(perm)
 	}
-	for i, e := range order {
-		src := t.Inds[int(e.pos)*d : int(e.pos+1)*d]
-		dst := out.Inds[i*d : (i+1)*d]
-		for l, m := range perm {
-			dst[l] = src[m]
+	par.Blocks(nnz, blocks, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			pos := order[i].pos
+			src := t.Inds[int(pos)*d : int(pos+1)*d]
+			dst := out.Inds[i*d : (i+1)*d]
+			for l, m := range perm {
+				dst[l] = src[m]
+			}
+			out.Vals[i] = t.Vals[pos]
 		}
-		out.Vals[i] = t.Vals[e.pos]
-	}
+	})
 	return out
 }
 

@@ -311,8 +311,8 @@ func TestSortLexQuick(t *testing.T) {
 
 	// The radix path against the comparator sort, its oracle: the same
 	// order under any mode permutation, duplicates in input order (so
-	// Dedup's sums are bit-equal), for nnz 0, 1, 2 and up, and for keys
-	// that use all 63 bits.
+	// Dedup's sums are bit-equal), for nnz 0, 1, 2 and up, for keys that
+	// use all 63 bits, and at 1, 2, 3 and 8 blocks.
 	g := func(seed int64, wide bool, n8 uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		dims := make([]int, 2+rng.Intn(4))
@@ -338,6 +338,12 @@ func TestSortLexQuick(t *testing.T) {
 			radix, cmp := sortBoth(tt, perm, (*Tensor).PermuteSorted)
 			if !sameTensor(radix, cmp) || radix.Validate(false) != nil {
 				return false
+			}
+			for _, blocks := range []int{1, 2, 3, 8} {
+				r, c := sortBoth(tt, perm, func(t *Tensor, perm []int) *Tensor { return t.permuteSorted(perm, blocks) })
+				if !sameTensor(r, cmp) || !sameTensor(c, cmp) {
+					return false
+				}
 			}
 			a, b := sortBoth(radix, perm, func(t *Tensor, _ []int) *Tensor {
 				c := t.Clone()

@@ -41,6 +41,9 @@ go test -race . ./internal/par/ ./internal/sched/ ./internal/kernels/ ./internal
 echo "==> FuzzRead smoke (block parser against the line-at-a-time oracle, 10 s)"
 go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s ./internal/frostt/
 
+echo "==> FuzzBuild smoke (block-parallel CSF build and derived swap against the append-built reference, 10 s)"
+go test -run '^$' -fuzz '^FuzzBuild$' -fuzztime 10s ./internal/csf/
+
 echo "==> arena storage seam (mmap round trip, corrupt-header fuzz seeds, heap-vs-arena solve parity, csf-backing self-check)"
 go test -race -run 'Arena|CSFBacking' . ./internal/csf/ ./internal/lint/
 
