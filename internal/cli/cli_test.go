@@ -55,7 +55,7 @@ func TestStefCPDOnFile(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb)
 	}
-	for _, want := range []string{"loaded tensor", "set-up", "CSF build", "iter   3", "finalFit", "% of solve", "factors written"} {
+	for _, want := range []string{"loaded tensor", "set-up", "CSF build", "kernels: order-3 specialisation, ", "iter   3", "finalFit", "% of solve", "factors written"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
@@ -77,6 +77,19 @@ func TestStefCPDErrors(t *testing.T) {
 	}
 	if code, _, _ := run(t, cpdEntry, "-badflag"); code != 2 {
 		t.Error("bad flag should exit 2")
+	}
+	// Out-of-range counts are usage errors, named on stderr, not a solve at
+	// a default or a stack trace.
+	for _, c := range []struct{ flag, value, want string }{
+		{"-rank", "-3", "-rank -3"},
+		{"-rank", "0", "-rank 0"},
+		{"-threads", "0", "-threads 0"},
+		{"-iters", "-1", "MaxIters -1 is negative"},
+	} {
+		code, out, errb := run(t, cpdEntry, "-tensor", "uber", c.flag, c.value)
+		if code == 0 || !strings.Contains(errb, c.want) {
+			t.Errorf("%s %s: exit %d, stderr %q, stdout %q; want a failure naming %q", c.flag, c.value, code, errb, out, c.want)
+		}
 	}
 	if code, _, _ := run(t, cpdEntry, "-file", "x", "-tensor", "y"); code == 0 {
 		t.Error("both -file and -tensor should fail")
@@ -130,7 +143,7 @@ func TestTensorInfo(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errb)
 	}
-	for _, want := range []string{"CSF mode order", "Alg. 9", "balanced-partition imbalance", "STeF plan", "data-movement breakdown"} {
+	for _, want := range []string{"CSF mode order", "Alg. 9", "balanced-partition imbalance", "STeF plan", "kernels: order-4 specialisation, ", "data-movement breakdown"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}

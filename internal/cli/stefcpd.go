@@ -9,6 +9,7 @@ import (
 
 	"stef"
 	"stef/internal/cpd"
+	"stef/internal/kernels"
 )
 
 // RunStefCPD implements cmd/stef-cpd: run CPD-ALS on a tensor with any
@@ -36,6 +37,10 @@ func RunStefCPD(args []string, stdout, stderr io.Writer) int {
 	if *list {
 		listProfiles(stdout)
 		return 0
+	}
+	if *rank < 1 || *threads < 1 {
+		fmt.Fprintf(stderr, "stef-cpd: -rank %d and -threads %d must both be at least 1\n", *rank, *threads)
+		return 2
 	}
 	opts := stef.Options{
 		Rank: *rank, MaxIters: *iters, Tol: *tol, Seed: *seed,
@@ -76,6 +81,8 @@ func RunStefCPD(args []string, stdout, stderr io.Writer) int {
 	if plan := c.Plan(); plan != nil {
 		fmt.Fprintf(stdout, "set-up %v (CSF build %v, Alg. 9 + census + model search %v)\n",
 			setup.Round(time.Millisecond), plan.BuildTime.Round(time.Millisecond), plan.PreprocessTime.Round(time.Millisecond))
+		walk, prims := kernels.KernelPath(plan.Tree.Order())
+		fmt.Fprintf(stdout, "kernels: %s, %s\n", walk, prims)
 	} else {
 		fmt.Fprintf(stdout, "set-up %v\n", setup.Round(time.Millisecond))
 	}

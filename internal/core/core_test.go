@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"stef/internal/cpu"
 	"stef/internal/csf"
 	"stef/internal/model"
 	"stef/internal/tensor"
@@ -188,6 +190,37 @@ func TestDescribe(t *testing.T) {
 	}
 	if _, ok := plan.runnerUp(); !ok {
 		t.Error("no runner-up configuration found")
+	}
+}
+
+// TestDescribeKernelLine pins Describe's kernel line: the order-3 to 5
+// specialisations or the generic walk, and the primitive set this build
+// runs, with the reason when it is the Go forms. The expected set follows
+// the CPU probe and the race flag, so the test holds in race and non-race
+// builds alike.
+func TestDescribeKernelLine(t *testing.T) {
+	set := "Go forms (no AVX2)"
+	switch {
+	case cpu.AVX2 && cpu.RaceBuild:
+		set = "Go forms (race build)"
+	case cpu.AVX2:
+		set = "AVX2 fiber primitives"
+	}
+	for _, dims := range [][]int{{6, 40, 50}, {6, 40, 50, 7}, {5, 6, 7, 8, 9}, {3, 4, 5, 6, 7, 8}} {
+		tt := tensor.Random(dims, 400, nil, 8)
+		plan, err := NewPlan(tt, Options{Rank: 4, Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		plan.Describe(&sb)
+		walk := "generic walk"
+		if len(dims) <= 5 {
+			walk = fmt.Sprintf("order-%d specialisation", len(dims))
+		}
+		if want := "\n  kernels: " + walk + ", " + set + "\n"; !strings.Contains(sb.String(), want) {
+			t.Errorf("order %d: Describe lacks %q:\n%s", len(dims), want, sb.String())
+		}
 	}
 }
 

@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"io"
 
+	"stef/internal/kernels"
 	"stef/internal/model"
 )
 
 // Describe writes a human-readable summary of every decision in the plan:
 // the chosen layout and memoization set with their modeled cost, the
-// runner-up configurations, the work-distribution mode, and the Table II
-// byte accounting. tensorinfo and the examples use it; it is also handy in
+// runner-up configurations, the work-distribution mode, the kernel walk
+// and primitive set, and the Table II byte accounting. tensorinfo and the examples use it; it is also handy in
 // bug reports.
 func (p *Plan) Describe(w io.Writer) {
 	tree := p.Tree
@@ -41,6 +42,8 @@ func (p *Plan) Describe(w io.Writer) {
 		sched = "slice-granular (baseline)"
 	}
 	fmt.Fprintf(w, "  work distribution: %s\n", sched)
+	walk, prims := kernels.KernelPath(d)
+	fmt.Fprintf(w, "  kernels: %s, %s\n", walk, prims)
 	if len(p.Accum) > 0 {
 		fmt.Fprintf(w, "  output accumulation:")
 		for u := 1; u < d; u++ {

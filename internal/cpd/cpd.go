@@ -175,6 +175,9 @@ func Run(dims []int, normX float64, eng Engine, opts Options) (*Result, error) {
 // state: every buffer the iteration needs is either part of the workspace
 // or hoisted out of the ALS loop below.
 func RunWith(dims []int, normX float64, eng Engine, ws Workspace, opts Options) (*Result, error) {
+	if opts.MaxIters < 0 {
+		return nil, fmt.Errorf("cpd: MaxIters %d is negative", opts.MaxIters)
+	}
 	opts.fill()
 	d := len(dims)
 	order := eng.UpdateOrder()

@@ -3,6 +3,7 @@ package cpd
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -296,5 +297,15 @@ func TestNonFiniteSolveIsTypedError(t *testing.T) {
 	var nf *NonFiniteError
 	if !errors.As(err, &nf) || nf.Iter != 0 || nf.Mode != 2 || !nf.Fit {
 		t.Fatalf("infinite norm: error %v, want a fit NonFiniteError at iteration 0 mode 2", err)
+	}
+}
+
+// TestRunRejectsNegativeMaxIters pins the typed failure: a negative
+// iteration count is an error, not a panic in the fits' allocation.
+func TestRunRejectsNegativeMaxIters(t *testing.T) {
+	tt := tensor.Random([]int{5, 6, 7}, 60, nil, 1)
+	_, err := Run(tt.Dims, tt.NormFrobenius(), NaiveEngine(tt), Options{Rank: 2, MaxIters: -3})
+	if err == nil || !strings.Contains(err.Error(), "MaxIters -3") {
+		t.Fatalf("Run with MaxIters -3 returned %v, want an error naming MaxIters", err)
 	}
 }

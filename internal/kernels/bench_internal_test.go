@@ -81,3 +81,67 @@ func BenchmarkVecOps(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFiberOps times the fiber primitives, the Go forms against the
+// AVX2 set, at the ranks the workloads run and at fiber lengths from one
+// leaf (the order-5 walks average about one) to 64: fiberHad on one fiber,
+// and the three run forms on a run of 16 sibling fibers, reported per
+// fiber. The matrices have 4096 rows, so the gathered rows stay
+// cache-resident.
+func BenchmarkFiberOps(b *testing.B) {
+	type set struct {
+		name string
+		ops  vecOps
+	}
+	sets := []set{{"go", genericVecOps}}
+	if simd, ok := simdVecOps(); ok {
+		sets = append(sets, set{"avx2", simd})
+	}
+	const rows, fibers = 4096, 16
+	for _, r := range []int{16, 20, 32, 64} {
+		for _, n := range []int{1, 2, 8, 64} {
+			rng := rand.New(rand.NewSource(int64(r*100 + n)))
+			f := &tensor.Matrix{Rows: rows, Cols: r, Data: randVec(rng, rows*r)}
+			out := tensor.NewMatrix(rows, r)
+			run := fiberRun{mids: make([]int32, fibers), ptr: make([]int64, fibers+1), kMax: fibers * int64(n),
+				vals: randVec(rng, fibers*n), fids: make([]int32, fibers*n)}
+			for c := range run.mids {
+				run.mids[c] = int32(rng.Intn(rows))
+				run.ptr[c+1] = run.ptr[c] + int64(n)
+			}
+			for k := range run.fids {
+				run.fids[k] = int32(rng.Intn(rows))
+			}
+			dst, child, g := randVec(rng, r), randVec(rng, r), randVec(rng, r)
+			for _, set := range sets {
+				ops := set.ops
+				perFiber := func(b *testing.B) {
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fibers), "ns/fiber")
+				}
+				b.Run(fmt.Sprintf("fiberHad/R=%d/n=%d/%s", r, n, set.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						ops.fiberHad(dst, child, g, run.vals[:n], run.fids[:n], f)
+					}
+				})
+				b.Run(fmt.Sprintf("runHad/R=%d/n=%d/%s", r, n, set.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						ops.runHad(dst, child, f, run, f)
+					}
+					perFiber(b)
+				})
+				b.Run(fmt.Sprintf("runOut/R=%d/n=%d/%s", r, n, set.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						ops.runOut(out, child, g, run, f)
+					}
+					perFiber(b)
+				})
+				b.Run(fmt.Sprintf("runScatter/R=%d/n=%d/%s", r, n, set.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						ops.runScatter(out, child, g, f, run)
+					}
+					perFiber(b)
+				})
+			}
+		}
+	}
+}

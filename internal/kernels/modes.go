@@ -84,35 +84,44 @@ func modeGeneric(tree *csf.Tree, factors []*tensor.Matrix, u, src int, partials 
 		for l := u; l < src; l++ {
 			tmp[l] = sc.vec(th, l) //gate:allow bounds scratch slots are sized to the order
 		}
-		// Rebind the rank-vector primitives to the scratch's set (vec.go);
-		// the names shadow the generic package functions on purpose.
-		zero, addScaled, hadamardAccum, hadamardInto := sc.ops.zero, sc.ops.addScaled, sc.ops.hadamardAccum, sc.ops.hadamardInto
+		// Rebind the primitives to the scratch's set (vec.go); the names
+		// shadow the generic package functions on purpose.
+		zero, hadamardAccum, hadamardInto, runHad := sc.ops.zero, sc.ops.hadamardAccum, sc.ops.hadamardInto, sc.ops.runHad
+		leafF := factors[d-1] //gate:allow bounds leaf factor hoisted once per launch; d-1 is the tree's last level
 
-		// down computes t_l for node n at level l (u <= l < src) by
-		// contracting everything below it down to the source level.
+		// window returns node n's child range at level l+1: the owned
+		// range at the source level, the touched range elsewhere, never
+		// reversed.
+		window := func(l int, n int64) (int64, int64) {
+			lo, hi := s[l+1], e[l+1] //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
+			if l+1 == src {
+				lo, hi = oLo, oHi
+			}
+			cLo := maxI64(tree.PtrLevel(l)[n], lo)                  //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
+			return cLo, max(cLo, minI64(tree.PtrLevel(l)[n+1], hi)) //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
+		}
+
+		// down computes t_l for node n at level l by contracting
+		// everything below it down to the source level (u <= l < src;
+		// with the leaves as source, l < d-2, since the level d-2 fibers
+		// go through runHad).
 		var down func(l int, n int64) []float64
 		down = func(l int, n int64) []float64 {
 			tl := tmp[l]
 			zero(tl)
-			var cLo, cHi int64
-			if l+1 == src {
-				cLo = maxI64(tree.PtrLevel(l)[n], oLo)
-				cHi = minI64(tree.PtrLevel(l)[n+1], oHi)
-			} else {
-				cLo = maxI64(tree.PtrLevel(l)[n], s[l+1])
-				cHi = minI64(tree.PtrLevel(l)[n+1], e[l+1])
-			}
+			cLo, cHi := window(l, n)
 			switch {
-			case l+1 == src && src == d-1:
-				for k := cLo; k < cHi; k++ {
-					sc.shadow.own(th, d-1, k)
-					addScaled(tl, tree.ValsLevel()[k], factors[d-1].Row(int(tree.FidLevel(d - 1)[k]))) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
-				}
 			case l+1 == src:
 				for c := cLo; c < cHi; c++ {
 					sc.shadow.own(th, src, c)
 					hadamardAccum(tl, partials.P[src].Row(int(c)), factors[src].Row(int(tree.FidLevel(src)[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
 				}
+			case l+2 == src && src == d-1:
+				// The children are level d-2 fibers: one fused call
+				// for their leaf sums and fold-ups.
+				run := runOf(tree, l+1, cLo, cHi, oLo, oHi)
+				sc.shadow.ownRun(th, d-1, &run)
+				runHad(tl, tmp[l+1], factors[l+1], run, leafF) //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
 			default:
 				for c := cLo; c < cHi; c++ {
 					hadamardAccum(tl, down(l+1, c), factors[l+1].Row(int(tree.FidLevel(l + 1)[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
@@ -126,6 +135,7 @@ func modeGeneric(tree *csf.Tree, factors []*tensor.Matrix, u, src int, partials 
 		var walk func(l int, n int64, kprev []float64)
 		walk = func(l int, n int64, kprev []float64) {
 			fid := int(tree.FidLevel(l)[n])
+			cLo, cHi := window(l, n)
 			var kcur []float64
 			if l == 0 {
 				kcur = factors[0].Row(fid)
@@ -133,25 +143,24 @@ func modeGeneric(tree *csf.Tree, factors []*tensor.Matrix, u, src int, partials 
 				kcur = kv[l]
 				hadamardInto(kcur, kprev, factors[l].Row(fid))
 			}
-			var cLo, cHi int64
-			if l+1 == src {
-				cLo = maxI64(tree.PtrLevel(l)[n], oLo)
-				cHi = minI64(tree.PtrLevel(l)[n+1], oHi)
-			} else {
-				cLo = maxI64(tree.PtrLevel(l)[n], s[l+1])
-				cHi = minI64(tree.PtrLevel(l)[n+1], e[l+1])
-			}
 			switch {
+			case u == d-1 && l == d-3:
+				// Leaf mode: the children are level d-2 fibers, whose
+				// push-downs and leaf scatters take one fused call.
+				run := runOf(tree, d-2, cLo, cHi, oLo, oHi)
+				sc.shadow.ownRun(th, d-1, &run)
+				ob.RunScatter(kv[d-2], kcur, factors[d-2], run) //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
 			case l+1 < u:
 				for c := cLo; c < cHi; c++ {
 					walk(l+1, c, kcur)
 				}
 			case u == d-1:
-				// Leaf mode: pure Khatri-Rao push-down; l+1 is
-				// the leaf level (src == d-1 here).
+				// Order 2's leaf mode: k_0 is a factor row, with no
+				// push-down to fuse.
+				vals, leafFids := tree.ValsLevel(), tree.FidLevel(d-1) //gate:allow bounds leaf level of an order-2 tree; d-1 is its last level
 				for k := cLo; k < cHi; k++ {
 					sc.shadow.own(th, d-1, k)
-					ob.AddScaled(int(tree.FidLevel(d - 1)[k]), tree.ValsLevel()[k], kcur) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
+					ob.AddScaled(int(leafFids[k]), vals[k], kcur) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
 				}
 			case u == src:
 				// Memoized at exactly level u: one MTTV per
@@ -160,6 +169,13 @@ func modeGeneric(tree *csf.Tree, factors []*tensor.Matrix, u, src int, partials 
 					sc.shadow.own(th, src, c)
 					ob.AddHadamard(int(tree.FidLevel(u)[c]), kcur, partials.P[u].Row(int(c))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
 				}
+			case u == d-2 && src == d-1:
+				// Level u = d-2 recomputed from the leaves (Algorithm
+				// 8): one fused call for the children's sums, each
+				// folded into its output row.
+				run := runOf(tree, u, cLo, cHi, oLo, oHi)
+				sc.shadow.ownRun(th, d-1, &run)
+				ob.RunOut(tmp[u], kcur, run, leafF) //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
 			default:
 				// Recompute t_u below level u from the source
 				// (Algorithms 7 and 8).

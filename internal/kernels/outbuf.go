@@ -168,10 +168,11 @@ type OutBufThread struct {
 	b      *OutBuf
 	th     int
 	cols   int
-	ops    vecOps    // rank-vector primitives, resolved at construction
-	priv   []float64 // private replica backing (AccumPriv / legacy)
-	hot    []float64 // thread's hot-row slab (AccumHybrid; may be empty)
-	remap  []int32   // row classification (AccumHybrid only)
+	ops    vecOps         // rank-vector primitives, resolved at construction
+	slab   *tensor.Matrix // private replica (AccumPriv / legacy)
+	priv   []float64      // slab's backing
+	hot    []float64      // thread's hot-row slab (AccumHybrid; may be empty)
+	remap  []int32        // row classification (AccumHybrid only)
 	shared []uint64
 }
 
@@ -179,7 +180,8 @@ type OutBufThread struct {
 func (b *OutBuf) Thread(th int) OutBufThread {
 	o := OutBufThread{b: b, th: th, cols: b.cols, ops: b.ops, shared: b.shared}
 	if b.priv != nil {
-		o.priv = b.priv[th].Data
+		o.slab = b.priv[th]
+		o.priv = o.slab.Data
 		return o
 	}
 	if b.plan != nil && b.plan.Strategy == AccumHybrid {
@@ -242,6 +244,40 @@ func (o *OutBufThread) AddHadamard(row int, a, bv []float64) {
 	}
 	base := row * o.cols
 	atomicAddHadamard(o.shared[base:base+o.cols], a, bv) //gate:allow bounds row index is a stored fiber id, data-dependent
+}
+
+// RunOut folds each fiber of a run into its output row: the fiber's leaf
+// sum, from +0 into child, times g, added into row mids[c]. A private slab
+// takes the fused run; hybrid, direct and atomic rows take fiberSum, then
+// AddHadamard, fiber by fiber.
+func (o *OutBufThread) RunOut(child, g []float64, r fiberRun, f *tensor.Matrix) {
+	if o.slab != nil {
+		o.ops.runOut(o.slab, child, g, r, f)
+		return
+	}
+	for c, mid := range r.mids {
+		lo, hi := r.window(c)                                  //gate:allow bounds fiber c+1's leaf pointer; the run holds one more pointer than fibers
+		o.ops.fiberSum(child, r.vals[lo:hi], r.fids[lo:hi], f) //gate:allow bounds leaf window from the fiber pointers, data-dependent
+		o.AddHadamard(int(mid), g, child)
+	}
+}
+
+// RunScatter pushes each fiber of a run down to its leaves: k = a ⊙
+// gm.Row(mids[c]), then vals[j]·k added into row fids[j], leaf by leaf. A
+// private slab takes the fused run; other buffers take hadamardInto, then
+// one AddScaled per leaf.
+func (o *OutBufThread) RunScatter(k, a []float64, gm *tensor.Matrix, r fiberRun) {
+	if o.slab != nil {
+		o.ops.runScatter(o.slab, k, a, gm, r)
+		return
+	}
+	for c, mid := range r.mids {
+		lo, hi := r.window(c)                      //gate:allow bounds fiber c+1's leaf pointer; the run holds one more pointer than fibers
+		o.ops.hadamardInto(k, a, gm.Row(int(mid))) //gate:allow bounds fiber row addressed by a stored fiber id, data-dependent
+		for j := lo; j < hi; j++ {
+			o.AddScaled(int(r.fids[j]), r.vals[j], k) //gate:allow bounds leaf values and ids addressed by the fiber pointers, data-dependent
+		}
+	}
 }
 
 // AddHadamard accumulates a ⊙ bv into row `row` on behalf of thread th.

@@ -85,24 +85,45 @@ func rootGeneric(tree *csf.Tree, factors []*tensor.Matrix, out *tensor.Matrix, p
 		for l := range tmp {
 			tmp[l] = sc.vec(th, l) //gate:allow bounds scratch slots are sized to the order
 		}
-		// Rebind the rank-vector primitives to the scratch's set (vec.go);
-		// the names shadow the generic package functions on purpose.
-		zero, addScaled, hadamardAccum := sc.ops.zero, sc.ops.addScaled, sc.ops.hadamardAccum
+		// Rebind the primitives to the scratch's set (vec.go); the names
+		// shadow the generic package functions on purpose.
+		zero, hadamardAccum, fiberSum, fiberHad, runHad := sc.ops.zero, sc.ops.hadamardAccum, sc.ops.fiberSum, sc.ops.fiberHad, sc.ops.runHad
+		vals, leafFids, leafF := tree.ValsLevel(), tree.FidLevel(d-1), factors[d-1]
+		// window returns node n's child range at level l+1, clamped to the
+		// thread's nodes and never reversed.
+		window := func(l int, n int64) (int64, int64) {
+			lo := maxI64(tree.PtrLevel(l)[n], s[l+1])                 //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
+			return lo, max(lo, minI64(tree.PtrLevel(l)[n+1], e[l+1])) //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
+		}
 		var rec func(l int, n int64)
 		rec = func(l int, n int64) {
 			tl := tmp[l]
-			zero(tl)
-			cLo := maxI64(tree.PtrLevel(l)[n], s[l+1])
-			cHi := minI64(tree.PtrLevel(l)[n+1], e[l+1])
+			cLo, cHi := window(l, n)
 			if l+1 == d-1 {
-				for k := cLo; k < cHi; k++ {
-					addScaled(tl, tree.ValsLevel()[k], factors[d-1].Row(int(tree.FidLevel(d - 1)[k]))) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
-				}
+				// Order 2: the root's children are the leaves.
+				fiberSum(tl, vals[cLo:cHi], leafFids[cLo:cHi], leafF) //gate:allow bounds leaf window from the fiber pointers, data-dependent
+				return
+			}
+			zero(tl)
+			if l+2 == d-1 && !partials.Save[l+1] { //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
+				// The children are level d-2 fibers with no memo: their
+				// leaf sums and fold-ups in one call.
+				runHad(tl, tmp[l+1], factors[l+1], runOf(tree, l+1, cLo, cHi, s[d-1], e[d-1]), leafF) //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
 				return
 			}
 			for c := cLo; c < cHi; c++ {
-				rec(l+1, c)
-				child := tmp[l+1]       //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
+				child := tmp[l+1]                                   //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
+				g := factors[l+1].Row(int(tree.FidLevel(l + 1)[c])) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
+				if l+2 == d-1 {
+					// The child is a level d-2 fiber whose sum the memo
+					// copy below needs: one call for its leaf sum and
+					// fold-up.
+					kLo, kHi := window(l+1, c)
+					fiberHad(tl, child, g, vals[kLo:kHi], leafFids[kLo:kHi], leafF) //gate:allow bounds leaf window from the fiber pointers, data-dependent
+				} else {
+					rec(l+1, c)
+					hadamardAccum(tl, child, g)
+				}
 				if partials.Save[l+1] { //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
 					if c >= ownLo[l+1] { //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
 						sc.shadow.own(th, l+1, c)
@@ -112,7 +133,6 @@ func rootGeneric(tree *csf.Tree, factors []*tensor.Matrix, out *tensor.Matrix, p
 						copy(bound[l+1].Row(th), child) //gate:allow bounds boundary replica row per level, sized to the order
 					}
 				}
-				hadamardAccum(tl, child, factors[l+1].Row(int(tree.FidLevel(l + 1)[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
 			}
 		}
 		for n := s[0]; n < e[0]; n++ {

@@ -53,9 +53,9 @@ func root5Thread(th int, tree *csf.Tree, factors []*tensor.Matrix, out *tensor.M
 	t1 := sc.vec(th, 1)
 	t2 := sc.vec(th, 2)
 	t3 := sc.vec(th, 3)
-	// Rebind the rank-vector primitives to the scratch's set (vec.go); the
-	// names shadow the generic package functions on purpose.
-	zero, addScaled, hadamardAccum := sc.ops.zero, sc.ops.addScaled, sc.ops.hadamardAccum
+	// Rebind the primitives to the scratch's set (vec.go); the names shadow
+	// the generic package functions on purpose.
+	zero, hadamardAccum, fiberHad, runHad := sc.ops.zero, sc.ops.hadamardAccum, sc.ops.fiberHad, sc.ops.runHad
 	for n0 := s[0]; n0 < e[0]; n0++ {
 		zero(t0)
 		c1Lo := maxI64(ptr0[n0], s1)   //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
@@ -66,19 +66,21 @@ func root5Thread(th int, tree *csf.Tree, factors []*tensor.Matrix, out *tensor.M
 			c2Hi := minI64(ptr1[n1+1], e2) //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
 			for n2 := c2Lo; n2 < c2Hi; n2++ {
 				zero(t2)
-				c3Lo := maxI64(ptr2[n2], s3)   //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
-				c3Hi := minI64(ptr2[n2+1], e3) //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
-				for n3 := c3Lo; n3 < c3Hi; n3++ {
-					zero(t3)
-					c4Lo := maxI64(ptr3[n3], s4)   //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
-					c4Hi := minI64(ptr3[n3+1], e4) //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
-					for k := c4Lo; k < c4Hi; k++ {
-						addScaled(t3, vals[k], f4.Row(int(fids4[k]))) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
+				c3Lo := maxI64(ptr2[n2], s3)              //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
+				c3Hi := max(c3Lo, minI64(ptr2[n2+1], e3)) //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
+				if !save3 {
+					// No memo at level 3: the whole run of level-3
+					// fibers in one call. A memo needs each fiber's
+					// sum: one call per fiber, then its copy.
+					runHad(t2, t3, f3, fiberRun{mids: fids3[c3Lo:c3Hi], ptr: ptr3[c3Lo : c3Hi+1], kMin: s4, kMax: e4, vals: vals, fids: fids4}, f4) //gate:allow bounds run of fibers from the fiber pointers, data-dependent
+				} else {
+					for n3 := c3Lo; n3 < c3Hi; n3++ {
+						c4Lo := maxI64(ptr3[n3], s4)                               //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
+						c4Hi := max(c4Lo, minI64(ptr3[n3+1], e4))                  //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
+						g := f3.Row(int(fids3[n3]))                                //gate:allow bounds factor row addressed by stored fiber id, data-dependent
+						fiberHad(t2, t3, g, vals[c4Lo:c4Hi], fids4[c4Lo:c4Hi], f4) //gate:allow bounds leaf window from the fiber pointers, data-dependent
+						store(3, n3, ownLo, t3)                                    //gate:allow bounds memo row vs boundary replica chosen by a data-dependent owner test
 					}
-					if save3 {
-						store(3, n3, ownLo, t3) //gate:allow bounds memo row vs boundary replica chosen by a data-dependent owner test
-					}
-					hadamardAccum(t2, t3, f3.Row(int(fids3[n3]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
 				}
 				if save2 {
 					store(2, n2, ownLo, t2) //gate:allow bounds memo row vs boundary replica chosen by a data-dependent owner test

@@ -68,6 +68,17 @@ func (s *shadowState) own(th, level int, id int64) {
 	s.owner[key] = th
 }
 
+// ownRun records own(th, level, k) for every leaf k of every fiber of a
+// run: the per-leaf claims of one fiber-primitive call.
+func (s *shadowState) ownRun(th, level int, r *fiberRun) {
+	for c := range r.mids {
+		lo, hi := r.window(c)
+		for k := lo; k < hi; k++ {
+			s.own(th, level, k)
+		}
+	}
+}
+
 // boundary records a store of level-l node id through thread th's boundary
 // replica row and checks it against the partition's declaration.
 func (s *shadowState) boundary(th, l int, id int64) {

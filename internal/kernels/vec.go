@@ -7,9 +7,19 @@
 // under STeF's non-zero-balanced distribution (with boundary-replica
 // merging) and under the slice-aligned distribution used by the baselines
 // and the ablation study.
+//
+// Every walk ends in the fiber primitives below: one call per run of
+// sibling level d-2 fibers sums their leaves and applies the fold-up or
+// push-down that consumes each sum. Where the CPU has AVX2 they run as
+// assembly (vec_amd64.s) that keeps each sum in registers, bit-identical
+// to the Go forms here.
 package kernels
 
-import "stef/internal/cpu"
+import (
+	"stef/internal/cpu"
+	"stef/internal/csf"
+	"stef/internal/tensor"
+)
 
 // zero clears v. The range-over-slice form is recognised by the compiler
 // and lowered to a memclr, with no per-element bounds checks.
@@ -106,16 +116,113 @@ func hadamardInto(dst, a, b []float64) {
 	}
 }
 
-// vecOps bundles the four rank-vector primitives. A Scratch or OutBuf
+// The fiber primitives below do a whole CSF fiber's work in one call: the
+// leaf sum of Algorithms 4–8 together with the fold-up or push-down that
+// consumes it. The run forms do it for a run of sibling fibers, the
+// children of one level d-3 node, so a walk's innermost loop is one call.
+// The Go forms are exactly the per-row calls they replace, in the same
+// order, so they are the oracle the AVX2 forms (vec_amd64.s) are held to
+// bit for bit; those keep each fiber's sum in registers and write it once.
+// In the one-fiber forms vals and fids are the fiber's leaf window; like
+// the rank-vector primitives, their Go forms use the first
+// min(len(vals), len(fids)) leaves.
+
+// fiberSum computes child = Σₖ vals[k]·f.Row(fids[k]), accumulated from +0
+// in k order.
+func fiberSum(child, vals []float64, fids []int32, f *tensor.Matrix) {
+	n := min(len(vals), len(fids))
+	vals, fids = vals[:n:n], fids[:n:n]
+	zero(child)
+	for k, v := range vals {
+		addScaled(child, v, f.Row(int(fids[k]))) //gate:allow bounds factor row addressed by a stored fiber id, data-dependent
+	}
+}
+
+// fiberHad computes child as fiberSum does, then dst += child ⊙ g. An empty
+// leaf window still folds +0 ⊙ g into dst.
+func fiberHad(dst, child, g, vals []float64, fids []int32, f *tensor.Matrix) {
+	fiberSum(child, vals, fids, f)
+	hadamardAccum(dst, child, g)
+}
+
+// fiberRun is a run of sibling fibers at level d-2: their fiber ids mids,
+// their leaf pointers ptr (one more than mids) and the tree's leaf values
+// and fiber ids. Fiber c's leaf window is [ptr[c], ptr[c+1]) clamped to
+// [kMin, kMax), the thread's leaves, and never reversed.
+type fiberRun struct {
+	mids       []int32
+	ptr        []int64
+	kMin, kMax int64
+	vals       []float64
+	fids       []int32
+}
+
+// runOf returns the run of level-l fibers [lo, hi), whose children are
+// the tree's leaves (l+1 is the last level), with windows clamped to
+// [kMin, kMax).
+func runOf(tree *csf.Tree, l int, lo, hi, kMin, kMax int64) fiberRun {
+	return fiberRun{
+		mids: tree.FidLevel(l)[lo:hi],
+		ptr:  tree.PtrLevel(l)[lo : hi+1],
+		kMin: kMin, kMax: kMax,
+		vals: tree.ValsLevel(),
+		fids: tree.FidLevel(l + 1),
+	}
+}
+
+// window returns fiber c's clamped leaf window.
+func (r *fiberRun) window(c int) (lo, hi int64) {
+	lo = max(r.ptr[c], r.kMin)
+	return lo, max(lo, min(r.ptr[c+1], r.kMax))
+}
+
+// runHad folds every fiber of r into dst: for each fiber c in order,
+// fiberHad(dst, child, gm.Row(mids[c]), c's leaves, f).
+func runHad(dst, child []float64, gm *tensor.Matrix, r fiberRun, f *tensor.Matrix) {
+	for c, mid := range r.mids {
+		lo, hi := r.window(c)                                                   //gate:allow bounds fiber c+1's leaf pointer; the run holds one more pointer than fibers
+		fiberHad(dst, child, gm.Row(int(mid)), r.vals[lo:hi], r.fids[lo:hi], f) //gate:allow bounds fiber row and leaf window addressed by stored ids and pointers, data-dependent
+	}
+}
+
+// runOut folds every fiber of r into its own output row: for each fiber c
+// in order, fiberHad(out.Row(mids[c]), child, g, c's leaves, f).
+func runOut(out *tensor.Matrix, child, g []float64, r fiberRun, f *tensor.Matrix) {
+	for c, mid := range r.mids {
+		lo, hi := r.window(c)                                                  //gate:allow bounds fiber c+1's leaf pointer; the run holds one more pointer than fibers
+		fiberHad(out.Row(int(mid)), child, g, r.vals[lo:hi], r.fids[lo:hi], f) //gate:allow bounds output row and leaf window addressed by stored ids and pointers, data-dependent
+	}
+}
+
+// runScatter pushes every fiber of r down to its leaves: for each fiber c
+// in order, k = a ⊙ gm.Row(mids[c]), then vals[j]·k is added into row
+// fids[j] of out, leaf by leaf, so a row repeated in the run is updated in
+// leaf order.
+func runScatter(out *tensor.Matrix, k, a []float64, gm *tensor.Matrix, r fiberRun) {
+	for c, mid := range r.mids {
+		lo, hi := r.window(c)                //gate:allow bounds fiber c+1's leaf pointer; the run holds one more pointer than fibers
+		hadamardInto(k, a, gm.Row(int(mid))) //gate:allow bounds fiber row addressed by a stored fiber id, data-dependent
+		for j := lo; j < hi; j++ {
+			addScaled(out.Row(int(r.fids[j])), r.vals[j], k) //gate:allow bounds leaf values and output rows addressed by stored fiber ids, data-dependent
+		}
+	}
+}
+
+// vecOps bundles the rank-vector and fiber primitives. A Scratch or OutBuf
 // picks its set once at construction via opsFor; kernels rebind the
-// primitive names to the chosen set at the top of each thread body, so the
-// per-nonzero path pays one indirect call and the selection never appears
-// in a loop.
+// primitive names to the chosen set at the top of each thread body, so a
+// fiber or a run pays one indirect call and the selection never appears in
+// a loop.
 type vecOps struct {
 	zero          func(v []float64)
 	addScaled     func(dst []float64, s float64, src []float64)
 	hadamardAccum func(dst, a, b []float64)
 	hadamardInto  func(dst, a, b []float64)
+	fiberSum      func(child, vals []float64, fids []int32, f *tensor.Matrix)
+	fiberHad      func(dst, child, g, vals []float64, fids []int32, f *tensor.Matrix)
+	runHad        func(dst, child []float64, gm *tensor.Matrix, r fiberRun, f *tensor.Matrix)
+	runOut        func(out *tensor.Matrix, child, g []float64, r fiberRun, f *tensor.Matrix)
+	runScatter    func(out *tensor.Matrix, k, a []float64, gm *tensor.Matrix, r fiberRun)
 }
 
 // genericVecOps is the portable set: the Go loops above. It is also the
@@ -125,6 +232,11 @@ var genericVecOps = vecOps{
 	addScaled:     addScaled,
 	hadamardAccum: hadamardAccum,
 	hadamardInto:  hadamardInto,
+	fiberSum:      fiberSum,
+	fiberHad:      fiberHad,
+	runHad:        runHad,
+	runOut:        runOut,
+	runScatter:    runScatter,
 }
 
 // opsFor selects the primitive set for a new Scratch or OutBuf, at any
@@ -136,6 +248,30 @@ func opsFor() vecOps {
 		return ops
 	}
 	return genericVecOps
+}
+
+// KernelPath names, for Describe, the walk the root and non-root kernels
+// take on an order-d tree and the primitive set opsFor selects in this
+// build on this CPU, with the reason when it is the Go forms.
+func KernelPath(d int) (walk, prims string) {
+	switch d {
+	case 3:
+		walk = "order-3 specialisation"
+	case 4:
+		walk = "order-4 specialisation"
+	case 5:
+		walk = "order-5 specialisation"
+	default:
+		walk = "generic walk"
+	}
+	_, ok := simdVecOps()
+	switch {
+	case ok && !cpu.RaceBuild:
+		return walk, "AVX2 fiber primitives"
+	case ok:
+		return walk, "Go forms (race build)"
+	}
+	return walk, "Go forms (no AVX2)"
 }
 
 func minI64(a, b int64) int64 {

@@ -212,3 +212,600 @@ hi1:
 
 hiDone:
 	RET
+
+// The fiber primitives (vec_amd64.go) take a run of sibling fibers (one
+// fiber for fiberSum and fiberHad) and keep each fiber's sum in YMM
+// registers, one column block at a time: 32 columns, then 16, then 4, then
+// a VEX-encoded scalar tail, with one VZEROUPPER on the way out. Within a
+// block the leaves run in order, so every element sees the Go forms' IEEE
+// operations in the Go forms' order: a VMULPD lane then a VADDPD lane,
+// never an FMA, starting from +0. Columns do not interact, so the blocking
+// changes no bit. Each leaf and fiber id is sign-extended and checked
+// against the row count with one unsigned compare (a negative id fails it
+// too) before its row is read; row offsets are 64-bit products.
+
+// func fiberRunAsm(v, child, m []float64, mrows int, mids []int32, ptr []int64, kmin, kmax int, vals []float64, fids []int32, f []float64, rows int, rowDst, fold bool) (ok bool)
+//
+// One call per run of sibling fibers c < len(mids): fiber c's leaves are
+// [ptr[c], ptr[c+1]) clamped to [kmin, kmax) and never reversed, their
+// sum child = Σₖ vals[k]·f[fids[k]] over the rows×len(child) matrix f
+// goes to child, and then, with fold, dst += child ⊙ g, where g is row
+// mids[c] of the mrows×len(child) matrix m and dst is v, or, with
+// rowDst, dst is that row of m and g is v. The caller guarantees
+// 0 <= kmin, kmax <= len(vals) <= len(fids) and len(ptr) > len(mids), so
+// every window lies inside vals; the fids and mids are checked here.
+//
+// Per fiber: DI dst, DX g, SI child (all advancing by block), R8 vals,
+// R9 fids (both advancing by leaf), R10 f, R11 rows, R12 row stride in
+// bytes, R13 column offset in bytes, CX the window's length, BX leaves
+// left, AX the leaf's row. The window's start sits in the locals.
+TEXT ·fiberRunAsm(SB), NOSPLIT, $32-233
+	MOVQ    child_len+32(FP), R12
+	SHLQ    $3, R12
+	MOVQ    f_base+192(FP), R10
+	MOVQ    rows+216(FP), R11
+	MOVQ    $0, c-8(SP)
+
+frFiber:
+	MOVQ    c-8(SP), AX
+	CMPQ    AX, mids_len+88(FP)
+	JGE     frDone
+	MOVQ    ptr_base+104(FP), BX
+	MOVQ    (BX)(AX*8), CX
+	MOVQ    8(BX)(AX*8), DX
+	MOVQ    kmin+128(FP), SI
+	CMPQ    CX, SI
+	CMOVQLT SI, CX
+	MOVQ    kmax+136(FP), SI
+	CMPQ    DX, SI
+	CMOVQGT SI, DX
+	CMPQ    DX, CX
+	CMOVQLT CX, DX
+	SUBQ    CX, DX
+	MOVQ    DX, wn-32(SP)
+	MOVQ    vals_base+144(FP), SI
+	LEAQ    (SI)(CX*8), SI
+	MOVQ    SI, wv-16(SP)
+	MOVQ    fids_base+168(FP), SI
+	LEAQ    (SI)(CX*4), SI
+	MOVQ    SI, wf-24(SP)
+	MOVQ    mids_base+80(FP), SI
+	MOVLQSX (SI)(AX*4), BX
+	CMPQ    BX, mrows+72(FP)
+	JAE     frBad
+	IMULQ   R12, BX
+	ADDQ    m_base+48(FP), BX
+	MOVQ    v_base+0(FP), DI
+	MOVQ    BX, DX
+	MOVBLZX rowDst+224(FP), CX
+	TESTQ   CX, CX
+	JZ      frSet
+	MOVQ    DI, DX
+	MOVQ    BX, DI
+
+frSet:
+	MOVQ    child_base+24(FP), SI
+	MOVQ    wn-32(SP), CX
+	XORQ    R13, R13
+
+fr32:
+	MOVQ    R12, AX
+	SUBQ    R13, AX
+	CMPQ    AX, $256
+	JLT     fr16
+	VXORPD  Y0, Y0, Y0
+	VXORPD  Y1, Y1, Y1
+	VXORPD  Y2, Y2, Y2
+	VXORPD  Y3, Y3, Y3
+	VXORPD  Y4, Y4, Y4
+	VXORPD  Y5, Y5, Y5
+	VXORPD  Y6, Y6, Y6
+	VXORPD  Y7, Y7, Y7
+	MOVQ    wv-16(SP), R8
+	MOVQ    wf-24(SP), R9
+	MOVQ    CX, BX
+	TESTQ   BX, BX
+	JZ      fr32store
+
+fr32leaf:
+	MOVLQSX (R9), AX
+	CMPQ    AX, R11
+	JAE     frBad
+	IMULQ   R12, AX
+	ADDQ    R10, AX
+	ADDQ    R13, AX
+	VBROADCASTSD (R8), Y8
+	VMULPD  0(AX), Y8, Y9
+	VMULPD  32(AX), Y8, Y10
+	VMULPD  64(AX), Y8, Y11
+	VMULPD  96(AX), Y8, Y12
+	VADDPD  Y9, Y0, Y0
+	VADDPD  Y10, Y1, Y1
+	VADDPD  Y11, Y2, Y2
+	VADDPD  Y12, Y3, Y3
+	VMULPD  128(AX), Y8, Y9
+	VMULPD  160(AX), Y8, Y10
+	VMULPD  192(AX), Y8, Y11
+	VMULPD  224(AX), Y8, Y12
+	VADDPD  Y9, Y4, Y4
+	VADDPD  Y10, Y5, Y5
+	VADDPD  Y11, Y6, Y6
+	VADDPD  Y12, Y7, Y7
+	ADDQ    $8, R8
+	ADDQ    $4, R9
+	DECQ    BX
+	JNZ     fr32leaf
+
+fr32store:
+	VMOVUPD Y0, 0(SI)
+	VMOVUPD Y1, 32(SI)
+	VMOVUPD Y2, 64(SI)
+	VMOVUPD Y3, 96(SI)
+	VMOVUPD Y4, 128(SI)
+	VMOVUPD Y5, 160(SI)
+	VMOVUPD Y6, 192(SI)
+	VMOVUPD Y7, 224(SI)
+	MOVBLZX fold+225(FP), AX
+	TESTQ   AX, AX
+	JZ      fr32next
+	VMULPD  0(DX), Y0, Y0
+	VMULPD  32(DX), Y1, Y1
+	VMULPD  64(DX), Y2, Y2
+	VMULPD  96(DX), Y3, Y3
+	VMULPD  128(DX), Y4, Y4
+	VMULPD  160(DX), Y5, Y5
+	VMULPD  192(DX), Y6, Y6
+	VMULPD  224(DX), Y7, Y7
+	VADDPD  0(DI), Y0, Y0
+	VADDPD  32(DI), Y1, Y1
+	VADDPD  64(DI), Y2, Y2
+	VADDPD  96(DI), Y3, Y3
+	VADDPD  128(DI), Y4, Y4
+	VADDPD  160(DI), Y5, Y5
+	VADDPD  192(DI), Y6, Y6
+	VADDPD  224(DI), Y7, Y7
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+
+fr32next:
+	ADDQ    $256, SI
+	ADDQ    $256, DI
+	ADDQ    $256, DX
+	ADDQ    $256, R13
+	JMP     fr32
+
+fr16:
+	CMPQ    AX, $128
+	JLT     fr4
+	VXORPD  Y0, Y0, Y0
+	VXORPD  Y1, Y1, Y1
+	VXORPD  Y2, Y2, Y2
+	VXORPD  Y3, Y3, Y3
+	MOVQ    wv-16(SP), R8
+	MOVQ    wf-24(SP), R9
+	MOVQ    CX, BX
+	TESTQ   BX, BX
+	JZ      fr16store
+
+fr16leaf:
+	MOVLQSX (R9), AX
+	CMPQ    AX, R11
+	JAE     frBad
+	IMULQ   R12, AX
+	ADDQ    R10, AX
+	ADDQ    R13, AX
+	VBROADCASTSD (R8), Y8
+	VMULPD  0(AX), Y8, Y9
+	VMULPD  32(AX), Y8, Y10
+	VMULPD  64(AX), Y8, Y11
+	VMULPD  96(AX), Y8, Y12
+	VADDPD  Y9, Y0, Y0
+	VADDPD  Y10, Y1, Y1
+	VADDPD  Y11, Y2, Y2
+	VADDPD  Y12, Y3, Y3
+	ADDQ    $8, R8
+	ADDQ    $4, R9
+	DECQ    BX
+	JNZ     fr16leaf
+
+fr16store:
+	VMOVUPD Y0, 0(SI)
+	VMOVUPD Y1, 32(SI)
+	VMOVUPD Y2, 64(SI)
+	VMOVUPD Y3, 96(SI)
+	MOVBLZX fold+225(FP), AX
+	TESTQ   AX, AX
+	JZ      fr16next
+	VMULPD  0(DX), Y0, Y0
+	VMULPD  32(DX), Y1, Y1
+	VMULPD  64(DX), Y2, Y2
+	VMULPD  96(DX), Y3, Y3
+	VADDPD  0(DI), Y0, Y0
+	VADDPD  32(DI), Y1, Y1
+	VADDPD  64(DI), Y2, Y2
+	VADDPD  96(DI), Y3, Y3
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+
+fr16next:
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	ADDQ    $128, DX
+	ADDQ    $128, R13
+
+fr4:
+	MOVQ    R12, AX
+	SUBQ    R13, AX
+	CMPQ    AX, $32
+	JLT     fr1
+	VXORPD  Y0, Y0, Y0
+	MOVQ    wv-16(SP), R8
+	MOVQ    wf-24(SP), R9
+	MOVQ    CX, BX
+	TESTQ   BX, BX
+	JZ      fr4store
+
+fr4leaf:
+	MOVLQSX (R9), AX
+	CMPQ    AX, R11
+	JAE     frBad
+	IMULQ   R12, AX
+	ADDQ    R10, AX
+	ADDQ    R13, AX
+	VBROADCASTSD (R8), Y8
+	VMULPD  0(AX), Y8, Y9
+	VADDPD  Y9, Y0, Y0
+	ADDQ    $8, R8
+	ADDQ    $4, R9
+	DECQ    BX
+	JNZ     fr4leaf
+
+fr4store:
+	VMOVUPD Y0, 0(SI)
+	MOVBLZX fold+225(FP), AX
+	TESTQ   AX, AX
+	JZ      fr4next
+	VMULPD  0(DX), Y0, Y0
+	VADDPD  0(DI), Y0, Y0
+	VMOVUPD Y0, 0(DI)
+
+fr4next:
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	ADDQ    $32, DX
+	ADDQ    $32, R13
+	JMP     fr4
+
+// The scalar tail uses VEX-encoded scalar operations, so the next fiber's
+// 256-bit blocks follow without an SSE transition; VZEROUPPER runs once,
+// on the way out.
+fr1:
+	CMPQ    R13, R12
+	JGE     frNext
+	VXORPD  X0, X0, X0
+	MOVQ    wv-16(SP), R8
+	MOVQ    wf-24(SP), R9
+	MOVQ    CX, BX
+	TESTQ   BX, BX
+	JZ      fr1store
+
+fr1leaf:
+	MOVLQSX (R9), AX
+	CMPQ    AX, R11
+	JAE     frBad
+	IMULQ   R12, AX
+	ADDQ    R10, AX
+	ADDQ    R13, AX
+	VMOVSD  (R8), X1
+	VMULSD  (AX), X1, X1
+	VADDSD  X1, X0, X0
+	ADDQ    $8, R8
+	ADDQ    $4, R9
+	DECQ    BX
+	JNZ     fr1leaf
+
+fr1store:
+	VMOVSD  X0, (SI)
+	MOVBLZX fold+225(FP), AX
+	TESTQ   AX, AX
+	JZ      fr1next
+	VMULSD  (DX), X0, X0
+	VADDSD  (DI), X0, X0
+	VMOVSD  X0, (DI)
+
+fr1next:
+	ADDQ    $8, SI
+	ADDQ    $8, DI
+	ADDQ    $8, DX
+	ADDQ    $8, R13
+	JMP     fr1
+
+frNext:
+	INCQ    c-8(SP)
+	JMP     frFiber
+
+frDone:
+	VZEROUPPER
+	MOVB    $1, ok+232(FP)
+	RET
+
+frBad:
+	VZEROUPPER
+	MOVB    $0, ok+232(FP)
+	RET
+
+// func fiberRunScatterAsm(out []float64, orows int, k, a, gm []float64, grows int, mids []int32, ptr []int64, kmin, kmax int, vals []float64, fids []int32) (ok bool)
+//
+// One call per run of sibling fibers c < len(mids), windows as in
+// fiberRunAsm: k = a ⊙ row mids[c] of the grows×len(k) matrix gm, then
+// vals[j]·k is added into row fids[j] of the orows×len(k) matrix out, leaf
+// by leaf, so a row repeated in the run is updated in leaf order.
+//
+// Per fiber: R10 the g row, SI k, DX a (all advancing by block); DI out,
+// R11 orows, R12 the row stride in bytes, R13 the column offset, CX the
+// window length, R8, R9, BX leaf cursors, AX the leaf's output row.
+TEXT ·fiberRunScatterAsm(SB), NOSPLIT, $32-225
+	MOVQ    out_base+0(FP), DI
+	MOVQ    orows+24(FP), R11
+	MOVQ    k_len+40(FP), R12
+	SHLQ    $3, R12
+	MOVQ    $0, c-8(SP)
+
+rsFiber:
+	MOVQ    c-8(SP), AX
+	CMPQ    AX, mids_len+120(FP)
+	JGE     rsDone
+	MOVQ    ptr_base+136(FP), BX
+	MOVQ    (BX)(AX*8), CX
+	MOVQ    8(BX)(AX*8), DX
+	MOVQ    kmin+160(FP), SI
+	CMPQ    CX, SI
+	CMOVQLT SI, CX
+	MOVQ    kmax+168(FP), SI
+	CMPQ    DX, SI
+	CMOVQGT SI, DX
+	CMPQ    DX, CX
+	CMOVQLT CX, DX
+	SUBQ    CX, DX
+	MOVQ    DX, wn-32(SP)
+	MOVQ    vals_base+176(FP), SI
+	LEAQ    (SI)(CX*8), SI
+	MOVQ    SI, wv-16(SP)
+	MOVQ    fids_base+200(FP), SI
+	LEAQ    (SI)(CX*4), SI
+	MOVQ    SI, wf-24(SP)
+	MOVQ    mids_base+112(FP), SI
+	MOVLQSX (SI)(AX*4), R10
+	CMPQ    R10, grows+104(FP)
+	JAE     rsBad
+	IMULQ   R12, R10
+	ADDQ    gm_base+80(FP), R10
+	MOVQ    k_base+32(FP), SI
+	MOVQ    a_base+56(FP), DX
+	MOVQ    wn-32(SP), CX
+	XORQ    R13, R13
+
+rs32:
+	MOVQ    R12, AX
+	SUBQ    R13, AX
+	CMPQ    AX, $256
+	JLT     rs16
+	VMOVUPD 0(DX), Y0
+	VMOVUPD 32(DX), Y1
+	VMOVUPD 64(DX), Y2
+	VMOVUPD 96(DX), Y3
+	VMOVUPD 128(DX), Y4
+	VMOVUPD 160(DX), Y5
+	VMOVUPD 192(DX), Y6
+	VMOVUPD 224(DX), Y7
+	VMULPD  0(R10), Y0, Y0
+	VMULPD  32(R10), Y1, Y1
+	VMULPD  64(R10), Y2, Y2
+	VMULPD  96(R10), Y3, Y3
+	VMULPD  128(R10), Y4, Y4
+	VMULPD  160(R10), Y5, Y5
+	VMULPD  192(R10), Y6, Y6
+	VMULPD  224(R10), Y7, Y7
+	VMOVUPD Y0, 0(SI)
+	VMOVUPD Y1, 32(SI)
+	VMOVUPD Y2, 64(SI)
+	VMOVUPD Y3, 96(SI)
+	VMOVUPD Y4, 128(SI)
+	VMOVUPD Y5, 160(SI)
+	VMOVUPD Y6, 192(SI)
+	VMOVUPD Y7, 224(SI)
+	MOVQ    wv-16(SP), R8
+	MOVQ    wf-24(SP), R9
+	MOVQ    CX, BX
+	TESTQ   BX, BX
+	JZ      rs32next
+
+rs32leaf:
+	MOVLQSX (R9), AX
+	CMPQ    AX, R11
+	JAE     rsBad
+	IMULQ   R12, AX
+	ADDQ    DI, AX
+	ADDQ    R13, AX
+	VBROADCASTSD (R8), Y8
+	VMULPD  Y0, Y8, Y9
+	VMULPD  Y1, Y8, Y10
+	VMULPD  Y2, Y8, Y11
+	VMULPD  Y3, Y8, Y12
+	VADDPD  0(AX), Y9, Y9
+	VADDPD  32(AX), Y10, Y10
+	VADDPD  64(AX), Y11, Y11
+	VADDPD  96(AX), Y12, Y12
+	VMOVUPD Y9, 0(AX)
+	VMOVUPD Y10, 32(AX)
+	VMOVUPD Y11, 64(AX)
+	VMOVUPD Y12, 96(AX)
+	VMULPD  Y4, Y8, Y9
+	VMULPD  Y5, Y8, Y10
+	VMULPD  Y6, Y8, Y11
+	VMULPD  Y7, Y8, Y12
+	VADDPD  128(AX), Y9, Y9
+	VADDPD  160(AX), Y10, Y10
+	VADDPD  192(AX), Y11, Y11
+	VADDPD  224(AX), Y12, Y12
+	VMOVUPD Y9, 128(AX)
+	VMOVUPD Y10, 160(AX)
+	VMOVUPD Y11, 192(AX)
+	VMOVUPD Y12, 224(AX)
+	ADDQ    $8, R8
+	ADDQ    $4, R9
+	DECQ    BX
+	JNZ     rs32leaf
+
+rs32next:
+	ADDQ    $256, SI
+	ADDQ    $256, DX
+	ADDQ    $256, R10
+	ADDQ    $256, R13
+	JMP     rs32
+
+rs16:
+	CMPQ    AX, $128
+	JLT     rs4
+	VMOVUPD 0(DX), Y0
+	VMOVUPD 32(DX), Y1
+	VMOVUPD 64(DX), Y2
+	VMOVUPD 96(DX), Y3
+	VMULPD  0(R10), Y0, Y0
+	VMULPD  32(R10), Y1, Y1
+	VMULPD  64(R10), Y2, Y2
+	VMULPD  96(R10), Y3, Y3
+	VMOVUPD Y0, 0(SI)
+	VMOVUPD Y1, 32(SI)
+	VMOVUPD Y2, 64(SI)
+	VMOVUPD Y3, 96(SI)
+	MOVQ    wv-16(SP), R8
+	MOVQ    wf-24(SP), R9
+	MOVQ    CX, BX
+	TESTQ   BX, BX
+	JZ      rs16next
+
+rs16leaf:
+	MOVLQSX (R9), AX
+	CMPQ    AX, R11
+	JAE     rsBad
+	IMULQ   R12, AX
+	ADDQ    DI, AX
+	ADDQ    R13, AX
+	VBROADCASTSD (R8), Y8
+	VMULPD  Y0, Y8, Y9
+	VMULPD  Y1, Y8, Y10
+	VMULPD  Y2, Y8, Y11
+	VMULPD  Y3, Y8, Y12
+	VADDPD  0(AX), Y9, Y9
+	VADDPD  32(AX), Y10, Y10
+	VADDPD  64(AX), Y11, Y11
+	VADDPD  96(AX), Y12, Y12
+	VMOVUPD Y9, 0(AX)
+	VMOVUPD Y10, 32(AX)
+	VMOVUPD Y11, 64(AX)
+	VMOVUPD Y12, 96(AX)
+	ADDQ    $8, R8
+	ADDQ    $4, R9
+	DECQ    BX
+	JNZ     rs16leaf
+
+rs16next:
+	ADDQ    $128, SI
+	ADDQ    $128, DX
+	ADDQ    $128, R10
+	ADDQ    $128, R13
+
+rs4:
+	MOVQ    R12, AX
+	SUBQ    R13, AX
+	CMPQ    AX, $32
+	JLT     rs1
+	VMOVUPD 0(DX), Y0
+	VMULPD  0(R10), Y0, Y0
+	VMOVUPD Y0, 0(SI)
+	MOVQ    wv-16(SP), R8
+	MOVQ    wf-24(SP), R9
+	MOVQ    CX, BX
+	TESTQ   BX, BX
+	JZ      rs4next
+
+rs4leaf:
+	MOVLQSX (R9), AX
+	CMPQ    AX, R11
+	JAE     rsBad
+	IMULQ   R12, AX
+	ADDQ    DI, AX
+	ADDQ    R13, AX
+	VBROADCASTSD (R8), Y8
+	VMULPD  Y0, Y8, Y9
+	VADDPD  0(AX), Y9, Y9
+	VMOVUPD Y9, 0(AX)
+	ADDQ    $8, R8
+	ADDQ    $4, R9
+	DECQ    BX
+	JNZ     rs4leaf
+
+rs4next:
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, R10
+	ADDQ    $32, R13
+	JMP     rs4
+
+rs1:
+	CMPQ    R13, R12
+	JGE     rsNext
+	VMOVSD  (DX), X0
+	VMULSD  (R10), X0, X0
+	VMOVSD  X0, (SI)
+	MOVQ    wv-16(SP), R8
+	MOVQ    wf-24(SP), R9
+	MOVQ    CX, BX
+	TESTQ   BX, BX
+	JZ      rs1next
+
+rs1leaf:
+	MOVLQSX (R9), AX
+	CMPQ    AX, R11
+	JAE     rsBad
+	IMULQ   R12, AX
+	ADDQ    DI, AX
+	ADDQ    R13, AX
+	VMOVSD  (R8), X1
+	VMULSD  X0, X1, X1
+	VADDSD  (AX), X1, X1
+	VMOVSD  X1, (AX)
+	ADDQ    $8, R8
+	ADDQ    $4, R9
+	DECQ    BX
+	JNZ     rs1leaf
+
+rs1next:
+	ADDQ    $8, SI
+	ADDQ    $8, DX
+	ADDQ    $8, R10
+	ADDQ    $8, R13
+	JMP     rs1
+
+rsNext:
+	INCQ    c-8(SP)
+	JMP     rsFiber
+
+rsDone:
+	VZEROUPPER
+	MOVB    $1, ok+224(FP)
+	RET
+
+rsBad:
+	VZEROUPPER
+	MOVB    $0, ok+224(FP)
+	RET

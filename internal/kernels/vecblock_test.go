@@ -169,17 +169,19 @@ func TestSIMDMinOfLengths(t *testing.T) {
 }
 
 // TestOpsForSelection pins the selection rule for every Scratch and OutBuf
-// at every rank: the SIMD set wherever the CPU runs it, except in race
-// builds, which keep the Go loops.
+// at every rank, for the rank-vector and the fiber primitives alike: the
+// SIMD set wherever the CPU runs it, except in race builds, which keep the
+// Go forms.
 func TestOpsForSelection(t *testing.T) {
 	want := genericVecOps
 	if simd, ok := simdVecOps(); ok && !cpu.RaceBuild {
 		want = simd
 	}
-	same := func(got vecOps) bool {
-		return fmt.Sprintf("%p %p %p %p", got.zero, got.addScaled, got.hadamardAccum, got.hadamardInto) ==
-			fmt.Sprintf("%p %p %p %p", want.zero, want.addScaled, want.hadamardAccum, want.hadamardInto)
+	ptrs := func(o vecOps) string {
+		return fmt.Sprintf("%p %p %p %p %p %p %p %p %p", o.zero, o.addScaled, o.hadamardAccum, o.hadamardInto,
+			o.fiberSum, o.fiberHad, o.runHad, o.runOut, o.runScatter)
 	}
+	same := func(got vecOps) bool { return ptrs(got) == ptrs(want) }
 	for _, r := range []int{1, 8, 16, 20, 33, 64, 128} {
 		if !same(NewScratch(3, r, 2).ops) {
 			t.Errorf("NewScratch at R=%d did not get opsFor's set", r)

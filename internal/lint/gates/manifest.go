@@ -73,6 +73,8 @@ func Default() *Manifest {
 			{Func: "kernels.addScaled", Note: "leaf-level axpy, executed once per nonzero"},
 			{Func: "kernels.OutBufThread.AddScaled", Note: "per-add output scatter: hot-replica / direct / CAS dispatch, once per leaf write"},
 			{Func: "kernels.OutBufThread.AddHadamard", Note: "per-add output scatter (Hadamard form), once per internal-node write"},
+			{Func: "kernels.OutBufThread.RunOut", Note: "a run of level d-2 fibers' leaf sums folded into their output rows: fused on a private slab, sum then AddHadamard per fiber elsewhere"},
+			{Func: "kernels.OutBufThread.RunScatter", Note: "leaf-mode push-down and scatter of a run of level d-2 fibers: fused on a private slab, one AddScaled per leaf elsewhere"},
 			{Func: "kernels.OutBuf.Reduce", Note: "touched-row reduction driver, O(touched·R) per mode solve"},
 			{Func: "kernels.OutBuf.reducePrivRows", Note: "journal-guided privatized reduction loop, per touched row"},
 			{Func: "kernels.OutBuf.reduceHybridRows", Note: "hot-slab combine + cold-row copy loop, per touched row"},
@@ -81,6 +83,11 @@ func Default() *Manifest {
 			{Func: "kernels.CountRowWrites", Note: "O(nnz) write census behind every accumulation plan"},
 			{Func: "kernels.hadamardAccum", Note: "fiber fold-up, executed once per internal CSF node"},
 			{Func: "kernels.hadamardInto", Note: "downward Khatri-Rao product, executed once per internal CSF node"},
+			{Func: "kernels.fiberSum", Note: "Go form of one fiber's leaf sum, the axpy loop over its non-zeros"},
+			{Func: "kernels.fiberHad", Note: "Go form of one fiber's leaf sum and fold-up, once per memoized level d-2 fiber"},
+			{Func: "kernels.runHad", Note: "Go form of a run of level d-2 fibers' leaf sums and fold-ups, once per level d-3 node"},
+			{Func: "kernels.runOut", Note: "Go form of a run's leaf sums folded into output rows, once per level d-3 node"},
+			{Func: "kernels.runScatter", Note: "Go form of a run's push-downs and leaf scatters, once per level d-3 node"},
 			{Func: "par.Blocks", Note: "thread launcher wrapping every parallel kernel"},
 			{Func: "par.Do", Note: "thread launcher wrapping every parallel kernel"},
 			{Func: "sched.NewPartition", Note: "nnz-balanced partition walk (Alg. 3), O(nnz) leaf scan at build time"},

@@ -44,6 +44,9 @@ go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s ./internal/frostt/
 echo "==> FuzzBuild smoke (block-parallel CSF build and derived swap against the append-built reference, 10 s)"
 go test -run '^$' -fuzz '^FuzzBuild$' -fuzztime 10s ./internal/csf/
 
+echo "==> FuzzEngines smoke (every engine's MTTKRP against kernels.Reference, and a 3-iteration solve, on generated small tensors, 10 s)"
+go test -run '^$' -fuzz '^FuzzEngines$' -fuzztime 10s .
+
 echo "==> arena storage seam (mmap round trip, corrupt-header fuzz seeds, heap-vs-arena solve parity, csf-backing self-check)"
 go test -race -run 'Arena|CSFBacking' . ./internal/csf/ ./internal/lint/
 

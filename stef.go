@@ -191,10 +191,14 @@ func CompileTree(tree *csf.Tree, opts Options) (*Compiled, error) {
 }
 
 // normalize is the one option-normalisation step of every entry point:
-// it applies the rank (16) and thread (1) defaults and checks the Accum,
-// Reorder and Engine names. It returns the normalised options and the
-// planner options of the stef and stef2 engines.
+// it applies the rank (16) and thread (1) defaults, rejects a negative
+// MaxIters and checks the Accum, Reorder and Engine names. It returns the
+// normalised options and the planner options of the stef and stef2
+// engines.
 func normalize(opts Options) (Options, core.Options, error) {
+	if opts.MaxIters < 0 {
+		return opts, core.Options{}, fmt.Errorf("stef: MaxIters %d is negative", opts.MaxIters)
+	}
 	if opts.Rank <= 0 {
 		opts.Rank = 16
 	}

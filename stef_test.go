@@ -3,6 +3,7 @@ package stef_test
 import (
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"stef"
@@ -25,6 +26,25 @@ func TestDecomposeDefaultEngine(t *testing.T) {
 	for m, f := range res.Factors {
 		if f.Rows != tt.Dims[m] || f.Cols != 4 {
 			t.Fatalf("factor %d shape %dx%d", m, f.Rows, f.Cols)
+		}
+	}
+}
+
+// TestNegativeMaxItersIsAnError holds every facade entry point to an
+// error naming MaxIters, on every engine, where a negative count used to
+// reach a make with a negative capacity and panic.
+func TestNegativeMaxItersIsAnError(t *testing.T) {
+	tt := tensor.Random([]int{8, 10, 12}, 400, nil, 2)
+	for _, engine := range []string{"stef", "splatt-1", "naive"} {
+		opts := stef.Options{Rank: 3, MaxIters: -1, Engine: engine}
+		if _, err := stef.Decompose(tt, opts); err == nil || !strings.Contains(err.Error(), "MaxIters -1") {
+			t.Errorf("%s: Decompose with MaxIters -1 returned %v, want an error naming MaxIters", engine, err)
+		}
+		if _, err := stef.DecomposeBest(tt, opts, 2); err == nil || !strings.Contains(err.Error(), "MaxIters -1") {
+			t.Errorf("%s: DecomposeBest with MaxIters -1 returned %v, want an error naming MaxIters", engine, err)
+		}
+		if _, err := stef.Compile(tt, opts); err == nil || !strings.Contains(err.Error(), "MaxIters -1") {
+			t.Errorf("%s: Compile with MaxIters -1 returned %v, want an error naming MaxIters", engine, err)
 		}
 	}
 }
