@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -194,9 +193,11 @@ func TestDescribe(t *testing.T) {
 }
 
 // TestDescribeKernelLine pins Describe's kernel line: the order-3 to 5
-// specialisations or the generic walk, and the primitive set this build
-// runs, with the reason when it is the Go forms. The expected set follows
-// the CPU probe and the race flag, so the test holds in race and non-race
+// specialisations or the generic walk; two-level fiber runs at orders 4
+// and 5, where a root walk with a memo at level d-3 or d-2 stays one-level,
+// and one-level runs elsewhere; and the primitive set this build runs,
+// with the reason when it is the Go forms. The expected set follows the
+// CPU probe and the race flag, so the test holds in race and non-race
 // builds alike.
 func TestDescribeKernelLine(t *testing.T) {
 	set := "Go forms (no AVX2)"
@@ -206,20 +207,31 @@ func TestDescribeKernelLine(t *testing.T) {
 	case cpu.AVX2:
 		set = "AVX2 fiber primitives"
 	}
-	for _, dims := range [][]int{{6, 40, 50}, {6, 40, 50, 7}, {5, 6, 7, 8, 9}, {3, 4, 5, 6, 7, 8}} {
-		tt := tensor.Random(dims, 400, nil, 8)
-		plan, err := NewPlan(tt, Options{Rank: 4, Threads: 1})
+	for _, tc := range []struct {
+		dims []int
+		rule SaveRule
+		save []bool // the memo set the case relies on the planner choosing
+		line string
+	}{
+		{[]int{6, 40, 50}, SaveModel, nil, "order-3 specialisation, one-level fiber runs"},
+		{[]int{6, 40, 50, 7}, SaveModel, []bool{false, true, false, false}, "order-4 specialisation, two-level fiber runs, one-level in the root walk (memo at level 1)"},
+		{[]int{6, 40, 50, 7}, SaveNone, []bool{false, false, false, false}, "order-4 specialisation, two-level fiber runs"},
+		{[]int{5, 6, 7, 8, 9}, SaveModel, []bool{false, true, true, false, false}, "order-5 specialisation, two-level fiber runs, one-level in the root walk (memo at level 2)"},
+		{[]int{5, 6, 7, 8, 9}, SaveAll, []bool{false, true, true, true, false}, "order-5 specialisation, two-level fiber runs, one-level in the root walk (memos at levels 2 and 3)"},
+		{[]int{3, 4, 5, 6, 7, 8}, SaveModel, nil, "generic walk, one-level fiber runs"},
+	} {
+		tt := tensor.Random(tc.dims, 400, nil, 8)
+		plan, err := NewPlan(tt, Options{Rank: 4, Threads: 1, SaveRule: tc.rule})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if tc.save != nil && !saveEqual(plan.Config.Save, tc.save) {
+			t.Fatalf("order %d rule %v: planned memo set %v, want %v", len(tc.dims), tc.rule, plan.Config.Save, tc.save)
+		}
 		var sb strings.Builder
 		plan.Describe(&sb)
-		walk := "generic walk"
-		if len(dims) <= 5 {
-			walk = fmt.Sprintf("order-%d specialisation", len(dims))
-		}
-		if want := "\n  kernels: " + walk + ", " + set + "\n"; !strings.Contains(sb.String(), want) {
-			t.Errorf("order %d: Describe lacks %q:\n%s", len(dims), want, sb.String())
+		if want := "\n  kernels: " + tc.line + ", " + set + "\n"; !strings.Contains(sb.String(), want) {
+			t.Errorf("order %d rule %v: Describe lacks %q:\n%s", len(tc.dims), tc.rule, want, sb.String())
 		}
 	}
 }

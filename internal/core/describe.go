@@ -10,9 +10,9 @@ import (
 
 // Describe writes a human-readable summary of every decision in the plan:
 // the chosen layout and memoization set with their modeled cost, the
-// runner-up configurations, the work-distribution mode, the kernel walk
-// and primitive set, and the Table II byte accounting. tensorinfo and the examples use it; it is also handy in
-// bug reports.
+// runner-up configurations, the work-distribution mode, the kernel walk,
+// its fiber-run depth and primitive set, and the Table II byte accounting.
+// tensorinfo and the examples use it; it is also handy in bug reports.
 func (p *Plan) Describe(w io.Writer) {
 	tree := p.Tree
 	d := tree.Order()
@@ -42,8 +42,8 @@ func (p *Plan) Describe(w io.Writer) {
 		sched = "slice-granular (baseline)"
 	}
 	fmt.Fprintf(w, "  work distribution: %s\n", sched)
-	walk, prims := kernels.KernelPath(d)
-	fmt.Fprintf(w, "  kernels: %s, %s\n", walk, prims)
+	walk, runs, prims := kernels.KernelPath(d, p.Config.Save)
+	fmt.Fprintf(w, "  kernels: %s, %s, %s\n", walk, runs, prims)
 	if len(p.Accum) > 0 {
 		fmt.Fprintf(w, "  output accumulation:")
 		for u := 1; u < d; u++ {

@@ -87,7 +87,8 @@ func BenchmarkVecOps(b *testing.B) {
 // leaf (the order-5 walks average about one) to 64: fiberHad on one fiber,
 // and the three run forms on a run of 16 sibling fibers, reported per
 // fiber. The matrices have 4096 rows, so the gathered rows stay
-// cache-resident.
+// cache-resident. It then times the two-level forms against the one-level
+// calls the walks made per node before them (see benchNodeOps).
 func BenchmarkFiberOps(b *testing.B) {
 	type set struct {
 		name string
@@ -140,6 +141,116 @@ func BenchmarkFiberOps(b *testing.B) {
 						ops.runScatter(out, child, g, f, run)
 					}
 					perFiber(b)
+				})
+			}
+		}
+	}
+	benchNodeOps(b)
+}
+
+// benchNodeOps times the four two-level forms on kernel-heavy's order-5
+// shape: one call per level d-4 node holding 280 level d-3 nodes of 1.75
+// level d-2 fibers each (three in four nodes hold two), each fiber of 1.05
+// leaves (one in twenty holds two). Next to each form, "perNode" makes the
+// one-level calls the walks made per node before, through the same set:
+// zero, runHad and hadamardAccum for nodeHad and nodeOut, hadamardInto and
+// runOut or runScatter for the pushes. Both report ns/node.
+func benchNodeOps(b *testing.B) {
+	type set struct {
+		name string
+		ops  vecOps
+	}
+	sets := []set{{"go", genericVecOps}}
+	if simd, ok := simdVecOps(); ok {
+		sets = append(sets, set{"avx2", simd})
+	}
+	const rows, nodes = 4096, 280
+	rng := rand.New(rand.NewSource(20))
+	nr := nodeRun{nids: make([]int32, nodes), ptr: make([]int64, nodes+1)}
+	for n := range nr.nids {
+		nr.nids[n] = int32(rng.Intn(rows))
+		nr.ptr[n+1] = nr.ptr[n] + 1
+		if rng.Intn(4) != 0 {
+			nr.ptr[n+1]++
+		}
+	}
+	fibers := int(nr.ptr[nodes])
+	nr.cMax = int64(fibers)
+	run := fiberRun{mids: make([]int32, fibers), ptr: make([]int64, fibers+1)}
+	for c := range run.mids {
+		run.mids[c] = int32(rng.Intn(rows))
+		run.ptr[c+1] = run.ptr[c] + 1
+		if rng.Intn(20) == 0 {
+			run.ptr[c+1]++
+		}
+	}
+	leaves := int(run.ptr[fibers])
+	run.kMax, run.vals, run.fids = int64(leaves), randVec(rng, leaves), make([]int32, leaves)
+	for k := range run.fids {
+		run.fids[k] = int32(rng.Intn(rows))
+	}
+	nr.fibers = run
+	for _, r := range []int{16, 20, 32, 64} {
+		gm := &tensor.Matrix{Rows: rows, Cols: r, Data: randVec(rng, rows*r)}
+		fm := &tensor.Matrix{Rows: rows, Cols: r, Data: randVec(rng, rows*r)}
+		f := &tensor.Matrix{Rows: rows, Cols: r, Data: randVec(rng, rows*r)}
+		out := tensor.NewMatrix(rows, r)
+		dst, t, child, k := randVec(rng, r), randVec(rng, r), randVec(rng, r), randVec(rng, r)
+		perNode := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nodes), "ns/node")
+		}
+		for _, set := range sets {
+			ops := set.ops
+			for _, bm := range []struct {
+				name          string
+				fused, oneRun func()
+			}{
+				{"nodeHad",
+					func() { ops.nodeHad(dst, t, child, gm, fm, nr, f) },
+					func() {
+						for n, nid := range nr.nids {
+							ops.zero(t)
+							ops.runHad(t, child, fm, nr.run(n), f)
+							ops.hadamardAccum(dst, t, gm.Row(int(nid)))
+						}
+					}},
+				{"nodeOut",
+					func() { ops.nodeOut(out, t, child, k, fm, nr, f) },
+					func() {
+						for n, nid := range nr.nids {
+							ops.zero(t)
+							ops.runHad(t, child, fm, nr.run(n), f)
+							ops.hadamardAccum(out.Row(int(nid)), k, t)
+						}
+					}},
+				{"nodePushOut",
+					func() { ops.nodePushOut(out, t, child, k, gm, nr, f) },
+					func() {
+						for n, nid := range nr.nids {
+							ops.hadamardInto(t, k, gm.Row(int(nid)))
+							ops.runOut(out, child, t, nr.run(n), f)
+						}
+					}},
+				{"nodePushScatter",
+					func() { ops.nodePushScatter(out, child, t, k, gm, fm, nr) },
+					func() {
+						for n, nid := range nr.nids {
+							ops.hadamardInto(t, k, gm.Row(int(nid)))
+							ops.runScatter(out, child, t, fm, nr.run(n))
+						}
+					}},
+			} {
+				b.Run(fmt.Sprintf("%s/R=%d/%s/fused", bm.name, r, set.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						bm.fused()
+					}
+					perNode(b)
+				})
+				b.Run(fmt.Sprintf("%s/R=%d/%s/perNode", bm.name, r, set.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						bm.oneRun()
+					}
+					perNode(b)
 				})
 			}
 		}

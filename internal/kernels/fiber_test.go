@@ -340,3 +340,305 @@ func TestFiberBadIDPanics(t *testing.T) {
 	fewFids.kMax = 0
 	mustPanic("run fids shorter than vals", func() { simd.runScatter(f, v8, v8, f, fewFids) })
 }
+
+// nodeCase is one randomly drawn run of sibling level d-3 nodes over
+// guarded matrices: nm holds the rows the node ids address, fm the rows
+// the fiber ids address and lm the leaves' rows. Nodes hold 0–4 fibers,
+// fiber lengths come from fiberLengths, ids repeat within and across
+// fibers and nodes, and both clamps cut into the first and last windows,
+// empty them, or leave nodes whose raw window is reversed.
+type nodeCase struct {
+	r                   int
+	nrows, frows, lrows int
+	nr                  nodeRun
+	nm, fm, lm          guarded
+	v, t, child         guarded
+}
+
+func newNodeCase(rng *rand.Rand, r, nodes int) nodeCase {
+	c := nodeCase{r: r, nrows: 1 + rng.Intn(4), frows: 1 + rng.Intn(6), lrows: 1 + rng.Intn(12)}
+	nptr := []int64{int64(rng.Intn(3))}
+	for i := 0; i < nodes; i++ {
+		nptr = append(nptr, nptr[i]+int64(rng.Intn(5)))
+	}
+	fibers := int(nptr[nodes]) + rng.Intn(3)
+	lengths := fiberLengths()
+	ptr := []int64{int64(rng.Intn(3))}
+	for i := 0; i < fibers; i++ {
+		n := lengths[rng.Intn(len(lengths))]
+		if rng.Intn(4) != 0 {
+			n %= 5
+		}
+		ptr = append(ptr, ptr[i]+int64(n))
+	}
+	leaves := int(ptr[fibers]) + rng.Intn(3)
+	ids := func(n, rows int) []int32 {
+		v := make([]int32, n)
+		for i := range v {
+			v[i] = int32(rng.Intn(rows))
+		}
+		return v
+	}
+	cMin, cMax := int64(0), int64(fibers)
+	switch rng.Intn(4) {
+	case 0:
+		cMin = min(nptr[0]+int64(rng.Intn(3)), cMax)
+	case 1:
+		cMax = max(nptr[nodes]-int64(rng.Intn(3)), 0)
+	case 2:
+		// A middle slice of the fibers: the nodes before and after it
+		// have reversed raw windows.
+		cMin = int64(rng.Intn(fibers + 1))
+		cMax = cMin + int64(rng.Intn(fibers+1-int(cMin)))
+	}
+	kMin, kMax := int64(0), int64(leaves)
+	switch rng.Intn(4) {
+	case 0:
+		kMin = min(ptr[min(cMin, int64(fibers))]+int64(rng.Intn(3)), kMax)
+	case 1:
+		kMax = max(ptr[cMax]-int64(rng.Intn(3)), 0)
+	case 2:
+		kMin = int64(rng.Intn(leaves + 1))
+		kMax = kMin + int64(rng.Intn(leaves+1-int(kMin)))
+	}
+	kMin = min(kMin, kMax)
+	c.nr = nodeRun{nids: ids(nodes, c.nrows), ptr: nptr, cMin: cMin, cMax: cMax,
+		fibers: fiberRun{mids: ids(fibers, c.frows), ptr: ptr, kMin: kMin, kMax: kMax, vals: edgeVec(rng, leaves), fids: ids(leaves, c.lrows)}}
+	c.nm, c.fm, c.lm = newGuarded(rng, c.nrows*r), newGuarded(rng, c.frows*r), newGuarded(rng, c.lrows*r)
+	c.v, c.t, c.child = newGuarded(rng, r), newGuarded(rng, r), newGuarded(rng, r)
+	return c
+}
+
+// nodeForms runs each two-level form of ops on case c: every vector and
+// matrix it may write comes from st, the rest from c.
+var nodeForms = []struct {
+	name string
+	run  func(ops vecOps, c *nodeCase, st *nodeCase)
+}{
+	{"nodeHad", func(ops vecOps, c, st *nodeCase) {
+		ops.nodeHad(st.v.win(), st.t.win(), st.child.win(), c.nm.matrix(c.nrows, c.r), c.fm.matrix(c.frows, c.r), c.nr, c.lm.matrix(c.lrows, c.r))
+	}},
+	{"nodeOut", func(ops vecOps, c, st *nodeCase) {
+		ops.nodeOut(st.nm.matrix(c.nrows, c.r), st.t.win(), st.child.win(), c.v.win(), c.fm.matrix(c.frows, c.r), c.nr, c.lm.matrix(c.lrows, c.r))
+	}},
+	{"nodePushOut", func(ops vecOps, c, st *nodeCase) {
+		ops.nodePushOut(st.fm.matrix(c.frows, c.r), st.t.win(), st.child.win(), c.v.win(), c.nm.matrix(c.nrows, c.r), c.nr, c.lm.matrix(c.lrows, c.r))
+	}},
+	{"nodePushScatter", func(ops vecOps, c, st *nodeCase) {
+		ops.nodePushScatter(st.lm.matrix(c.lrows, c.r), st.child.win(), st.t.win(), c.v.win(), c.nm.matrix(c.nrows, c.r), c.fm.matrix(c.frows, c.r), c.nr)
+	}},
+}
+
+// state clones every vector and matrix of c a form may write.
+func (c *nodeCase) state() *nodeCase {
+	st := *c
+	st.nm, st.fm, st.lm = c.nm.clone(), c.fm.clone(), c.lm.clone()
+	st.v, st.t, st.child = c.v.clone(), c.t.clone(), c.child.clone()
+	return &st
+}
+
+// TestNodeRunSIMDMatchesGo holds the AVX2 two-level forms to their Go
+// forms bit for bit at every rank from 1 to 70, on runs of 0 to 6 nodes of
+// 0 to 4 fibers each, with both clamps cutting into, emptying or
+// reversing windows, edge values in every input, and guard elements
+// around every written vector and matrix. Inputs a form does not write
+// must come out unchanged.
+func TestNodeRunSIMDMatchesGo(t *testing.T) {
+	simd := simdOrSkip(t)
+	for r := 1; r <= 70; r++ {
+		for nodes := 0; nodes <= 6; nodes++ {
+			for rep := 0; rep < 4; rep++ {
+				rng := rand.New(rand.NewSource(int64(r*1000 + nodes*10 + rep)))
+				c := newNodeCase(rng, r, nodes)
+				ctx := fmt.Sprintf("R=%d nodes=%d rep=%d nptr=%v fibers [%d,%d) ptr=%v leaves [%d,%d)", r, nodes, rep, c.nr.ptr, c.nr.cMin, c.nr.cMax, c.nr.fibers.ptr, c.nr.fibers.kMin, c.nr.fibers.kMax)
+				in := c.state()
+				vals0 := slices.Clone(c.nr.fibers.vals)
+				for _, p := range nodeForms {
+					got, want := c.state(), c.state()
+					p.run(simd, &c, got)
+					p.run(genericVecOps, &c, want)
+					for _, b := range []struct {
+						name      string
+						got, want guarded
+					}{{"v", got.v, want.v}, {"t", got.t, want.t}, {"child", got.child, want.child}, {"nm", got.nm, want.nm}, {"fm", got.fm, want.fm}, {"lm", got.lm, want.lm}} {
+						bitEqual(t, b.got.back, b.want.back, ctx+" "+p.name+" "+b.name)
+					}
+				}
+				for _, b := range []struct {
+					name      string
+					got, want guarded
+				}{{"v", c.v, in.v}, {"t", c.t, in.t}, {"child", c.child, in.child}, {"nm", c.nm, in.nm}, {"fm", c.fm, in.fm}, {"lm", c.lm, in.lm}} {
+					bitEqual(t, b.got.back, b.want.back, ctx+" input "+b.name)
+				}
+				bitEqual(t, c.nr.fibers.vals, vals0, ctx+" input vals")
+			}
+		}
+	}
+}
+
+// TestNodeEmptyFolds pins the empty node: a node with no fibers, or whose
+// window the fiber clamp empties or reverses, still sets t = +0 and folds
+// it, so nodeHad turns a −0 dst into +0 and an infinite g into NaN, and
+// nodeOut does the same to the node's output row; the push forms still
+// write kn = a ⊙ g. Both sets must agree on every node shape.
+func TestNodeEmptyFolds(t *testing.T) {
+	sets := map[string]vecOps{"go": genericVecOps}
+	if simd, ok := simdVecOps(); ok {
+		sets["avx2"] = simd
+	}
+	fibers := fiberRun{mids: []int32{0, 0, 0}, ptr: []int64{0, 1, 2, 3}, kMax: 3, vals: []float64{1, 2, 3}, fids: []int32{0, 1, 0}}
+	for name, ops := range sets {
+		for _, r := range []int{1, 3, 4, 16, 20, 32, 37, 64} {
+			f := tensor.NewMatrix(2, r)
+			g := tensor.NewMatrix(1, r)
+			for j := range g.Data {
+				g.Data[j] = 2
+			}
+			g.Data[r-1] = math.Inf(1)
+			for _, nr := range []nodeRun{
+				{nids: []int32{0}, ptr: []int64{1, 1}, cMax: 3, fibers: fibers},          // no fibers
+				{nids: []int32{0}, ptr: []int64{0, 3}, cMin: 3, cMax: 3, fibers: fibers}, // clamped empty
+				{nids: []int32{0}, ptr: []int64{0, 1}, cMin: 2, cMax: 3, fibers: fibers}, // reversed
+				{nids: []int32{0}, ptr: []int64{2, 3}, cMin: 0, cMax: 1, fibers: fibers}, // reversed past cMax
+				{nids: []int32{0}, ptr: []int64{0, 3}, cMax: 3, fibers: func() fiberRun { // leaves clamped away
+					r := fibers
+					r.kMin, r.kMax = 3, 3
+					return r
+				}()},
+			} {
+				ctx := fmt.Sprintf("%s R=%d nptr=%v fibers [%d,%d) leaves [%d,%d)", name, r, nr.ptr, nr.cMin, nr.cMax, nr.fibers.kMin, nr.fibers.kMax)
+				dst, tv, child := make([]float64, r), make([]float64, r), make([]float64, r)
+				for j := range dst {
+					dst[j] = math.Copysign(0, -1)
+					tv[j] = 7
+					child[j] = 0
+				}
+				// Where only the leaf clamp empties the fibers, each folds
+				// +0 ⊙ g into t, which stays +0 as well.
+				ops.nodeHad(dst, tv, child, g, f, nr, f)
+				checkEmptyFold(t, ctx+" nodeHad", dst, tv)
+
+				out := tensor.NewMatrix(1, r)
+				for j := range out.Data {
+					out.Data[j] = math.Copysign(0, -1)
+					tv[j] = 7
+				}
+				ops.nodeOut(out, tv, child, g.Row(0), f, nr, f)
+				checkEmptyFold(t, ctx+" nodeOut", out.Row(0), tv)
+
+				a := make([]float64, r)
+				for j := range a {
+					a[j] = 3
+				}
+				ops.nodePushOut(tensor.NewMatrix(1, r), tv, child, a, g, nr, f)
+				for j := range tv {
+					if want := a[j] * g.Data[j]; tv[j] != want {
+						t.Fatalf("%s nodePushOut: kn[%d] = %v, want %v", ctx, j, tv[j], want)
+					}
+				}
+				clear(tv)
+				ops.nodePushScatter(tensor.NewMatrix(2, r), child, tv, a, g, f, nr)
+				for j := range tv {
+					if want := a[j] * g.Data[j]; tv[j] != want {
+						t.Fatalf("%s nodePushScatter: kn[%d] = %v, want %v", ctx, j, tv[j], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNodeBadIDPanics requires both sets to panic on a node id, fiber id
+// or leaf id past the last row or below zero, in the first or a later
+// node, and the AVX2 wrappers on shapes the assembly cannot walk safely.
+func TestNodeBadIDPanics(t *testing.T) {
+	sets := map[string]vecOps{"go": genericVecOps}
+	if simd, ok := simdVecOps(); ok {
+		sets["avx2"] = simd
+	}
+	mustPanic := func(ctx string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", ctx)
+			}
+		}()
+		fn()
+	}
+	good := func() nodeRun {
+		return nodeRun{nids: []int32{1, 0}, ptr: []int64{0, 1, 3}, cMax: 3,
+			fibers: fiberRun{mids: []int32{2, 0, 1}, ptr: []int64{0, 2, 3, 5}, kMax: 5, vals: []float64{1, 2, 3, 4, 5}, fids: []int32{0, 4, 1, 3, 2}}}
+	}
+	all := func(ops vecOps, r int, nr nodeRun) []func() {
+		m := tensor.NewMatrix(5, r)
+		v := func() []float64 { return make([]float64, r) }
+		return []func(){
+			func() { ops.nodeHad(v(), v(), v(), m, m, nr, m) },
+			func() { ops.nodeOut(m, v(), v(), v(), m, nr, m) },
+			func() { ops.nodePushOut(m, v(), v(), v(), m, nr, m) },
+			func() { ops.nodePushScatter(m, v(), v(), v(), m, m, nr) },
+		}
+	}
+	for name, ops := range sets {
+		for _, r := range []int{1, 4, 5, 16, 21, 32, 64} {
+			for _, fn := range all(ops, r, good()) {
+				fn() // in range: must not panic
+			}
+			for _, bad := range []int32{5, 6, 1 << 30, -1, -1 << 31} {
+				for at := 0; at < 2; at++ {
+					nr := good()
+					nr.nids[at] = bad
+					for i, fn := range all(ops, r, nr) {
+						mustPanic(fmt.Sprintf("%s R=%d node id %d at node %d form %d", name, r, bad, at, i), fn)
+					}
+				}
+				for _, at := range []int{0, 2} {
+					nr := good()
+					nr.fibers.mids[at] = bad
+					for i, fn := range all(ops, r, nr) {
+						mustPanic(fmt.Sprintf("%s R=%d fiber id %d at fiber %d form %d", name, r, bad, at, i), fn)
+					}
+				}
+				for _, at := range []int{0, 4} {
+					nr := good()
+					nr.fibers.fids[at] = bad
+					for i, fn := range all(ops, r, nr) {
+						mustPanic(fmt.Sprintf("%s R=%d leaf id %d at leaf %d form %d", name, r, bad, at, i), fn)
+					}
+				}
+			}
+		}
+	}
+	simd, ok := simdVecOps()
+	if !ok {
+		return
+	}
+	for _, bad := range []struct {
+		name string
+		edit func(nr *nodeRun)
+	}{
+		{"node ptr short of its nodes", func(nr *nodeRun) { nr.ptr = nr.ptr[:2] }},
+		{"fiber clamp past the fibers", func(nr *nodeRun) { nr.cMax = 4 }},
+		{"fiber clamp below zero", func(nr *nodeRun) { nr.cMin = -1 }},
+		{"fiber clamp reversed", func(nr *nodeRun) { nr.cMin = 2; nr.cMax = 1 }},
+		{"fiber ptr short of the fibers", func(nr *nodeRun) { nr.fibers.ptr = nr.fibers.ptr[:3] }},
+		{"leaf clamp past the leaves", func(nr *nodeRun) { nr.fibers.kMax = 6 }},
+	} {
+		nr := good()
+		bad.edit(&nr)
+		for i, fn := range all(simd, 8, nr) {
+			mustPanic(fmt.Sprintf("%s form %d", bad.name, i), fn)
+		}
+	}
+	m, wide := tensor.NewMatrix(5, 8), tensor.NewMatrix(5, 9)
+	v8 := make([]float64, 8)
+	nr := good()
+	mustPanic("short dst", func() { simd.nodeHad(v8[:7], v8, v8, m, m, nr, m) })
+	mustPanic("short t", func() { simd.nodeOut(m, v8[:7], v8, v8, m, nr, m) })
+	mustPanic("short a", func() { simd.nodePushOut(m, v8, v8, v8[:7], m, nr, m) })
+	mustPanic("short kn", func() { simd.nodePushScatter(m, v8, v8[:7], v8, m, m, nr) })
+	mustPanic("node matrix stride differs from R", func() { simd.nodeHad(v8, v8, v8, wide, m, nr, m) })
+	mustPanic("fiber matrix stride differs from R", func() { simd.nodeOut(m, v8, v8, v8, wide, nr, m) })
+	mustPanic("leaf matrix stride differs from R", func() { simd.nodePushOut(m, v8, v8, v8, m, nr, wide) })
+	mustPanic("scatter output stride differs from R", func() { simd.nodePushScatter(wide, v8, v8, v8, m, m, nr) })
+}

@@ -60,135 +60,154 @@ func ModeMTTKRPWith(tree *csf.Tree, factors []*tensor.Matrix, u int, partials *P
 
 // modeGeneric is the order-agnostic recursive kernel behind ModeMTTKRP; it
 // is kept callable directly so tests can cross-check the specialisations.
+// At T == 1 it calls the thread body directly, as the specialisations do,
+// so a launch allocates nothing.
 func modeGeneric(tree *csf.Tree, factors []*tensor.Matrix, u, src int, partials *Partials, buf *OutBuf, part *sched.Partition, sc *Scratch) {
-	d := tree.Order()
-	par.Do(part.T, func(th int) {
-		s := part.Start[th]
-		e := part.Own[th+1]
-		oLo, oHi := part.OwnedRange(th, src)
-		if oLo >= oHi {
-			return
-		}
-		// Resolve the output handle once: the per-thread hot slab / remap /
-		// replica indirection stays out of the emission loops.
-		ob := buf.Thread(th)
-		// kv[l] holds k_l for the current path (levels 1..u-1; k_0
-		// aliases a factor row). tmp[l] accumulates t_l for levels
-		// u..src-1. Both draw their rank vectors from the scratch; the
-		// slot ranges never overlap.
-		kv := make([][]float64, u)
-		for l := 1; l < u; l++ {
-			kv[l] = sc.vec(th, l) //gate:allow bounds scratch slots are sized to the order
-		}
-		tmp := make([][]float64, src)
-		for l := u; l < src; l++ {
-			tmp[l] = sc.vec(th, l) //gate:allow bounds scratch slots are sized to the order
-		}
-		// Rebind the primitives to the scratch's set (vec.go); the names
-		// shadow the generic package functions on purpose.
-		zero, hadamardAccum, hadamardInto, runHad := sc.ops.zero, sc.ops.hadamardAccum, sc.ops.hadamardInto, sc.ops.runHad
-		leafF := factors[d-1] //gate:allow bounds leaf factor hoisted once per launch; d-1 is the tree's last level
-
-		// window returns node n's child range at level l+1: the owned
-		// range at the source level, the touched range elsewhere, never
-		// reversed.
-		window := func(l int, n int64) (int64, int64) {
-			lo, hi := s[l+1], e[l+1] //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
-			if l+1 == src {
-				lo, hi = oLo, oHi
-			}
-			cLo := maxI64(tree.PtrLevel(l)[n], lo)                  //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
-			return cLo, max(cLo, minI64(tree.PtrLevel(l)[n+1], hi)) //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
-		}
-
-		// down computes t_l for node n at level l by contracting
-		// everything below it down to the source level (u <= l < src;
-		// with the leaves as source, l < d-2, since the level d-2 fibers
-		// go through runHad).
-		var down func(l int, n int64) []float64
-		down = func(l int, n int64) []float64 {
-			tl := tmp[l]
-			zero(tl)
-			cLo, cHi := window(l, n)
-			switch {
-			case l+1 == src:
-				for c := cLo; c < cHi; c++ {
-					sc.shadow.own(th, src, c)
-					hadamardAccum(tl, partials.P[src].Row(int(c)), factors[src].Row(int(tree.FidLevel(src)[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
-				}
-			case l+2 == src && src == d-1:
-				// The children are level d-2 fibers: one fused call
-				// for their leaf sums and fold-ups.
-				run := runOf(tree, l+1, cLo, cHi, oLo, oHi)
-				sc.shadow.ownRun(th, d-1, &run)
-				runHad(tl, tmp[l+1], factors[l+1], run, leafF) //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
-			default:
-				for c := cLo; c < cHi; c++ {
-					hadamardAccum(tl, down(l+1, c), factors[l+1].Row(int(tree.FidLevel(l + 1)[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
-				}
-			}
-			return tl
-		}
-
-		// walk descends levels 0..u-1 building the KRP row, then emits
-		// output contributions at level u.
-		var walk func(l int, n int64, kprev []float64)
-		walk = func(l int, n int64, kprev []float64) {
-			fid := int(tree.FidLevel(l)[n])
-			cLo, cHi := window(l, n)
-			var kcur []float64
-			if l == 0 {
-				kcur = factors[0].Row(fid)
-			} else {
-				kcur = kv[l]
-				hadamardInto(kcur, kprev, factors[l].Row(fid))
-			}
-			switch {
-			case u == d-1 && l == d-3:
-				// Leaf mode: the children are level d-2 fibers, whose
-				// push-downs and leaf scatters take one fused call.
-				run := runOf(tree, d-2, cLo, cHi, oLo, oHi)
-				sc.shadow.ownRun(th, d-1, &run)
-				ob.RunScatter(kv[d-2], kcur, factors[d-2], run) //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
-			case l+1 < u:
-				for c := cLo; c < cHi; c++ {
-					walk(l+1, c, kcur)
-				}
-			case u == d-1:
-				// Order 2's leaf mode: k_0 is a factor row, with no
-				// push-down to fuse.
-				vals, leafFids := tree.ValsLevel(), tree.FidLevel(d-1) //gate:allow bounds leaf level of an order-2 tree; d-1 is its last level
-				for k := cLo; k < cHi; k++ {
-					sc.shadow.own(th, d-1, k)
-					ob.AddScaled(int(leafFids[k]), vals[k], kcur) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
-				}
-			case u == src:
-				// Memoized at exactly level u: one MTTV per
-				// owned fiber (Algorithm 6).
-				for c := cLo; c < cHi; c++ {
-					sc.shadow.own(th, src, c)
-					ob.AddHadamard(int(tree.FidLevel(u)[c]), kcur, partials.P[u].Row(int(c))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
-				}
-			case u == d-2 && src == d-1:
-				// Level u = d-2 recomputed from the leaves (Algorithm
-				// 8): one fused call for the children's sums, each
-				// folded into its output row.
-				run := runOf(tree, u, cLo, cHi, oLo, oHi)
-				sc.shadow.ownRun(th, d-1, &run)
-				ob.RunOut(tmp[u], kcur, run, leafF) //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
-			default:
-				// Recompute t_u below level u from the source
-				// (Algorithms 7 and 8).
-				for c := cLo; c < cHi; c++ {
-					ob.AddHadamard(int(tree.FidLevel(u)[c]), kcur, down(u, c)) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
-				}
-			}
-		}
-
-		rLo := s[0]
-		rHi := minI64(int64(tree.NumFibers(0)), e[0])
-		for n := rLo; n < rHi; n++ {
-			walk(0, n, nil)
-		}
+	if part.T == 1 {
+		modeGenericThread(0, tree, factors, u, src, partials, buf, part, sc)
+		return
+	}
+	par.Do(part.T, func(th int) { //gate:allow escape multi-threaded launch; the T==1 path above stays allocation-free
+		modeGenericThread(th, tree, factors, u, src, partials, buf, part, sc)
 	})
+}
+
+// modeWalk is one thread's generic non-root walk. Its methods are the
+// recursion, on a value that stays on the thread's stack, so the walk
+// builds no closures.
+type modeWalk struct {
+	tree     *csf.Tree
+	factors  []*tensor.Matrix
+	partials *Partials
+	sc       *Scratch
+	ops      *vecOps
+	ob       OutBufThread
+	th       int
+	d, u     int
+	src      int
+	s, e     []int64
+	oLo, oHi int64
+	// vecs[l] holds k_l for the current path at levels 1..u-1 (k_0
+	// aliases a factor row) and accumulates t_l at levels u..src-1: one
+	// scratch slot per level, so the two ranges never overlap.
+	vecs  [][]float64
+	leafF *tensor.Matrix
+}
+
+// modeGenericThread is thread th's share of the generic non-root MTTKRP.
+func modeGenericThread(th int, tree *csf.Tree, factors []*tensor.Matrix, u, src int, partials *Partials, buf *OutBuf, part *sched.Partition, sc *Scratch) {
+	oLo, oHi := part.OwnedRange(th, src)
+	if oLo >= oHi {
+		return
+	}
+	d := tree.Order()
+	w := modeWalk{
+		tree: tree, factors: factors, partials: partials, sc: sc, ops: &sc.ops,
+		// Resolve the output handle once: the per-thread hot slab / remap
+		// / replica indirection stays out of the emission loops.
+		ob: buf.Thread(th),
+		th: th, d: d, u: u, src: src,
+		s: part.Start[th], e: part.Own[th+1],
+		oLo: oLo, oHi: oHi,
+		vecs:  sc.levelVecs(th),
+		leafF: factors[d-1], //gate:allow bounds leaf factor hoisted once per launch; d-1 is the tree's last level
+	}
+	rLo, rHi := w.s[0], minI64(int64(tree.NumFibers(0)), w.e[0])
+	for n := rLo; n < rHi; n++ {
+		w.walk(0, n, nil)
+	}
+}
+
+// window returns node n's child range at level l+1: the owned range at the
+// source level, the touched range elsewhere, never reversed.
+func (w *modeWalk) window(l int, n int64) (int64, int64) {
+	lo, hi := w.s[l+1], w.e[l+1]
+	if l+1 == w.src {
+		lo, hi = w.oLo, w.oHi
+	}
+	cLo := maxI64(w.tree.PtrLevel(l)[n], lo)
+	return cLo, max(cLo, minI64(w.tree.PtrLevel(l)[n+1], hi))
+}
+
+// down computes t_l for node n at level l by contracting everything below
+// it down to the source level (u <= l < src; with the leaves as source,
+// l < d-2, since the level d-2 fibers go through runHad).
+func (w *modeWalk) down(l int, n int64) []float64 {
+	tree, factors, src, d := w.tree, w.factors, w.src, w.d
+	tl := w.vecs[l] //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
+	w.ops.zero(tl)
+	cLo, cHi := w.window(l, n)
+	switch {
+	case l+1 == src:
+		for c := cLo; c < cHi; c++ {
+			w.sc.shadow.own(w.th, src, c)
+			w.ops.hadamardAccum(tl, w.partials.P[src].Row(int(c)), factors[src].Row(int(tree.FidLevel(src)[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
+		}
+	case l+2 == src && src == d-1:
+		// The children are level d-2 fibers: one fused call for their
+		// leaf sums and fold-ups.
+		run := runOf(tree, l+1, cLo, cHi, w.oLo, w.oHi)
+		w.sc.shadow.ownRun(w.th, d-1, &run)
+		w.ops.runHad(tl, w.vecs[l+1], factors[l+1], run, w.leafF) //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
+	default:
+		for c := cLo; c < cHi; c++ {
+			w.ops.hadamardAccum(tl, w.down(l+1, c), factors[l+1].Row(int(tree.FidLevel(l + 1)[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
+		}
+	}
+	return tl
+}
+
+// walk descends levels 0..u-1 building the KRP row, then emits output
+// contributions at level u.
+func (w *modeWalk) walk(l int, n int64, kprev []float64) {
+	tree, factors, partials, u, src, d := w.tree, w.factors, w.partials, w.u, w.src, w.d
+	fid := int(tree.FidLevel(l)[n])
+	cLo, cHi := w.window(l, n)
+	var kcur []float64
+	if l == 0 {
+		kcur = factors[0].Row(fid)
+	} else {
+		kcur = w.vecs[l] //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
+		w.ops.hadamardInto(kcur, kprev, factors[l].Row(fid))
+	}
+	switch {
+	case u == d-1 && l == d-3:
+		// Leaf mode: the children are level d-2 fibers, whose push-downs
+		// and leaf scatters take one fused call.
+		run := runOf(tree, d-2, cLo, cHi, w.oLo, w.oHi)
+		w.sc.shadow.ownRun(w.th, d-1, &run)
+		w.ob.RunScatter(w.vecs[d-2], kcur, factors[d-2], run) //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
+	case l+1 < u:
+		for c := cLo; c < cHi; c++ {
+			w.walk(l+1, c, kcur)
+		}
+	case u == d-1:
+		// Order 2's leaf mode: k_0 is a factor row, with no push-down to
+		// fuse.
+		vals, leafFids := tree.ValsLevel(), tree.FidLevel(d-1) //gate:allow bounds leaf level of an order-2 tree; d-1 is its last level
+		for k := cLo; k < cHi; k++ {
+			w.sc.shadow.own(w.th, d-1, k)
+			w.ob.AddScaled(int(leafFids[k]), vals[k], kcur) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
+		}
+	case u == src:
+		// Memoized at exactly level u: one MTTV per owned fiber
+		// (Algorithm 6).
+		for c := cLo; c < cHi; c++ {
+			w.sc.shadow.own(w.th, src, c)
+			w.ob.AddHadamard(int(tree.FidLevel(u)[c]), kcur, partials.P[u].Row(int(c))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
+		}
+	case u == d-2 && src == d-1:
+		// Level u = d-2 recomputed from the leaves (Algorithm 8): one
+		// fused call for the children's sums, each folded into its output
+		// row.
+		run := runOf(tree, u, cLo, cHi, w.oLo, w.oHi)
+		w.sc.shadow.ownRun(w.th, d-1, &run)
+		w.ob.RunOut(w.vecs[u], kcur, run, w.leafF) //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
+	default:
+		// Recompute t_u below level u from the source (Algorithms 7 and
+		// 8).
+		for c := cLo; c < cHi; c++ {
+			w.ob.AddHadamard(int(tree.FidLevel(u)[c]), kcur, w.down(u, c)) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
+		}
+	}
 }

@@ -280,6 +280,52 @@ func (o *OutBufThread) RunScatter(k, a []float64, gm *tensor.Matrix, r fiberRun)
 	}
 }
 
+// NodeOut adds each node of a node run into its output row: the node's
+// fibers summed and folded from +0 into t, then k ⊙ t added into row
+// nids[n]. A private slab takes the fused two-level call; other buffers
+// take runHad, then AddHadamard, node by node.
+func (o *OutBufThread) NodeOut(t, child, k []float64, fm *tensor.Matrix, nr nodeRun, f *tensor.Matrix) {
+	if o.slab != nil {
+		o.ops.nodeOut(o.slab, t, child, k, fm, nr, f)
+		return
+	}
+	for n, nid := range nr.nids {
+		o.ops.zero(t)
+		o.ops.runHad(t, child, fm, nr.run(n), f) //gate:allow bounds node n's fiber window from the node pointers, data-dependent
+		o.AddHadamard(int(nid), k, t)
+	}
+}
+
+// NodePushOut pushes each node of a node run down to its fibers' output
+// rows: kn = a ⊙ gm.Row(nids[n]), then RunOut over the node's fibers with
+// kn. A private slab takes the fused two-level call; other buffers take
+// hadamardInto, then RunOut, node by node.
+func (o *OutBufThread) NodePushOut(kn, child, a []float64, gm *tensor.Matrix, nr nodeRun, f *tensor.Matrix) {
+	if o.slab != nil {
+		o.ops.nodePushOut(o.slab, kn, child, a, gm, nr, f)
+		return
+	}
+	for n, nid := range nr.nids {
+		o.ops.hadamardInto(kn, a, gm.Row(int(nid))) //gate:allow bounds node row addressed by a stored fiber id, data-dependent
+		o.RunOut(child, kn, nr.run(n), f)
+	}
+}
+
+// NodePushScatter pushes each node of a node run down to its leaves: kn =
+// a ⊙ gm.Row(nids[n]), then RunScatter over the node's fibers with kn. A
+// private slab takes the fused two-level call; other buffers take
+// hadamardInto, then RunScatter, node by node.
+func (o *OutBufThread) NodePushScatter(kf, kn, a []float64, gm, fm *tensor.Matrix, nr nodeRun) {
+	if o.slab != nil {
+		o.ops.nodePushScatter(o.slab, kf, kn, a, gm, fm, nr)
+		return
+	}
+	for n, nid := range nr.nids {
+		o.ops.hadamardInto(kn, a, gm.Row(int(nid))) //gate:allow bounds node row addressed by a stored fiber id, data-dependent
+		o.RunScatter(kf, kn, fm, nr.run(n))
+	}
+}
+
 // AddHadamard accumulates a ⊙ bv into row `row` on behalf of thread th.
 // Engines with per-call scatter (the COO baselines) use this form; the CSF
 // kernels hoist a Thread handle instead.

@@ -69,83 +69,111 @@ func RootMTTKRPWith(tree *csf.Tree, factors []*tensor.Matrix, out *tensor.Matrix
 	sc.shadow.end()
 }
 
-// rootGeneric is the order-agnostic recursive root kernel.
+// rootGeneric is the order-agnostic recursive root kernel. At T == 1 it
+// calls the thread body directly, as the specialisations do, so a launch
+// allocates nothing.
 func rootGeneric(tree *csf.Tree, factors []*tensor.Matrix, out *tensor.Matrix, partials *Partials, part *sched.Partition, sc *Scratch) {
-	d := tree.Order()
-	bound := sc.bound
-	par.Do(part.T, func(th int) {
-		s := part.Start[th]
-		e := part.Own[th+1] // exclusive end of touched nodes per level
-		ownLo := part.Own[th]
-		if s[0] >= e[0] {
-			return // thread has no leaves
-		}
-		// One accumulator per level, reused depth-first.
-		tmp := make([][]float64, d-1)
-		for l := range tmp {
-			tmp[l] = sc.vec(th, l) //gate:allow bounds scratch slots are sized to the order
-		}
-		// Rebind the primitives to the scratch's set (vec.go); the names
-		// shadow the generic package functions on purpose.
-		zero, hadamardAccum, fiberSum, fiberHad, runHad := sc.ops.zero, sc.ops.hadamardAccum, sc.ops.fiberSum, sc.ops.fiberHad, sc.ops.runHad
-		vals, leafFids, leafF := tree.ValsLevel(), tree.FidLevel(d-1), factors[d-1]
-		// window returns node n's child range at level l+1, clamped to the
-		// thread's nodes and never reversed.
-		window := func(l int, n int64) (int64, int64) {
-			lo := maxI64(tree.PtrLevel(l)[n], s[l+1])                 //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
-			return lo, max(lo, minI64(tree.PtrLevel(l)[n+1], e[l+1])) //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
-		}
-		var rec func(l int, n int64)
-		rec = func(l int, n int64) {
-			tl := tmp[l]
-			cLo, cHi := window(l, n)
-			if l+1 == d-1 {
-				// Order 2: the root's children are the leaves.
-				fiberSum(tl, vals[cLo:cHi], leafFids[cLo:cHi], leafF) //gate:allow bounds leaf window from the fiber pointers, data-dependent
-				return
-			}
-			zero(tl)
-			if l+2 == d-1 && !partials.Save[l+1] { //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
-				// The children are level d-2 fibers with no memo: their
-				// leaf sums and fold-ups in one call.
-				runHad(tl, tmp[l+1], factors[l+1], runOf(tree, l+1, cLo, cHi, s[d-1], e[d-1]), leafF) //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
-				return
-			}
-			for c := cLo; c < cHi; c++ {
-				child := tmp[l+1]                                   //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
-				g := factors[l+1].Row(int(tree.FidLevel(l + 1)[c])) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
-				if l+2 == d-1 {
-					// The child is a level d-2 fiber whose sum the memo
-					// copy below needs: one call for its leaf sum and
-					// fold-up.
-					kLo, kHi := window(l+1, c)
-					fiberHad(tl, child, g, vals[kLo:kHi], leafFids[kLo:kHi], leafF) //gate:allow bounds leaf window from the fiber pointers, data-dependent
-				} else {
-					rec(l+1, c)
-					hadamardAccum(tl, child, g)
-				}
-				if partials.Save[l+1] { //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
-					if c >= ownLo[l+1] { //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
-						sc.shadow.own(th, l+1, c)
-						copy(partials.P[l+1].Row(int(c)), child) //gate:allow bounds memoized partial row addressed by node id, data-dependent
-					} else {
-						sc.shadow.boundary(th, l+1, c)
-						copy(bound[l+1].Row(th), child) //gate:allow bounds boundary replica row per level, sized to the order
-					}
-				}
-			}
-		}
-		for n := s[0]; n < e[0]; n++ {
-			rec(0, n)
-			if n >= ownLo[0] { //gate:allow bounds ownLo is sized to the order; constant level index
-				sc.shadow.own(th, 0, n)
-				copy(out.Row(int(tree.FidLevel(0)[n])), tmp[0]) //gate:allow bounds output row addressed by stored fiber id, data-dependent
-			} else {
-				sc.shadow.boundary(th, 0, n)
-				copy(bound[0].Row(th), tmp[0]) //gate:allow bounds boundary replica row, one per thread
-			}
-		}
+	if part.T == 1 {
+		rootGenericThread(0, tree, factors, out, partials, part, sc)
+		return
+	}
+	par.Do(part.T, func(th int) { //gate:allow escape multi-threaded launch; the T==1 path above stays allocation-free
+		rootGenericThread(th, tree, factors, out, partials, part, sc)
 	})
+}
+
+// rootWalk is one thread's generic root walk. Its methods are the
+// recursion, on a value that stays on the thread's stack, so the walk
+// builds no closures.
+type rootWalk struct {
+	tree        *csf.Tree
+	factors     []*tensor.Matrix
+	partials    *Partials
+	sc          *Scratch
+	ops         *vecOps
+	th, d       int
+	s, e, ownLo []int64
+	tmp         [][]float64 // one accumulator per level, reused depth-first
+	vals        []float64
+	leafFids    []int32
+	leafF       *tensor.Matrix
+}
+
+// rootGenericThread is thread th's share of the generic root-mode MTTKRP.
+func rootGenericThread(th int, tree *csf.Tree, factors []*tensor.Matrix, out *tensor.Matrix, partials *Partials, part *sched.Partition, sc *Scratch) {
+	s := part.Start[th]
+	e := part.Own[th+1] // exclusive end of touched nodes per level
+	ownLo := part.Own[th]
+	if s[0] >= e[0] {
+		return // thread has no leaves
+	}
+	d := tree.Order()
+	w := rootWalk{
+		tree: tree, factors: factors, partials: partials, sc: sc, ops: &sc.ops,
+		th: th, d: d, s: s, e: e, ownLo: ownLo,
+		tmp:  sc.levelVecs(th),
+		vals: tree.ValsLevel(), leafFids: tree.FidLevel(d - 1), leafF: factors[d-1], //gate:allow bounds leaf level hoisted once per launch; d-1 is the tree's last level
+	}
+	for n := s[0]; n < e[0]; n++ {
+		w.rec(0, n)
+		if n >= ownLo[0] { //gate:allow bounds ownLo is sized to the order; constant level index
+			sc.shadow.own(th, 0, n)
+			copy(out.Row(int(tree.FidLevel(0)[n])), w.tmp[0]) //gate:allow bounds output row addressed by stored fiber id, data-dependent
+		} else {
+			sc.shadow.boundary(th, 0, n)
+			copy(sc.bound[0].Row(th), w.tmp[0]) //gate:allow bounds boundary replica row, one per thread
+		}
+	}
+}
+
+// window returns node n's child range at level l+1, clamped to the
+// thread's nodes and never reversed.
+func (w *rootWalk) window(l int, n int64) (int64, int64) {
+	lo := maxI64(w.tree.PtrLevel(l)[n], w.s[l+1])
+	return lo, max(lo, minI64(w.tree.PtrLevel(l)[n+1], w.e[l+1]))
+}
+
+// rec computes t_l for node n at level l into tmp[l], storing the memo
+// rows of the saved levels below it.
+func (w *rootWalk) rec(l int, n int64) {
+	tree, factors, partials, d := w.tree, w.factors, w.partials, w.d
+	tl := w.tmp[l]
+	cLo, cHi := w.window(l, n)
+	if l+1 == d-1 {
+		// Order 2: the root's children are the leaves.
+		w.ops.fiberSum(tl, w.vals[cLo:cHi], w.leafFids[cLo:cHi], w.leafF) //gate:allow bounds leaf window from the fiber pointers, data-dependent
+		return
+	}
+	w.ops.zero(tl)
+	if l+2 == d-1 && !partials.Save[l+1] { //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
+		// The children are level d-2 fibers with no memo: their
+		// leaf sums and fold-ups in one call.
+		w.ops.runHad(tl, w.tmp[l+1], factors[l+1], runOf(tree, l+1, cLo, cHi, w.s[d-1], w.e[d-1]), w.leafF) //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
+		return
+	}
+	for c := cLo; c < cHi; c++ {
+		child := w.tmp[l+1]                                 //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
+		g := factors[l+1].Row(int(tree.FidLevel(l + 1)[c])) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
+		if l+2 == d-1 {
+			// The child is a level d-2 fiber whose sum the memo
+			// copy below needs: one call for its leaf sum and
+			// fold-up.
+			kLo, kHi := w.window(l+1, c)                                                //gate:allow bounds fiber pointers indexed by a partition-clamped node id, data-dependent
+			w.ops.fiberHad(tl, child, g, w.vals[kLo:kHi], w.leafFids[kLo:kHi], w.leafF) //gate:allow bounds leaf window from the fiber pointers, data-dependent
+		} else {
+			w.rec(l+1, c)
+			w.ops.hadamardAccum(tl, child, g)
+		}
+		if partials.Save[l+1] { //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
+			if c >= w.ownLo[l+1] { //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
+				w.sc.shadow.own(w.th, l+1, c)
+				copy(partials.P[l+1].Row(int(c)), child) //gate:allow bounds memoized partial row addressed by node id, data-dependent
+			} else {
+				w.sc.shadow.boundary(w.th, l+1, c)
+				copy(w.sc.bound[l+1].Row(w.th), child) //gate:allow bounds boundary replica row per level, sized to the order
+			}
+		}
+	}
 }
 
 // mergeBoundaries folds the per-thread boundary replica rows into the

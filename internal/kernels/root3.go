@@ -146,45 +146,53 @@ func root4Thread(th int, tree *csf.Tree, factors []*tensor.Matrix, out *tensor.M
 	t2 := sc.vec(th, 2)
 	// Rebind the primitives to the scratch's set (vec.go); the names shadow
 	// the generic package functions on purpose.
-	zero, hadamardAccum, fiberHad, runHad := sc.ops.zero, sc.ops.hadamardAccum, sc.ops.fiberHad, sc.ops.runHad
+	zero, hadamardAccum, fiberHad, runHad, nodeHad := sc.ops.zero, sc.ops.hadamardAccum, sc.ops.fiberHad, sc.ops.runHad, sc.ops.nodeHad
 	for n0 := s[0]; n0 < e[0]; n0++ {
 		zero(t0)
 		c1Lo := maxI64(ptr0[n0], s1)   //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
 		c1Hi := minI64(ptr0[n0+1], e1) //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
-		for n1 := c1Lo; n1 < c1Hi; n1++ {
-			zero(t1)
-			c2Lo := maxI64(ptr1[n1], s2)              //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
-			c2Hi := max(c2Lo, minI64(ptr1[n1+1], e2)) //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
-			if !save2 {
-				// No memo at level 2: the whole run of level-2 fibers
-				// in one call. A memo needs each fiber's sum: one call
-				// per fiber, then its copy.
-				runHad(t1, t2, f2, fiberRun{mids: fids2[c2Lo:c2Hi], ptr: ptr2[c2Lo : c2Hi+1], kMin: s3, kMax: e3, vals: vals, fids: fids3}, f3) //gate:allow bounds run of fibers from the fiber pointers, data-dependent
-			} else {
-				for n2 := c2Lo; n2 < c2Hi; n2++ {
-					c3Lo := maxI64(ptr2[n2], s3)                               //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
-					c3Hi := max(c3Lo, minI64(ptr2[n2+1], e3))                  //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
-					g := f2.Row(int(fids2[n2]))                                //gate:allow bounds factor row addressed by stored fiber id, data-dependent
-					fiberHad(t1, t2, g, vals[c3Lo:c3Hi], fids3[c3Lo:c3Hi], f3) //gate:allow bounds leaf window from the fiber pointers, data-dependent
-					if n2 >= own2 {
-						sc.shadow.own(th, 2, n2)
-						copy(partials.P[2].Row(int(n2)), t2) //gate:allow bounds memoized partial row addressed by node id, data-dependent
-					} else {
-						sc.shadow.boundary(th, 2, n2)
-						copy(bnd2, t2)
+		if !save1 && !save2 {
+			// No memo at level 1 or 2: every level-1 child's run of
+			// level-2 fibers, and its fold into t0, in one call.
+			c1Hi = max(c1Lo, c1Hi)
+			nodeHad(t0, t1, t2, f1, f2, nodeRun{nids: fids1[c1Lo:c1Hi], ptr: ptr1[c1Lo : c1Hi+1], cMin: s2, cMax: e2, //gate:allow bounds run of nodes from the fiber pointers, data-dependent
+				fibers: fiberRun{mids: fids2, ptr: ptr2, kMin: s3, kMax: e3, vals: vals, fids: fids3}}, f3)
+		} else {
+			for n1 := c1Lo; n1 < c1Hi; n1++ {
+				zero(t1)
+				c2Lo := maxI64(ptr1[n1], s2)              //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
+				c2Hi := max(c2Lo, minI64(ptr1[n1+1], e2)) //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
+				if !save2 {
+					// No memo at level 2: the whole run of level-2 fibers
+					// in one call. A memo needs each fiber's sum: one call
+					// per fiber, then its copy.
+					runHad(t1, t2, f2, fiberRun{mids: fids2[c2Lo:c2Hi], ptr: ptr2[c2Lo : c2Hi+1], kMin: s3, kMax: e3, vals: vals, fids: fids3}, f3) //gate:allow bounds run of fibers from the fiber pointers, data-dependent
+				} else {
+					for n2 := c2Lo; n2 < c2Hi; n2++ {
+						c3Lo := maxI64(ptr2[n2], s3)                               //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
+						c3Hi := max(c3Lo, minI64(ptr2[n2+1], e3))                  //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
+						g := f2.Row(int(fids2[n2]))                                //gate:allow bounds factor row addressed by stored fiber id, data-dependent
+						fiberHad(t1, t2, g, vals[c3Lo:c3Hi], fids3[c3Lo:c3Hi], f3) //gate:allow bounds leaf window from the fiber pointers, data-dependent
+						if n2 >= own2 {
+							sc.shadow.own(th, 2, n2)
+							copy(partials.P[2].Row(int(n2)), t2) //gate:allow bounds memoized partial row addressed by node id, data-dependent
+						} else {
+							sc.shadow.boundary(th, 2, n2)
+							copy(bnd2, t2)
+						}
 					}
 				}
-			}
-			if save1 {
-				if n1 >= own1 {
-					sc.shadow.own(th, 1, n1)
-					copy(partials.P[1].Row(int(n1)), t1) //gate:allow bounds memoized partial row addressed by node id, data-dependent
-				} else {
-					sc.shadow.boundary(th, 1, n1)
-					copy(bnd1, t1)
+				if save1 {
+					if n1 >= own1 {
+						sc.shadow.own(th, 1, n1)
+						copy(partials.P[1].Row(int(n1)), t1) //gate:allow bounds memoized partial row addressed by node id, data-dependent
+					} else {
+						sc.shadow.boundary(th, 1, n1)
+						copy(bnd1, t1)
+					}
 				}
+				hadamardAccum(t0, t1, f1.Row(int(fids1[n1]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
 			}
-			hadamardAccum(t0, t1, f1.Row(int(fids1[n1]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
 		}
 		if n0 >= own0 {
 			sc.shadow.own(th, 0, n0)

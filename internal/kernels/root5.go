@@ -55,7 +55,7 @@ func root5Thread(th int, tree *csf.Tree, factors []*tensor.Matrix, out *tensor.M
 	t3 := sc.vec(th, 3)
 	// Rebind the primitives to the scratch's set (vec.go); the names shadow
 	// the generic package functions on purpose.
-	zero, hadamardAccum, fiberHad, runHad := sc.ops.zero, sc.ops.hadamardAccum, sc.ops.fiberHad, sc.ops.runHad
+	zero, hadamardAccum, fiberHad, runHad, nodeHad := sc.ops.zero, sc.ops.hadamardAccum, sc.ops.fiberHad, sc.ops.runHad, sc.ops.nodeHad
 	for n0 := s[0]; n0 < e[0]; n0++ {
 		zero(t0)
 		c1Lo := maxI64(ptr0[n0], s1)   //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
@@ -64,28 +64,36 @@ func root5Thread(th int, tree *csf.Tree, factors []*tensor.Matrix, out *tensor.M
 			zero(t1)
 			c2Lo := maxI64(ptr1[n1], s2)   //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
 			c2Hi := minI64(ptr1[n1+1], e2) //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
-			for n2 := c2Lo; n2 < c2Hi; n2++ {
-				zero(t2)
-				c3Lo := maxI64(ptr2[n2], s3)              //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
-				c3Hi := max(c3Lo, minI64(ptr2[n2+1], e3)) //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
-				if !save3 {
-					// No memo at level 3: the whole run of level-3
-					// fibers in one call. A memo needs each fiber's
-					// sum: one call per fiber, then its copy.
-					runHad(t2, t3, f3, fiberRun{mids: fids3[c3Lo:c3Hi], ptr: ptr3[c3Lo : c3Hi+1], kMin: s4, kMax: e4, vals: vals, fids: fids4}, f4) //gate:allow bounds run of fibers from the fiber pointers, data-dependent
-				} else {
-					for n3 := c3Lo; n3 < c3Hi; n3++ {
-						c4Lo := maxI64(ptr3[n3], s4)                               //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
-						c4Hi := max(c4Lo, minI64(ptr3[n3+1], e4))                  //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
-						g := f3.Row(int(fids3[n3]))                                //gate:allow bounds factor row addressed by stored fiber id, data-dependent
-						fiberHad(t2, t3, g, vals[c4Lo:c4Hi], fids4[c4Lo:c4Hi], f4) //gate:allow bounds leaf window from the fiber pointers, data-dependent
-						store(3, n3, ownLo, t3)                                    //gate:allow bounds memo row vs boundary replica chosen by a data-dependent owner test
+			if !save2 && !save3 {
+				// No memo at level 2 or 3: every level-2 child's run of
+				// level-3 fibers, and its fold into t1, in one call.
+				c2Hi = max(c2Lo, c2Hi)
+				nodeHad(t1, t2, t3, f2, f3, nodeRun{nids: fids2[c2Lo:c2Hi], ptr: ptr2[c2Lo : c2Hi+1], cMin: s3, cMax: e3, //gate:allow bounds run of nodes from the fiber pointers, data-dependent
+					fibers: fiberRun{mids: fids3, ptr: ptr3, kMin: s4, kMax: e4, vals: vals, fids: fids4}}, f4)
+			} else {
+				for n2 := c2Lo; n2 < c2Hi; n2++ {
+					zero(t2)
+					c3Lo := maxI64(ptr2[n2], s3)              //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
+					c3Hi := max(c3Lo, minI64(ptr2[n2+1], e3)) //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
+					if !save3 {
+						// No memo at level 3: the whole run of level-3
+						// fibers in one call. A memo needs each fiber's
+						// sum: one call per fiber, then its copy.
+						runHad(t2, t3, f3, fiberRun{mids: fids3[c3Lo:c3Hi], ptr: ptr3[c3Lo : c3Hi+1], kMin: s4, kMax: e4, vals: vals, fids: fids4}, f4) //gate:allow bounds run of fibers from the fiber pointers, data-dependent
+					} else {
+						for n3 := c3Lo; n3 < c3Hi; n3++ {
+							c4Lo := maxI64(ptr3[n3], s4)                               //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
+							c4Hi := max(c4Lo, minI64(ptr3[n3+1], e4))                  //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
+							g := f3.Row(int(fids3[n3]))                                //gate:allow bounds factor row addressed by stored fiber id, data-dependent
+							fiberHad(t2, t3, g, vals[c4Lo:c4Hi], fids4[c4Lo:c4Hi], f4) //gate:allow bounds leaf window from the fiber pointers, data-dependent
+							store(3, n3, ownLo, t3)                                    //gate:allow bounds memo row vs boundary replica chosen by a data-dependent owner test
+						}
 					}
+					if save2 {
+						store(2, n2, ownLo, t2) //gate:allow bounds memo row vs boundary replica chosen by a data-dependent owner test
+					}
+					hadamardAccum(t1, t2, f2.Row(int(fids2[n2]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
 				}
-				if save2 {
-					store(2, n2, ownLo, t2) //gate:allow bounds memo row vs boundary replica chosen by a data-dependent owner test
-				}
-				hadamardAccum(t1, t2, f2.Row(int(fids2[n2]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
 			}
 			if save1 {
 				store(1, n1, ownLo, t1) //gate:allow bounds memo row vs boundary replica chosen by a data-dependent owner test

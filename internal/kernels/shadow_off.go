@@ -12,11 +12,12 @@ import "stef/internal/sched"
 // outside the partition's declared boundary set.
 type shadowState struct{}
 
-func (*shadowState) begin(*sched.Partition)            {}
-func (*shadowState) end()                              {}
-func (*shadowState) own(th, level int, id int64)       {}
-func (*shadowState) ownRun(th, level int, r *fiberRun) {}
-func (*shadowState) boundary(th, l int, id int64)      {}
+func (*shadowState) begin(*sched.Partition)                {}
+func (*shadowState) end()                                  {}
+func (*shadowState) own(th, level int, id int64)           {}
+func (*shadowState) ownRun(th, level int, r *fiberRun)     {}
+func (*shadowState) ownNodeRun(th, level int, nr *nodeRun) {}
+func (*shadowState) boundary(th, l int, id int64)          {}
 
 // outbufShadow is the disabled form of the accumulation-plan oracle: in
 // normal builds the OutBuf hooks below inline to nothing. With

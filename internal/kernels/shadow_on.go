@@ -79,6 +79,15 @@ func (s *shadowState) ownRun(th, level int, r *fiberRun) {
 	}
 }
 
+// ownNodeRun records own(th, level, k) for every leaf k of every fiber of
+// every node of a node run: the per-leaf claims of one two-level call.
+func (s *shadowState) ownNodeRun(th, level int, nr *nodeRun) {
+	for n := range nr.nids {
+		r := nr.run(n)
+		s.ownRun(th, level, &r)
+	}
+}
+
 // boundary records a store of level-l node id through thread th's boundary
 // replica row and checks it against the partition's declaration.
 func (s *shadowState) boundary(th, l int, id int64) {

@@ -129,3 +129,53 @@ func TestDispatchUsesSpecialized(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeFallbackMatchesGeneric holds the order-4 and order-5 non-root
+// walks on planned buffers to the generic walk. A private slab takes the
+// fused two-level calls; hybrid and atomic buffers take the output
+// buffer's node-by-node fallback. At T = 1 every strategy must match the
+// generic walk bit for bit; at T = 3, where CAS adds land in any order,
+// both must match the reference.
+func TestNodeFallbackMatchesGeneric(t *testing.T) {
+	for _, dims := range [][]int{{6, 5, 9, 8}, {4, 5, 6, 7, 8}} {
+		tt := tensor.Random(dims, 600, []float64{1.5, 0, 0, 0, 0}[:len(dims)], 19)
+		d := len(dims)
+		tree := csf.Build(tt, nil)
+		factors := tensor.RandomFactors(tt.Dims, 6, 3)
+		lf := LevelFactors(factors, tree.Perm())
+		save := make([]bool, d)
+		for _, threads := range []int{1, 3} {
+			part := sched.NewPartition(tree, threads)
+			partials := NewPartials(tree, 6, save)
+			RootMTTKRP(tree, lf, tensor.NewMatrix(tree.Dim(0), 6), partials, part)
+			for u := 1; u < d; u++ {
+				rw := censusFor(tree, part, save, u)
+				for _, strat := range []AccumStrategy{AccumPriv, AccumHybrid, AccumAtomic} {
+					ctx := fmt.Sprintf("dims=%v T=%d u=%d %v", dims, threads, u, strat)
+					run := func(generic bool) *tensor.Matrix {
+						buf := NewOutBufPlanned(PlanAccum(rw, 6, threads, strat, int64(2*threads*6)))
+						buf.Reset()
+						if generic {
+							modeGeneric(tree, lf, u, partials.SourceLevel(u), partials, buf, part, NewScratch(d, 6, threads))
+						} else {
+							ModeMTTKRP(tree, lf, u, partials, buf, part)
+						}
+						got := tensor.NewMatrix(tree.Dim(u), 6)
+						buf.Reduce(got)
+						return got
+					}
+					spec, gen := run(false), run(true)
+					if threads == 1 {
+						if diff := spec.MaxAbsDiff(gen); diff != 0 {
+							t.Fatalf("%s: specialised differs from generic by %g", ctx, diff)
+						}
+						continue
+					}
+					want := Reference(tt, factors, tree.Perm()[u])
+					relClose(t, spec, want, ctx+" specialised")
+					relClose(t, gen, want, ctx+" generic")
+				}
+			}
+		}
+	}
+}

@@ -10,12 +10,16 @@
 //
 // Every walk ends in the fiber primitives below: one call per run of
 // sibling level d-2 fibers sums their leaves and applies the fold-up or
-// push-down that consumes each sum. Where the CPU has AVX2 they run as
-// assembly (vec_amd64.s) that keeps each sum in registers, bit-identical
-// to the Go forms here.
+// push-down that consumes each sum. The order-4 and order-5 walks end one
+// level higher, in one call per level d-4 node that does so for each of
+// its level d-3 children. Where the CPU has AVX2 they run as assembly
+// (vec_amd64.s) that keeps each sum in registers, bit-identical to the Go
+// forms here.
 package kernels
 
 import (
+	"strconv"
+
 	"stef/internal/cpu"
 	"stef/internal/csf"
 	"stef/internal/tensor"
@@ -119,7 +123,9 @@ func hadamardInto(dst, a, b []float64) {
 // The fiber primitives below do a whole CSF fiber's work in one call: the
 // leaf sum of Algorithms 4–8 together with the fold-up or push-down that
 // consumes it. The run forms do it for a run of sibling fibers, the
-// children of one level d-3 node, so a walk's innermost loop is one call.
+// children of one level d-3 node, so a walk's innermost loop is one call;
+// the two-level forms further down do it for every level d-3 child of one
+// level d-4 node.
 // The Go forms are exactly the per-row calls they replace, in the same
 // order, so they are the oracle the AVX2 forms (vec_amd64.s) are held to
 // bit for bit; those keep each fiber's sum in registers and write it once.
@@ -208,35 +214,133 @@ func runScatter(out *tensor.Matrix, k, a []float64, gm *tensor.Matrix, r fiberRu
 	}
 }
 
+// The two-level run forms below take one level d-4 node's whole share of
+// the walk: its run of level d-3 children, each with its own run of level
+// d-2 fibers. Each sums a child's fibers exactly as the one-level forms
+// do, then uses the child's result in place: nodeHad folds it into the
+// parent's accumulator, nodeOut adds it, times k, into the child's output
+// row, and nodePushOut and nodePushScatter push k_n = a ⊙ g[n] down to
+// the fibers' output rows or to the leaf scatter. The Go forms are the
+// one-level calls the walks made per child, in the same order.
+
+// nodeRun is a run of sibling level d-3 nodes: their ids nids and their
+// fiber pointers ptr (one more than nids). fibers is the whole level d-2
+// below them, its mids and ptr indexed by fiber number, with the leaf
+// clamp of the thread. Node n's fibers are [ptr[n], ptr[n+1]) clamped to
+// [cMin, cMax), the thread's level d-2 range, and never reversed.
+type nodeRun struct {
+	nids       []int32
+	ptr        []int64
+	cMin, cMax int64
+	fibers     fiberRun
+}
+
+// nodeRunOf returns the run of level-l nodes [lo, hi), whose grandchildren
+// are the tree's leaves (l+2 is the last level), with fiber windows
+// clamped to [cMin, cMax) and leaf windows to [kMin, kMax).
+func nodeRunOf(tree *csf.Tree, l int, lo, hi, cMin, cMax, kMin, kMax int64) nodeRun {
+	return nodeRun{
+		nids: tree.FidLevel(l)[lo:hi],
+		ptr:  tree.PtrLevel(l)[lo : hi+1],
+		cMin: cMin, cMax: cMax,
+		fibers: fiberRun{
+			mids: tree.FidLevel(l + 1),
+			ptr:  tree.PtrLevel(l + 1),
+			kMin: kMin, kMax: kMax,
+			vals: tree.ValsLevel(),
+			fids: tree.FidLevel(l + 2),
+		},
+	}
+}
+
+// run returns node n's run of level d-2 fibers.
+func (nr *nodeRun) run(n int) fiberRun {
+	lo := max(nr.ptr[n], nr.cMin)
+	hi := max(lo, min(nr.ptr[n+1], nr.cMax))
+	r := nr.fibers
+	r.mids, r.ptr = r.mids[lo:hi], r.ptr[lo:hi+1]
+	return r
+}
+
+// nodeHad folds every node of nr into dst: for each node n in order,
+// t = +0, runHad(t, child, fm, n's fibers, f), then dst += t ⊙
+// gm.Row(nids[n]). An empty node still folds +0 ⊙ g into dst.
+func nodeHad(dst, t, child []float64, gm, fm *tensor.Matrix, nr nodeRun, f *tensor.Matrix) {
+	for n, nid := range nr.nids {
+		zero(t)
+		runHad(t, child, fm, nr.run(n), f)      //gate:allow bounds node n's fiber window from the node pointers, data-dependent
+		hadamardAccum(dst, t, gm.Row(int(nid))) //gate:allow bounds node row addressed by a stored fiber id, data-dependent
+	}
+}
+
+// nodeOut adds every node of nr into its own output row: for each node n
+// in order, t = +0, runHad(t, child, fm, n's fibers, f), then
+// out.Row(nids[n]) += k ⊙ t.
+func nodeOut(out *tensor.Matrix, t, child, k []float64, fm *tensor.Matrix, nr nodeRun, f *tensor.Matrix) {
+	for n, nid := range nr.nids {
+		zero(t)
+		runHad(t, child, fm, nr.run(n), f)     //gate:allow bounds node n's fiber window from the node pointers, data-dependent
+		hadamardAccum(out.Row(int(nid)), k, t) //gate:allow bounds output row addressed by a stored fiber id, data-dependent
+	}
+}
+
+// nodePushOut pushes every node of nr down to its fibers' output rows: for
+// each node n in order, kn = a ⊙ gm.Row(nids[n]), then runOut(out, child,
+// kn, n's fibers, f).
+func nodePushOut(out *tensor.Matrix, kn, child, a []float64, gm *tensor.Matrix, nr nodeRun, f *tensor.Matrix) {
+	for n, nid := range nr.nids {
+		hadamardInto(kn, a, gm.Row(int(nid))) //gate:allow bounds node row addressed by a stored fiber id, data-dependent
+		runOut(out, child, kn, nr.run(n), f)
+	}
+}
+
+// nodePushScatter pushes every node of nr down to its leaves: for each
+// node n in order, kn = a ⊙ gm.Row(nids[n]), then runScatter(out, kf, kn,
+// fm, n's fibers).
+func nodePushScatter(out *tensor.Matrix, kf, kn, a []float64, gm, fm *tensor.Matrix, nr nodeRun) {
+	for n, nid := range nr.nids {
+		hadamardInto(kn, a, gm.Row(int(nid))) //gate:allow bounds node row addressed by a stored fiber id, data-dependent
+		runScatter(out, kf, kn, fm, nr.run(n))
+	}
+}
+
 // vecOps bundles the rank-vector and fiber primitives. A Scratch or OutBuf
 // picks its set once at construction via opsFor; kernels rebind the
 // primitive names to the chosen set at the top of each thread body, so a
-// fiber or a run pays one indirect call and the selection never appears in
-// a loop.
+// fiber, a run or a node run pays one indirect call and the selection
+// never appears in a loop.
 type vecOps struct {
-	zero          func(v []float64)
-	addScaled     func(dst []float64, s float64, src []float64)
-	hadamardAccum func(dst, a, b []float64)
-	hadamardInto  func(dst, a, b []float64)
-	fiberSum      func(child, vals []float64, fids []int32, f *tensor.Matrix)
-	fiberHad      func(dst, child, g, vals []float64, fids []int32, f *tensor.Matrix)
-	runHad        func(dst, child []float64, gm *tensor.Matrix, r fiberRun, f *tensor.Matrix)
-	runOut        func(out *tensor.Matrix, child, g []float64, r fiberRun, f *tensor.Matrix)
-	runScatter    func(out *tensor.Matrix, k, a []float64, gm *tensor.Matrix, r fiberRun)
+	zero            func(v []float64)
+	addScaled       func(dst []float64, s float64, src []float64)
+	hadamardAccum   func(dst, a, b []float64)
+	hadamardInto    func(dst, a, b []float64)
+	fiberSum        func(child, vals []float64, fids []int32, f *tensor.Matrix)
+	fiberHad        func(dst, child, g, vals []float64, fids []int32, f *tensor.Matrix)
+	runHad          func(dst, child []float64, gm *tensor.Matrix, r fiberRun, f *tensor.Matrix)
+	runOut          func(out *tensor.Matrix, child, g []float64, r fiberRun, f *tensor.Matrix)
+	runScatter      func(out *tensor.Matrix, k, a []float64, gm *tensor.Matrix, r fiberRun)
+	nodeHad         func(dst, t, child []float64, gm, fm *tensor.Matrix, nr nodeRun, f *tensor.Matrix)
+	nodeOut         func(out *tensor.Matrix, t, child, k []float64, fm *tensor.Matrix, nr nodeRun, f *tensor.Matrix)
+	nodePushOut     func(out *tensor.Matrix, kn, child, a []float64, gm *tensor.Matrix, nr nodeRun, f *tensor.Matrix)
+	nodePushScatter func(out *tensor.Matrix, kf, kn, a []float64, gm, fm *tensor.Matrix, nr nodeRun)
 }
 
 // genericVecOps is the portable set: the Go loops above. It is also the
 // race-build set and the oracle the SIMD set is tested against.
 var genericVecOps = vecOps{
-	zero:          zero,
-	addScaled:     addScaled,
-	hadamardAccum: hadamardAccum,
-	hadamardInto:  hadamardInto,
-	fiberSum:      fiberSum,
-	fiberHad:      fiberHad,
-	runHad:        runHad,
-	runOut:        runOut,
-	runScatter:    runScatter,
+	zero:            zero,
+	addScaled:       addScaled,
+	hadamardAccum:   hadamardAccum,
+	hadamardInto:    hadamardInto,
+	fiberSum:        fiberSum,
+	fiberHad:        fiberHad,
+	runHad:          runHad,
+	runOut:          runOut,
+	runScatter:      runScatter,
+	nodeHad:         nodeHad,
+	nodeOut:         nodeOut,
+	nodePushOut:     nodePushOut,
+	nodePushScatter: nodePushScatter,
 }
 
 // opsFor selects the primitive set for a new Scratch or OutBuf, at any
@@ -251,9 +355,13 @@ func opsFor() vecOps {
 }
 
 // KernelPath names, for Describe, the walk the root and non-root kernels
-// take on an order-d tree and the primitive set opsFor selects in this
-// build on this CPU, with the reason when it is the Go forms.
-func KernelPath(d int) (walk, prims string) {
+// take on an order-d tree planned with memo set save, how deep the fiber
+// runs of the walks that read the leaves reach, and the primitive set
+// opsFor selects in this build on this CPU, with the reason when it is the
+// Go forms. The order-4 and order-5 walks end in two-level runs, except a
+// root walk with a memo at level d-3 or d-2, which needs each child's sum;
+// the order-3 and generic walks end in one-level runs.
+func KernelPath(d int, save []bool) (walk, runs, prims string) {
 	switch d {
 	case 3:
 		walk = "order-3 specialisation"
@@ -264,14 +372,27 @@ func KernelPath(d int) (walk, prims string) {
 	default:
 		walk = "generic walk"
 	}
+	runs = "one-level fiber runs"
+	if d == 4 || d == 5 {
+		runs = "two-level fiber runs"
+		lo, hi := strconv.Itoa(d-3), strconv.Itoa(d-2)
+		switch saveLo, saveHi := d-3 < len(save) && save[d-3], d-2 < len(save) && save[d-2]; {
+		case saveLo && saveHi:
+			runs += ", one-level in the root walk (memos at levels " + lo + " and " + hi + ")"
+		case saveLo:
+			runs += ", one-level in the root walk (memo at level " + lo + ")"
+		case saveHi:
+			runs += ", one-level in the root walk (memo at level " + hi + ")"
+		}
+	}
 	_, ok := simdVecOps()
 	switch {
 	case ok && !cpu.RaceBuild:
-		return walk, "AVX2 fiber primitives"
+		return walk, runs, "AVX2 fiber primitives"
 	case ok:
-		return walk, "Go forms (race build)"
+		return walk, runs, "Go forms (race build)"
 	}
-	return walk, "Go forms (no AVX2)"
+	return walk, runs, "Go forms (no AVX2)"
 }
 
 func minI64(a, b int64) int64 {

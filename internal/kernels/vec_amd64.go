@@ -24,31 +24,50 @@ func hadamardAccumAVX2(dst, a, b []float64)
 //go:noescape
 func hadamardIntoAVX2(dst, a, b []float64)
 
-// fiberRunAsm sums, for each fiber c of a run, child = Σₖ vals[k]·f[fids[k]]
-// over the rows×len(child) matrix f, for the leaves k in [ptr[c],
-// ptr[c+1]) clamped to [kmin, kmax). With fold it then folds the sum into
-// v with row mids[c] of the mrows×len(child) matrix m, or, with rowDst,
-// into that row with v. It reports false when a fid or a mid is out of
-// range; the caller guarantees the rest (see runShapeOK).
+// nodeRunAsm walks a run of nodes, each with its run of fibers (see the
+// comment in vec_amd64.s). For each node n it applies the node action:
+// nodeNone folds the fibers straight into v; nodeFoldV and nodeFoldRow
+// set t = +0, fold the fibers into t, then fold t into v with row
+// nids[n] of the nmrows×len(child) matrix nm, or into that row with v;
+// nodePush sets t = v ⊙ that row and folds the fibers into t. Each fiber
+// c sums child = Σₖ vals[k]·f[fids[k]] over the rows×len(child) matrix f
+// for the leaves k in [ptr[c], ptr[c+1]) clamped to [kmin, kmax); with
+// fold it then folds the sum with row mids[c] of the mrows×len(child)
+// matrix m, into the node's target or, with rowDst, into that row. Node
+// n's fibers are [nptr[n], nptr[n+1]) clamped to [cmin, cmax). It reports
+// false when a node id, fiber id or leaf id is out of range; the caller
+// guarantees the rest (see nodeShapeOK).
 //
-//asm:writes v child m
+//asm:writes v t child m nm
 //go:noescape
-func fiberRunAsm(v, child, m []float64, mrows int, mids []int32, ptr []int64, kmin, kmax int, vals []float64, fids []int32, f []float64, rows int, rowDst, fold bool) (ok bool)
+func nodeRunAsm(v, t, child, m []float64, mrows int, nm []float64, nmrows int, nids []int32, nptr []int64, cmin, cmax int, mids []int32, ptr []int64, kmin, kmax int, vals []float64, fids []int32, f []float64, rows int, rowDst, fold bool, node uint8) (ok bool)
 
-// fiberRunScatterAsm computes, for each fiber c of a run clamped as in
-// fiberRunAsm, k = a ⊙ row mids[c] of gm, then adds vals[j]·k into row
-// fids[j] of the orows×len(k) matrix out, leaf by leaf. It reports false
-// when a fid or a mid is out of range; no row outside out is written.
+// The node actions of nodeRunAsm.
+const (
+	nodeNone    uint8 = iota // the one-level forms: one node, no node row
+	nodeFoldV                // nodeHad: v += t ⊙ h
+	nodeFoldRow              // nodeOut: h += v ⊙ t
+	nodePush                 // nodePushOut: t = v ⊙ h, pushed down
+)
+
+// nodeRunScatterAsm computes, for each node n of a run clamped as in
+// nodeRunAsm, with push, t = a ⊙ row nids[n] of nm, then for each of the
+// node's fibers c, k = t (or a, without push) ⊙ row mids[c] of gm, and
+// adds vals[j]·k into row fids[j] of the orows×len(k) matrix out, leaf by
+// leaf. It reports false when an id is out of range; no row outside out
+// is written.
 //
-//asm:writes out k
+//asm:writes out k t
 //go:noescape
-func fiberRunScatterAsm(out []float64, orows int, k, a, gm []float64, grows int, mids []int32, ptr []int64, kmin, kmax int, vals []float64, fids []int32) (ok bool)
+func nodeRunScatterAsm(out []float64, orows int, k, a, t, nm []float64, nmrows int, nids []int32, nptr []int64, cmin, cmax int, gm []float64, grows int, mids []int32, ptr []int64, kmin, kmax int, vals []float64, fids []int32, push bool) (ok bool)
 
 // The fiber wrappers check what the assembly relies on: the rank R is
 // len(child) or len(k), every other rank vector holds at least R values,
-// the matrix stride is R and its data covers every row. The assembly
-// checks each fid itself, since it indexes rows without Go's bounds
-// checks, and the wrapper panics on its flag as Row would.
+// each matrix's stride is R and its data covers every row, and every
+// window lies in its arrays. The assembly checks each id itself, since it
+// indexes rows without Go's bounds checks, and the wrapper panics on its
+// flag as Row would. The one-level forms are one node, nodeNone, whose
+// window [0, len(mids)) is the whole run.
 
 // fiberSumAVX2 is the AVX2 form of fiberSum: a run of one fiber, not
 // folded.
@@ -56,8 +75,8 @@ func fiberSumAVX2(child, vals []float64, fids []int32, f *tensor.Matrix) {
 	if !fiberShapeOK(len(child), len(child), len(child), len(vals), len(fids), f) {
 		badFiberShape(len(child), len(child), len(child), len(vals), len(fids), f)
 	}
-	mids, ptr := [1]int32{}, [2]int64{0, int64(len(vals))}
-	if !fiberRunAsm(nil, child, child, 1, mids[:], ptr[:], 0, len(vals), vals, fids, f.Data, f.Rows, false, false) {
+	nids, nptr, mids, ptr := [1]int32{}, [2]int64{0, 1}, [1]int32{}, [2]int64{0, int64(len(vals))}
+	if !nodeRunAsm(nil, nil, child, child, 1, nil, 0, nids[:], nptr[:], 0, 1, mids[:], ptr[:], 0, len(vals), vals, fids, f.Data, f.Rows, false, false, nodeNone) {
 		badFid(fids[:len(vals)], f.Rows)
 	}
 }
@@ -68,8 +87,8 @@ func fiberHadAVX2(dst, child, g, vals []float64, fids []int32, f *tensor.Matrix)
 	if !fiberShapeOK(len(child), len(dst), len(g), len(vals), len(fids), f) {
 		badFiberShape(len(child), len(dst), len(g), len(vals), len(fids), f)
 	}
-	mids, ptr := [1]int32{}, [2]int64{0, int64(len(vals))}
-	if !fiberRunAsm(dst, child, g, 1, mids[:], ptr[:], 0, len(vals), vals, fids, f.Data, f.Rows, false, true) {
+	nids, nptr, mids, ptr := [1]int32{}, [2]int64{0, 1}, [1]int32{}, [2]int64{0, int64(len(vals))}
+	if !nodeRunAsm(dst, nil, child, g, 1, nil, 0, nids[:], nptr[:], 0, 1, mids[:], ptr[:], 0, len(vals), vals, fids, f.Data, f.Rows, false, true, nodeNone) {
 		badFid(fids[:len(vals)], f.Rows)
 	}
 }
@@ -79,7 +98,8 @@ func runHadAVX2(dst, child []float64, gm *tensor.Matrix, r fiberRun, f *tensor.M
 	if !fiberShapeOK(len(child), len(dst), len(child), 0, 0, gm) || !runShapeOK(len(child), r, f) {
 		badRunShape(len(child), len(dst), gm, r, f)
 	}
-	if !fiberRunAsm(dst, child, gm.Data, gm.Rows, r.mids, r.ptr, int(r.kMin), int(r.kMax), r.vals, r.fids, f.Data, f.Rows, false, true) {
+	nids, nptr := [1]int32{}, [2]int64{0, int64(len(r.mids))}
+	if !nodeRunAsm(dst, nil, child, gm.Data, gm.Rows, nil, 0, nids[:], nptr[:], 0, len(r.mids), r.mids, r.ptr, int(r.kMin), int(r.kMax), r.vals, r.fids, f.Data, f.Rows, false, true, nodeNone) {
 		badRunID(r, gm.Rows, f.Rows)
 	}
 }
@@ -89,7 +109,8 @@ func runOutAVX2(out *tensor.Matrix, child, g []float64, r fiberRun, f *tensor.Ma
 	if !fiberShapeOK(len(child), len(g), len(child), 0, 0, out) || !runShapeOK(len(child), r, f) {
 		badRunShape(len(child), len(g), out, r, f)
 	}
-	if !fiberRunAsm(g, child, out.Data, out.Rows, r.mids, r.ptr, int(r.kMin), int(r.kMax), r.vals, r.fids, f.Data, f.Rows, true, true) {
+	nids, nptr := [1]int32{}, [2]int64{0, int64(len(r.mids))}
+	if !nodeRunAsm(g, nil, child, out.Data, out.Rows, nil, 0, nids[:], nptr[:], 0, len(r.mids), r.mids, r.ptr, int(r.kMin), int(r.kMax), r.vals, r.fids, f.Data, f.Rows, true, true, nodeNone) {
 		badRunID(r, out.Rows, f.Rows)
 	}
 }
@@ -99,8 +120,57 @@ func runScatterAVX2(out *tensor.Matrix, k, a []float64, gm *tensor.Matrix, r fib
 	if !fiberShapeOK(len(k), len(a), len(k), 0, 0, gm) || !runShapeOK(len(k), r, out) {
 		badRunShape(len(k), len(a), gm, r, out)
 	}
-	if !fiberRunScatterAsm(out.Data, out.Rows, k, a, gm.Data, gm.Rows, r.mids, r.ptr, int(r.kMin), int(r.kMax), r.vals, r.fids) {
+	nids, nptr := [1]int32{}, [2]int64{0, int64(len(r.mids))}
+	if !nodeRunScatterAsm(out.Data, out.Rows, k, a, nil, nil, 0, nids[:], nptr[:], 0, len(r.mids), gm.Data, gm.Rows, r.mids, r.ptr, int(r.kMin), int(r.kMax), r.vals, r.fids, false) {
 		badRunID(r, gm.Rows, out.Rows)
+	}
+}
+
+// nodeHadAVX2 is the AVX2 form of nodeHad.
+func nodeHadAVX2(dst, t, child []float64, gm, fm *tensor.Matrix, nr nodeRun, f *tensor.Matrix) {
+	r := len(child)
+	if !fiberShapeOK(r, len(dst), len(t), 0, 0, gm) || !nodeShapeOK(r, &nr, fm, f) {
+		badNodeShape(r, len(dst), len(t), gm, fm, &nr, f)
+	}
+	fb := &nr.fibers
+	if !nodeRunAsm(dst, t, child, fm.Data, fm.Rows, gm.Data, gm.Rows, nr.nids, nr.ptr, int(nr.cMin), int(nr.cMax), fb.mids, fb.ptr, int(fb.kMin), int(fb.kMax), fb.vals, fb.fids, f.Data, f.Rows, false, true, nodeFoldV) {
+		badNodeID(&nr, gm.Rows, fm.Rows, f.Rows)
+	}
+}
+
+// nodeOutAVX2 is the AVX2 form of nodeOut.
+func nodeOutAVX2(out *tensor.Matrix, t, child, k []float64, fm *tensor.Matrix, nr nodeRun, f *tensor.Matrix) {
+	r := len(child)
+	if !fiberShapeOK(r, len(k), len(t), 0, 0, out) || !nodeShapeOK(r, &nr, fm, f) {
+		badNodeShape(r, len(k), len(t), out, fm, &nr, f)
+	}
+	fb := &nr.fibers
+	if !nodeRunAsm(k, t, child, fm.Data, fm.Rows, out.Data, out.Rows, nr.nids, nr.ptr, int(nr.cMin), int(nr.cMax), fb.mids, fb.ptr, int(fb.kMin), int(fb.kMax), fb.vals, fb.fids, f.Data, f.Rows, false, true, nodeFoldRow) {
+		badNodeID(&nr, out.Rows, fm.Rows, f.Rows)
+	}
+}
+
+// nodePushOutAVX2 is the AVX2 form of nodePushOut.
+func nodePushOutAVX2(out *tensor.Matrix, kn, child, a []float64, gm *tensor.Matrix, nr nodeRun, f *tensor.Matrix) {
+	r := len(child)
+	if !fiberShapeOK(r, len(a), len(kn), 0, 0, gm) || !nodeShapeOK(r, &nr, out, f) {
+		badNodeShape(r, len(a), len(kn), gm, out, &nr, f)
+	}
+	fb := &nr.fibers
+	if !nodeRunAsm(a, kn, child, out.Data, out.Rows, gm.Data, gm.Rows, nr.nids, nr.ptr, int(nr.cMin), int(nr.cMax), fb.mids, fb.ptr, int(fb.kMin), int(fb.kMax), fb.vals, fb.fids, f.Data, f.Rows, true, true, nodePush) {
+		badNodeID(&nr, gm.Rows, out.Rows, f.Rows)
+	}
+}
+
+// nodePushScatterAVX2 is the AVX2 form of nodePushScatter.
+func nodePushScatterAVX2(out *tensor.Matrix, kf, kn, a []float64, gm, fm *tensor.Matrix, nr nodeRun) {
+	r := len(kf)
+	if !fiberShapeOK(r, len(a), len(kn), 0, 0, gm) || !nodeShapeOK(r, &nr, fm, out) {
+		badNodeShape(r, len(a), len(kn), gm, fm, &nr, out)
+	}
+	fb := &nr.fibers
+	if !nodeRunScatterAsm(out.Data, out.Rows, kf, a, kn, gm.Data, gm.Rows, nr.nids, nr.ptr, int(nr.cMin), int(nr.cMax), fm.Data, fm.Rows, fb.mids, fb.ptr, int(fb.kMin), int(fb.kMax), fb.vals, fb.fids, true) {
+		badNodeID(&nr, gm.Rows, fm.Rows, out.Rows)
 	}
 }
 
@@ -131,6 +201,23 @@ func badRunShape(rank, lv int, gm *tensor.Matrix, r fiberRun, m *tensor.Matrix) 
 		rank, lv, gm.Rows, gm.Cols, len(gm.Data), m.Rows, m.Cols, len(m.Data), len(r.mids), len(r.ptr), r.kMin, r.kMax, len(r.vals), len(r.fids)))
 }
 
+// nodeShapeOK reports whether node run nr can be walked without Go's
+// checks: ptr holds a pointer past every node and 0 <= cMin <= cMax <=
+// len(mids), so every fiber window lies in the level's arrays; fm, the
+// fibers' matrix, is a dense r-column matrix; and the fibers pass
+// runShapeOK with lm, the leaves' matrix.
+func nodeShapeOK(rank int, nr *nodeRun, fm, lm *tensor.Matrix) bool {
+	return len(nr.ptr) > len(nr.nids) && 0 <= nr.cMin && nr.cMin <= nr.cMax && nr.cMax <= int64(len(nr.fibers.mids)) &&
+		fiberShapeOK(rank, rank, rank, 0, 0, fm) && runShapeOK(rank, nr.fibers, lm)
+}
+
+func badNodeShape(rank, la, lb int, nm, fm *tensor.Matrix, nr *nodeRun, lm *tensor.Matrix) {
+	r := &nr.fibers
+	panic(fmt.Sprintf("kernels: node run shapes: rank %d, vectors %d and %d, matrices %dx%d over %d, %dx%d over %d and %dx%d over %d values, %d nodes over %d pointers, fibers [%d, %d) of %d over %d pointers, leaves [%d, %d) of %d values and %d fids",
+		rank, la, lb, nm.Rows, nm.Cols, len(nm.Data), fm.Rows, fm.Cols, len(fm.Data), lm.Rows, lm.Cols, len(lm.Data),
+		len(nr.nids), len(nr.ptr), nr.cMin, nr.cMax, len(r.mids), len(r.ptr), r.kMin, r.kMax, len(r.vals), len(r.fids)))
+}
+
 // badRunID panics naming the first fiber id of r outside [0, mrows) or
 // leaf id outside [0, lrows).
 func badRunID(r fiberRun, mrows, lrows int) {
@@ -143,6 +230,28 @@ func badRunID(r fiberRun, mrows, lrows int) {
 		checkFids(r.fids[lo:hi], lrows)
 	}
 	panic("kernels: fiber run flagged an id out of range, but none is")
+}
+
+// badNodeID panics naming the first node id of nr outside [0, nmrows), or
+// the first fiber id outside [0, mrows) or leaf id outside [0, lrows) of
+// the nodes' fibers, node by node in order.
+func badNodeID(nr *nodeRun, nmrows, mrows, lrows int) {
+	for n, nid := range nr.nids {
+		if nid < 0 || int(nid) >= nmrows {
+			//lint:allow hotpath-alloc cold panic path, once per bad node id
+			panic(fmt.Sprintf("kernels: node id %d out of range [0, %d)", nid, nmrows))
+		}
+		r := nr.run(n)
+		for c, mid := range r.mids {
+			if mid < 0 || int(mid) >= mrows {
+				//lint:allow hotpath-alloc cold panic path, once per bad fid
+				panic(fmt.Sprintf("kernels: fiber id %d out of range [0, %d)", mid, mrows))
+			}
+			lo, hi := r.window(c)
+			checkFids(r.fids[lo:hi], lrows)
+		}
+	}
+	panic("kernels: node run flagged an id out of range, but none is")
 }
 
 // badFid panics naming the first of fids outside [0, rows), as Row would
@@ -166,14 +275,18 @@ func checkFids(fids []int32, rows int) {
 // stays the Go loop, which already lowers to the runtime's memclr.
 func simdVecOps() (vecOps, bool) {
 	return vecOps{
-		zero:          zero,
-		addScaled:     addScaledAVX2,
-		hadamardAccum: hadamardAccumAVX2,
-		hadamardInto:  hadamardIntoAVX2,
-		fiberSum:      fiberSumAVX2,
-		fiberHad:      fiberHadAVX2,
-		runHad:        runHadAVX2,
-		runOut:        runOutAVX2,
-		runScatter:    runScatterAVX2,
+		zero:            zero,
+		addScaled:       addScaledAVX2,
+		hadamardAccum:   hadamardAccumAVX2,
+		hadamardInto:    hadamardIntoAVX2,
+		fiberSum:        fiberSumAVX2,
+		fiberHad:        fiberHadAVX2,
+		runHad:          runHadAVX2,
+		runOut:          runOutAVX2,
+		runScatter:      runScatterAVX2,
+		nodeHad:         nodeHadAVX2,
+		nodeOut:         nodeOutAVX2,
+		nodePushOut:     nodePushOutAVX2,
+		nodePushScatter: nodePushScatterAVX2,
 	}, cpu.AVX2
 }

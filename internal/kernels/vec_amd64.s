@@ -213,78 +213,174 @@ hi1:
 hiDone:
 	RET
 
-// The fiber primitives (vec_amd64.go) take a run of sibling fibers (one
-// fiber for fiberSum and fiberHad) and keep each fiber's sum in YMM
-// registers, one column block at a time: 32 columns, then 16, then 4, then
-// a VEX-encoded scalar tail, with one VZEROUPPER on the way out. Within a
-// block the leaves run in order, so every element sees the Go forms' IEEE
-// operations in the Go forms' order: a VMULPD lane then a VADDPD lane,
-// never an FMA, starting from +0. Columns do not interact, so the blocking
-// changes no bit. Each leaf and fiber id is sign-extended and checked
-// against the row count with one unsigned compare (a negative id fails it
-// too) before its row is read; row offsets are 64-bit products.
-
-// func fiberRunAsm(v, child, m []float64, mrows int, mids []int32, ptr []int64, kmin, kmax int, vals []float64, fids []int32, f []float64, rows int, rowDst, fold bool) (ok bool)
+// The fiber primitives (vec_amd64.go) take a run of sibling level d-3
+// nodes, each with its run of level d-2 fibers; the one-level forms pass
+// one node whose window is their whole run. They keep each fiber's sum in
+// YMM registers, one column block at a time: 32 columns, then 16, then 4,
+// then a VEX-encoded scalar tail, with one VZEROUPPER on the way out.
+// Within a block the leaves run in order, so every element sees the Go
+// forms' IEEE operations in the Go forms' order: a VMULPD lane then a
+// VADDPD lane, never an FMA, starting from +0. Columns do not interact, so
+// the blocking changes no bit. Each node, fiber and leaf id is
+// sign-extended and checked against its row count with one unsigned
+// compare (a negative id fails it too) before its row is read; row
+// offsets are 64-bit products.
 //
-// One call per run of sibling fibers c < len(mids): fiber c's leaves are
-// [ptr[c], ptr[c+1]) clamped to [kmin, kmax) and never reversed, their
-// sum child = Σₖ vals[k]·f[fids[k]] over the rows×len(child) matrix f
-// goes to child, and then, with fold, dst += child ⊙ g, where g is row
-// mids[c] of the mrows×len(child) matrix m and dst is v, or, with
-// rowDst, dst is that row of m and g is v. The caller guarantees
-// 0 <= kmin, kmax <= len(vals) <= len(fids) and len(ptr) > len(mids), so
-// every window lies inside vals; the fids and mids are checked here.
+// Node n's fibers are [nptr[n], nptr[n+1]) clamped to [cmin, cmax) and
+// fiber c's leaves [ptr[c], ptr[c+1]) clamped to [kmin, kmax), neither
+// ever reversed. The caller guarantees len(nptr) > len(nids), 0 <= cmin
+// <= cmax <= len(mids) < len(ptr) and 0 <= kmin <= kmax <= len(vals) <=
+// len(fids), so every window lies inside its arrays; the ids are checked
+// here.
+
+// func nodeRunAsm(v, t, child, m []float64, mrows int, nm []float64, nmrows int, nids []int32, nptr []int64, cmin, cmax int, mids []int32, ptr []int64, kmin, kmax int, vals []float64, fids []int32, f []float64, rows int, rowDst, fold bool, node uint8) (ok bool)
+//
+// One call per run of nodes n < len(nids). With h row nids[n] of the
+// nmrows×len(child) matrix nm, the node action is one of:
+//
+//	node 0: the fibers fold into w = v (the one-level forms; h unread);
+//	node 1: t = +0, the fibers fold into w = t, then v += t ⊙ h;
+//	node 2: t = +0, the fibers fold into w = t, then h += v ⊙ t;
+//	node 3: t = v ⊙ h, then the fibers fold into w = t.
+//
+// Each fiber c of the node sums child = Σₖ vals[k]·f[fids[k]] over the
+// rows×len(child) matrix f, and then, with fold, folds it with row mids[c]
+// of the mrows×len(child) matrix m: w += child ⊙ row, or, with rowDst,
+// row += child ⊙ w. An empty node still takes its node action.
 //
 // Per fiber: DI dst, DX g, SI child (all advancing by block), R8 vals,
 // R9 fids (both advancing by leaf), R10 f, R11 rows, R12 row stride in
 // bytes, R13 column offset in bytes, CX the window's length, BX leaves
-// left, AX the leaf's row. The window's start sits in the locals.
-TEXT ·fiberRunAsm(SB), NOSPLIT, $32-233
-	MOVQ    child_len+32(FP), R12
+// left, AX the leaf's row. The node cursor, the node's next and end
+// fibers, the leaf window's start and length, w and h sit in the locals.
+// The fiber loop stops when its cursor reaches the end, so it relies on
+// the clamp never to reverse a node's window.
+TEXT ·nodeRunAsm(SB), NOSPLIT, $64-353
+	MOVQ    child_len+56(FP), R12
 	SHLQ    $3, R12
-	MOVQ    f_base+192(FP), R10
-	MOVQ    rows+216(FP), R11
-	MOVQ    $0, c-8(SP)
+	MOVQ    f_base+312(FP), R10
+	MOVQ    rows+336(FP), R11
+	MOVQ    $0, n-40(SP)
 
-frFiber:
-	MOVQ    c-8(SP), AX
-	CMPQ    AX, mids_len+88(FP)
-	JGE     frDone
-	MOVQ    ptr_base+104(FP), BX
+nrNode:
+	MOVQ    n-40(SP), AX
+	CMPQ    AX, nids_len+144(FP)
+	JGE     nrDone
+	MOVQ    nptr_base+160(FP), BX
 	MOVQ    (BX)(AX*8), CX
 	MOVQ    8(BX)(AX*8), DX
-	MOVQ    kmin+128(FP), SI
+	MOVQ    cmin+184(FP), SI
 	CMPQ    CX, SI
 	CMOVQLT SI, CX
-	MOVQ    kmax+136(FP), SI
+	MOVQ    cmax+192(FP), SI
+	CMPQ    DX, SI
+	CMOVQGT SI, DX
+	CMPQ    DX, CX
+	CMOVQLT CX, DX
+	MOVQ    CX, c-8(SP)
+	MOVQ    DX, chi-48(SP)
+	MOVQ    v_base+0(FP), DI
+	MOVQ    DI, w-56(SP)
+	MOVBLZX node+346(FP), BX
+	TESTQ   BX, BX
+	JZ      nrFiber
+	MOVQ    nids_base+136(FP), SI
+	MOVLQSX (SI)(AX*4), DX
+	CMPQ    DX, nmrows+128(FP)
+	JAE     nrBad
+	IMULQ   R12, DX
+	ADDQ    nm_base+104(FP), DX
+	MOVQ    DX, h-64(SP)
+	MOVQ    t_base+24(FP), DI
+	MOVQ    DI, w-56(SP)
+	CMPQ    BX, $3
+	JEQ     nrPush
+	VXORPD  Y0, Y0, Y0
+	MOVQ    R12, BX
+
+nrZero4:
+	CMPQ    BX, $32
+	JLT     nrZero1
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	SUBQ    $32, BX
+	JMP     nrZero4
+
+nrZero1:
+	TESTQ   BX, BX
+	JZ      nrFiber
+	VMOVSD  X0, (DI)
+	ADDQ    $8, DI
+	SUBQ    $8, BX
+	JMP     nrZero1
+
+nrPush:
+	MOVQ    v_base+0(FP), SI
+	MOVQ    R12, BX
+
+nrPush4:
+	CMPQ    BX, $32
+	JLT     nrPush1
+	VMOVUPD (SI), Y0
+	VMULPD  (DX), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	SUBQ    $32, BX
+	JMP     nrPush4
+
+nrPush1:
+	TESTQ   BX, BX
+	JZ      nrFiber
+	VMOVSD  (SI), X0
+	VMULSD  (DX), X0, X0
+	VMOVSD  X0, (DI)
+	ADDQ    $8, SI
+	ADDQ    $8, DX
+	ADDQ    $8, DI
+	SUBQ    $8, BX
+	JMP     nrPush1
+
+nrFiber:
+	MOVQ    c-8(SP), AX
+	CMPQ    AX, chi-48(SP)
+	JEQ     nrPost
+	MOVQ    ptr_base+224(FP), BX
+	MOVQ    (BX)(AX*8), CX
+	MOVQ    8(BX)(AX*8), DX
+	MOVQ    kmin+248(FP), SI
+	CMPQ    CX, SI
+	CMOVQLT SI, CX
+	MOVQ    kmax+256(FP), SI
 	CMPQ    DX, SI
 	CMOVQGT SI, DX
 	CMPQ    DX, CX
 	CMOVQLT CX, DX
 	SUBQ    CX, DX
 	MOVQ    DX, wn-32(SP)
-	MOVQ    vals_base+144(FP), SI
+	MOVQ    vals_base+264(FP), SI
 	LEAQ    (SI)(CX*8), SI
 	MOVQ    SI, wv-16(SP)
-	MOVQ    fids_base+168(FP), SI
+	MOVQ    fids_base+288(FP), SI
 	LEAQ    (SI)(CX*4), SI
 	MOVQ    SI, wf-24(SP)
-	MOVQ    mids_base+80(FP), SI
+	MOVQ    mids_base+200(FP), SI
 	MOVLQSX (SI)(AX*4), BX
-	CMPQ    BX, mrows+72(FP)
-	JAE     frBad
+	CMPQ    BX, mrows+96(FP)
+	JAE     nrBad
 	IMULQ   R12, BX
-	ADDQ    m_base+48(FP), BX
-	MOVQ    v_base+0(FP), DI
+	ADDQ    m_base+72(FP), BX
+	MOVQ    w-56(SP), DI
 	MOVQ    BX, DX
-	MOVBLZX rowDst+224(FP), CX
+	MOVBLZX rowDst+344(FP), CX
 	TESTQ   CX, CX
-	JZ      frSet
+	JZ      nrSet
 	MOVQ    DI, DX
 	MOVQ    BX, DI
 
-frSet:
-	MOVQ    child_base+24(FP), SI
+nrSet:
+	MOVQ    child_base+48(FP), SI
 	MOVQ    wn-32(SP), CX
 	XORQ    R13, R13
 
@@ -310,7 +406,7 @@ fr32:
 fr32leaf:
 	MOVLQSX (R9), AX
 	CMPQ    AX, R11
-	JAE     frBad
+	JAE     nrBad
 	IMULQ   R12, AX
 	ADDQ    R10, AX
 	ADDQ    R13, AX
@@ -345,7 +441,7 @@ fr32store:
 	VMOVUPD Y5, 160(SI)
 	VMOVUPD Y6, 192(SI)
 	VMOVUPD Y7, 224(SI)
-	MOVBLZX fold+225(FP), AX
+	MOVBLZX fold+345(FP), AX
 	TESTQ   AX, AX
 	JZ      fr32next
 	VMULPD  0(DX), Y0, Y0
@@ -396,7 +492,7 @@ fr16:
 fr16leaf:
 	MOVLQSX (R9), AX
 	CMPQ    AX, R11
-	JAE     frBad
+	JAE     nrBad
 	IMULQ   R12, AX
 	ADDQ    R10, AX
 	ADDQ    R13, AX
@@ -419,7 +515,7 @@ fr16store:
 	VMOVUPD Y1, 32(SI)
 	VMOVUPD Y2, 64(SI)
 	VMOVUPD Y3, 96(SI)
-	MOVBLZX fold+225(FP), AX
+	MOVBLZX fold+345(FP), AX
 	TESTQ   AX, AX
 	JZ      fr16next
 	VMULPD  0(DX), Y0, Y0
@@ -456,7 +552,7 @@ fr4:
 fr4leaf:
 	MOVLQSX (R9), AX
 	CMPQ    AX, R11
-	JAE     frBad
+	JAE     nrBad
 	IMULQ   R12, AX
 	ADDQ    R10, AX
 	ADDQ    R13, AX
@@ -470,7 +566,7 @@ fr4leaf:
 
 fr4store:
 	VMOVUPD Y0, 0(SI)
-	MOVBLZX fold+225(FP), AX
+	MOVBLZX fold+345(FP), AX
 	TESTQ   AX, AX
 	JZ      fr4next
 	VMULPD  0(DX), Y0, Y0
@@ -500,7 +596,7 @@ fr1:
 fr1leaf:
 	MOVLQSX (R9), AX
 	CMPQ    AX, R11
-	JAE     frBad
+	JAE     nrBad
 	IMULQ   R12, AX
 	ADDQ    R10, AX
 	ADDQ    R13, AX
@@ -514,7 +610,7 @@ fr1leaf:
 
 fr1store:
 	VMOVSD  X0, (SI)
-	MOVBLZX fold+225(FP), AX
+	MOVBLZX fold+345(FP), AX
 	TESTQ   AX, AX
 	JZ      fr1next
 	VMULSD  (DX), X0, X0
@@ -530,66 +626,176 @@ fr1next:
 
 frNext:
 	INCQ    c-8(SP)
-	JMP     frFiber
+	JMP     nrFiber
 
-frDone:
+// Node actions 1 and 2 fold t into v with h, or into h with v, as
+// hadamardAccum does: DI += SI ⊙ DX, four columns at a time, then the
+// scalar tail.
+nrPost:
+	MOVBLZX node+346(FP), BX
+	CMPQ    BX, $1
+	JEQ     nrFoldV
+	CMPQ    BX, $2
+	JNE     nrNextNode
+	MOVQ    h-64(SP), DI
+	MOVQ    v_base+0(FP), SI
+	MOVQ    t_base+24(FP), DX
+	JMP     nrAcc
+
+nrFoldV:
+	MOVQ    v_base+0(FP), DI
+	MOVQ    t_base+24(FP), SI
+	MOVQ    h-64(SP), DX
+
+nrAcc:
+	MOVQ    R12, BX
+
+nrAcc4:
+	CMPQ    BX, $32
+	JLT     nrAcc1
+	VMOVUPD (SI), Y0
+	VMULPD  (DX), Y0, Y0
+	VADDPD  (DI), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	SUBQ    $32, BX
+	JMP     nrAcc4
+
+nrAcc1:
+	TESTQ   BX, BX
+	JZ      nrNextNode
+	VMOVSD  (SI), X0
+	VMULSD  (DX), X0, X0
+	VADDSD  (DI), X0, X0
+	VMOVSD  X0, (DI)
+	ADDQ    $8, SI
+	ADDQ    $8, DX
+	ADDQ    $8, DI
+	SUBQ    $8, BX
+	JMP     nrAcc1
+
+nrNextNode:
+	INCQ    n-40(SP)
+	JMP     nrNode
+
+nrDone:
 	VZEROUPPER
-	MOVB    $1, ok+232(FP)
+	MOVB    $1, ok+352(FP)
 	RET
 
-frBad:
+nrBad:
 	VZEROUPPER
-	MOVB    $0, ok+232(FP)
+	MOVB    $0, ok+352(FP)
 	RET
 
-// func fiberRunScatterAsm(out []float64, orows int, k, a, gm []float64, grows int, mids []int32, ptr []int64, kmin, kmax int, vals []float64, fids []int32) (ok bool)
+// func nodeRunScatterAsm(out []float64, orows int, k, a, t, nm []float64, nmrows int, nids []int32, nptr []int64, cmin, cmax int, gm []float64, grows int, mids []int32, ptr []int64, kmin, kmax int, vals []float64, fids []int32, push bool) (ok bool)
 //
-// One call per run of sibling fibers c < len(mids), windows as in
-// fiberRunAsm: k = a ⊙ row mids[c] of the grows×len(k) matrix gm, then
+// One call per run of nodes n < len(nids), windows as in nodeRunAsm. With
+// push, t = a ⊙ row nids[n] of the nmrows×len(k) matrix nm and w = t;
+// otherwise w = a (the one-level form; nm unread). Then for each fiber c
+// of the node, k = w ⊙ row mids[c] of the grows×len(k) matrix gm, and
 // vals[j]·k is added into row fids[j] of the orows×len(k) matrix out, leaf
 // by leaf, so a row repeated in the run is updated in leaf order.
 //
-// Per fiber: R10 the g row, SI k, DX a (all advancing by block); DI out,
+// Per fiber: R10 the g row, SI k, DX w (all advancing by block); DI out,
 // R11 orows, R12 the row stride in bytes, R13 the column offset, CX the
 // window length, R8, R9, BX leaf cursors, AX the leaf's output row.
-TEXT ·fiberRunScatterAsm(SB), NOSPLIT, $32-225
+TEXT ·nodeRunScatterAsm(SB), NOSPLIT, $64-353
 	MOVQ    out_base+0(FP), DI
 	MOVQ    orows+24(FP), R11
 	MOVQ    k_len+40(FP), R12
 	SHLQ    $3, R12
-	MOVQ    $0, c-8(SP)
+	MOVQ    $0, n-40(SP)
+
+rsNode:
+	MOVQ    n-40(SP), AX
+	CMPQ    AX, nids_len+144(FP)
+	JGE     rsDone
+	MOVQ    nptr_base+160(FP), BX
+	MOVQ    (BX)(AX*8), CX
+	MOVQ    8(BX)(AX*8), DX
+	MOVQ    cmin+184(FP), SI
+	CMPQ    CX, SI
+	CMOVQLT SI, CX
+	MOVQ    cmax+192(FP), SI
+	CMPQ    DX, SI
+	CMOVQGT SI, DX
+	CMPQ    DX, CX
+	CMOVQLT CX, DX
+	MOVQ    CX, c-8(SP)
+	MOVQ    DX, chi-48(SP)
+	MOVQ    a_base+56(FP), SI
+	MOVQ    SI, w-56(SP)
+	MOVBLZX push+344(FP), BX
+	TESTQ   BX, BX
+	JZ      rsFiber
+	MOVQ    nids_base+136(FP), R8
+	MOVLQSX (R8)(AX*4), DX
+	CMPQ    DX, nmrows+128(FP)
+	JAE     rsBad
+	IMULQ   R12, DX
+	ADDQ    nm_base+104(FP), DX
+	MOVQ    t_base+80(FP), R8
+	MOVQ    R8, w-56(SP)
+	MOVQ    R12, BX
+
+rsPush4:
+	CMPQ    BX, $32
+	JLT     rsPush1
+	VMOVUPD (SI), Y0
+	VMULPD  (DX), Y0, Y0
+	VMOVUPD Y0, (R8)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, R8
+	SUBQ    $32, BX
+	JMP     rsPush4
+
+rsPush1:
+	TESTQ   BX, BX
+	JZ      rsFiber
+	VMOVSD  (SI), X0
+	VMULSD  (DX), X0, X0
+	VMOVSD  X0, (R8)
+	ADDQ    $8, SI
+	ADDQ    $8, DX
+	ADDQ    $8, R8
+	SUBQ    $8, BX
+	JMP     rsPush1
 
 rsFiber:
 	MOVQ    c-8(SP), AX
-	CMPQ    AX, mids_len+120(FP)
-	JGE     rsDone
-	MOVQ    ptr_base+136(FP), BX
+	CMPQ    AX, chi-48(SP)
+	JEQ     rsNextNode
+	MOVQ    ptr_base+256(FP), BX
 	MOVQ    (BX)(AX*8), CX
 	MOVQ    8(BX)(AX*8), DX
-	MOVQ    kmin+160(FP), SI
+	MOVQ    kmin+280(FP), SI
 	CMPQ    CX, SI
 	CMOVQLT SI, CX
-	MOVQ    kmax+168(FP), SI
+	MOVQ    kmax+288(FP), SI
 	CMPQ    DX, SI
 	CMOVQGT SI, DX
 	CMPQ    DX, CX
 	CMOVQLT CX, DX
 	SUBQ    CX, DX
 	MOVQ    DX, wn-32(SP)
-	MOVQ    vals_base+176(FP), SI
+	MOVQ    vals_base+296(FP), SI
 	LEAQ    (SI)(CX*8), SI
 	MOVQ    SI, wv-16(SP)
-	MOVQ    fids_base+200(FP), SI
+	MOVQ    fids_base+320(FP), SI
 	LEAQ    (SI)(CX*4), SI
 	MOVQ    SI, wf-24(SP)
-	MOVQ    mids_base+112(FP), SI
+	MOVQ    mids_base+232(FP), SI
 	MOVLQSX (SI)(AX*4), R10
-	CMPQ    R10, grows+104(FP)
+	CMPQ    R10, grows+224(FP)
 	JAE     rsBad
 	IMULQ   R12, R10
-	ADDQ    gm_base+80(FP), R10
+	ADDQ    gm_base+200(FP), R10
 	MOVQ    k_base+32(FP), SI
-	MOVQ    a_base+56(FP), DX
+	MOVQ    w-56(SP), DX
 	MOVQ    wn-32(SP), CX
 	XORQ    R13, R13
 
@@ -800,12 +1006,16 @@ rsNext:
 	INCQ    c-8(SP)
 	JMP     rsFiber
 
+rsNextNode:
+	INCQ    n-40(SP)
+	JMP     rsNode
+
 rsDone:
 	VZEROUPPER
-	MOVB    $1, ok+224(FP)
+	MOVB    $1, ok+352(FP)
 	RET
 
 rsBad:
 	VZEROUPPER
-	MOVB    $0, ok+224(FP)
+	MOVB    $0, ok+352(FP)
 	RET

@@ -178,8 +178,8 @@ func TestOpsForSelection(t *testing.T) {
 		want = simd
 	}
 	ptrs := func(o vecOps) string {
-		return fmt.Sprintf("%p %p %p %p %p %p %p %p %p", o.zero, o.addScaled, o.hadamardAccum, o.hadamardInto,
-			o.fiberSum, o.fiberHad, o.runHad, o.runOut, o.runScatter)
+		return fmt.Sprintf("%p %p %p %p %p %p %p %p %p %p %p %p %p", o.zero, o.addScaled, o.hadamardAccum, o.hadamardInto,
+			o.fiberSum, o.fiberHad, o.runHad, o.runOut, o.runScatter, o.nodeHad, o.nodeOut, o.nodePushOut, o.nodePushScatter)
 	}
 	same := func(got vecOps) bool { return ptrs(got) == ptrs(want) }
 	for _, r := range []int{1, 8, 16, 20, 33, 64, 128} {

@@ -61,20 +61,28 @@ func Default() *Manifest {
 		},
 		Rules: []Rule{
 			{Func: "kernels.RootMTTKRPWith", Note: "root-mode dispatch (Alg. 4/5), runs once per iteration but owns the boundary-replica setup loop"},
-			{Func: "kernels.rootGeneric", Note: "order-agnostic recursive root kernel; the semantic reference per-nnz path"},
+			{Func: "kernels.rootGeneric", Note: "order-agnostic recursive root kernel dispatch; the T==1 path calls the thread body directly"},
+			{Func: "kernels.rootGenericThread", Note: "order-agnostic root kernel (per-thread body), the semantic reference per-nnz path"},
+			{Func: "kernels.rootWalk.rec", Note: "order-agnostic root recursion, once per internal CSF node"},
 			{Func: "kernels.root3Thread", Note: "order-3 unrolled root kernel (per-thread body), dominant benchmark path"},
 			{Func: "kernels.root4Thread", Note: "order-4 unrolled root kernel (per-thread body)"},
 			{Func: "kernels.root5Thread", Note: "order-5 unrolled root kernel (per-thread body)"},
 			{Func: "kernels.RootMTTKRPSubtrees", Note: "subtree-parallel root kernel (ablation path), per-nnz"},
 			{Func: "kernels.ModeMTTKRPSubtrees", Note: "subtree-parallel non-root kernel, per-nnz"},
 			{Func: "kernels.ModeMTTKRPWith", Note: "non-root dispatch (Alg. 6-8)"},
-			{Func: "kernels.modeGeneric", Note: "order-agnostic recursive non-root kernel, per-nnz"},
+			{Func: "kernels.modeGeneric", Note: "order-agnostic recursive non-root kernel dispatch; the T==1 path calls the thread body directly"},
+			{Func: "kernels.modeGenericThread", Note: "order-agnostic non-root kernel (per-thread body)"},
+			{Func: "kernels.modeWalk.walk", Note: "order-agnostic non-root recursion above level u, once per internal CSF node"},
+			{Func: "kernels.modeWalk.down", Note: "order-agnostic non-root recursion below level u, once per internal CSF node"},
 			{Func: "kernels.zero", Note: "rank-vector clear inside every fiber visit; must lower to memclr"},
 			{Func: "kernels.addScaled", Note: "leaf-level axpy, executed once per nonzero"},
 			{Func: "kernels.OutBufThread.AddScaled", Note: "per-add output scatter: hot-replica / direct / CAS dispatch, once per leaf write"},
 			{Func: "kernels.OutBufThread.AddHadamard", Note: "per-add output scatter (Hadamard form), once per internal-node write"},
 			{Func: "kernels.OutBufThread.RunOut", Note: "a run of level d-2 fibers' leaf sums folded into their output rows: fused on a private slab, sum then AddHadamard per fiber elsewhere"},
 			{Func: "kernels.OutBufThread.RunScatter", Note: "leaf-mode push-down and scatter of a run of level d-2 fibers: fused on a private slab, one AddScaled per leaf elsewhere"},
+			{Func: "kernels.OutBufThread.NodeOut", Note: "a level d-4 node's children summed from their fibers and added into their output rows (u = d-3): fused on a private slab, runHad then AddHadamard per node elsewhere"},
+			{Func: "kernels.OutBufThread.NodePushOut", Note: "a level d-4 node's children pushed down to their fibers' output rows (u = d-2): fused on a private slab, hadamardInto then RunOut per node elsewhere"},
+			{Func: "kernels.OutBufThread.NodePushScatter", Note: "a level d-4 node's children pushed down to the leaf scatter (u = d-1): fused on a private slab, hadamardInto then RunScatter per node elsewhere"},
 			{Func: "kernels.OutBuf.Reduce", Note: "touched-row reduction driver, O(touched·R) per mode solve"},
 			{Func: "kernels.OutBuf.reducePrivRows", Note: "journal-guided privatized reduction loop, per touched row"},
 			{Func: "kernels.OutBuf.reduceHybridRows", Note: "hot-slab combine + cold-row copy loop, per touched row"},
@@ -88,6 +96,10 @@ func Default() *Manifest {
 			{Func: "kernels.runHad", Note: "Go form of a run of level d-2 fibers' leaf sums and fold-ups, once per level d-3 node"},
 			{Func: "kernels.runOut", Note: "Go form of a run's leaf sums folded into output rows, once per level d-3 node"},
 			{Func: "kernels.runScatter", Note: "Go form of a run's push-downs and leaf scatters, once per level d-3 node"},
+			{Func: "kernels.nodeHad", Note: "Go form of a level d-4 node's children summed and folded up, once per level d-4 node"},
+			{Func: "kernels.nodeOut", Note: "Go form of a level d-4 node's children summed into their output rows, once per level d-4 node"},
+			{Func: "kernels.nodePushOut", Note: "Go form of a level d-4 node's children pushed down to their fibers' output rows, once per level d-4 node"},
+			{Func: "kernels.nodePushScatter", Note: "Go form of a level d-4 node's children pushed down to the leaf scatter, once per level d-4 node"},
 			{Func: "par.Blocks", Note: "thread launcher wrapping every parallel kernel"},
 			{Func: "par.Do", Note: "thread launcher wrapping every parallel kernel"},
 			{Func: "sched.NewPartition", Note: "nnz-balanced partition walk (Alg. 3), O(nnz) leaf scan at build time"},

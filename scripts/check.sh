@@ -31,6 +31,9 @@ go run ./cmd/steflint -gates
 echo "==> go test ./..."
 go test ./...
 
+echo "==> kernel benchmarks, one iteration each (the code behind the EXPERIMENTS tables keeps running)"
+go test -run '^$' -bench 'FiberOps|SpecializedVsGeneric' -benchtime 1x ./internal/kernels/
+
 # Race builds select the Go rank-vector loops and the Go dense update
 # passes: the detector cannot see stores made by assembly. The contract
 # tests still call the AVX2 kernels of both directly, so they run under
