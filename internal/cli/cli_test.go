@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -59,6 +60,11 @@ func TestStefCPDOnFile(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+	// The parse is timed with its rate in MB/s of file, as the first part
+	// of set-up.
+	if loaded := regexp.MustCompile(`(?m)^loaded tensor 12x15x18, nnz=600, parse [0-9.]+(ns|µs|ms|s) at [0-9]+ MB/s$`); !loaded.MatchString(out) {
+		t.Errorf("no parse time and rate on the loaded line:\n%s", out)
 	}
 	if _, err := os.Stat(export); err != nil {
 		t.Fatalf("export file missing: %v", err)

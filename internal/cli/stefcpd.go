@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"time"
 
@@ -67,11 +68,22 @@ func RunStefCPD(args []string, stdout, stderr io.Writer) int {
 			return fail(stderr, "stef-cpd", err)
 		}
 	} else {
+		loadStart := time.Now()
 		tt, err := loadTensor(*file, *name)
 		if err != nil {
 			return fail(stderr, "stef-cpd", err)
 		}
-		fmt.Fprintf(stdout, "loaded %v\n", tt)
+		if parse := time.Since(loadStart); *file != "" {
+			// The parse's share of set-up, next to the build and
+			// preprocessing times below, at the rate of the file's bytes.
+			st, err := os.Stat(*file)
+			if err != nil {
+				return fail(stderr, "stef-cpd", err)
+			}
+			fmt.Fprintf(stdout, "loaded %v, parse %v at %.0f MB/s\n", tt, parse.Round(10*time.Microsecond), float64(st.Size())/1e6/parse.Seconds())
+		} else {
+			fmt.Fprintf(stdout, "loaded %v\n", tt)
+		}
 		start = time.Now()
 		if c, err = stef.Compile(tt, opts); err != nil {
 			return fail(stderr, "stef-cpd", err)

@@ -1,6 +1,12 @@
 // Package frostt reads and writes sparse tensors in the FROSTT .tns text
 // format: one non-zero per line, d whitespace-separated 1-based coordinates
 // followed by a value. Lines starting with '#' and blank lines are ignored.
+//
+// Read parses each plain ASCII data line in one pass: the coordinates in
+// place, and the value through an exact decimal fast path (Clinger's exact
+// case, then Eisel–Lemire). Any other line goes through strings.Fields and
+// strconv, so Read accepts and rejects what a line-at-a-time strconv parser
+// does, with the same tensors and error texts.
 package frostt
 
 import (
@@ -120,9 +126,6 @@ func read(r io.Reader, dims []int, size int) (*tensor.Tensor, error) {
 		t.Inds = append(t.Inds, b.inds...)
 		t.Vals = append(t.Vals, b.vals...)
 	}
-	if err := t.Validate(false); err != nil {
-		return nil, fmt.Errorf("frostt: %w", err)
-	}
 	return t, nil
 }
 
@@ -194,7 +197,6 @@ type block struct {
 	text     []byte // whole lines; the last lacks its newline at the end of the stream
 	line     int    // number of text's first line in the whole stream
 	newlines int    // newlines in text
-	toks     [][]byte
 	inds     []int32
 	vals     []float64
 	maxes    []int32
@@ -210,14 +212,15 @@ func cutLine(text []byte) (ln, rest []byte) {
 }
 
 // firstOrder returns the tensor order set by the first data line among the
-// batch's blocks, or 0 if they hold none.
+// batch's blocks, or 0 if they hold none. It counts fields on the general
+// path.
 func firstOrder(batch []block) (int, error) {
 	for i := range batch {
 		b := &batch[i]
 		for line, text := b.line, b.text; len(text) > 0; line++ {
 			var ln []byte
 			ln, text = cutLine(text)
-			toks, err := b.fields(ln)
+			toks, err := lineFields(ln)
 			if err != nil {
 				return 0, err
 			}
@@ -234,138 +237,139 @@ func firstOrder(batch []block) (int, error) {
 }
 
 // parse parses every line of b.text into new b.inds and b.vals and into
-// b.maxes, stopping at the first bad line with b.err set.
+// b.maxes, stopping at the first bad line with b.err set. The scanner takes
+// the common lines; it leaves the others to parseLine.
 func (b *block) parse(order int) {
 	lines := b.newlines + 1
-	b.inds = make([]int32, 0, lines*order)
-	b.vals = make([]float64, 0, lines)
+	inds := make([]int32, 0, lines*order)
+	vals := make([]float64, 0, lines)
 	if cap(b.maxes) < order {
 		b.maxes = make([]int32, order)
 	}
-	b.maxes = b.maxes[:order]
-	clear(b.maxes)
+	maxes := b.maxes[:order]
+	clear(maxes)
+	b.maxes = maxes
 	b.err = nil
 	for line, text := b.line, b.text; len(text) > 0; line++ {
+		k := len(inds)
+		var n int
+		if inds, vals, n = scanLine(text, order, inds, vals, maxes); n > 0 {
+			text = text[n:]
+			continue
+		}
 		var ln []byte
 		ln, text = cutLine(text)
-		if b.err = b.parseLine(ln, line, order); b.err != nil {
+		if inds, vals, b.err = parseLine(ln, line, order, inds[:k], vals, maxes); b.err != nil {
 			return
 		}
 	}
+	b.inds, b.vals = inds, vals
 }
 
-// parseLine appends the non-zero on one line, if the line holds one.
-func (b *block) parseLine(ln []byte, line, order int) error {
-	toks, err := b.fields(ln)
-	if err != nil || len(toks) == 0 {
-		return err
+// isSep reports whether c separates fields on the scanner's lines. All
+// three are white space to strings.Fields as well.
+func isSep(c byte) bool { return c == ' ' || c == '\t' || c == '\r' }
+
+// skipSeps returns the index of the first byte at or after i in text that
+// is not a separator.
+func skipSeps(text []byte, i int) int {
+	for i < len(text) && isSep(text[i]) {
+		i++
 	}
-	if len(toks) != order+1 {
-		return fmt.Errorf("frostt: line %d: got %d fields, want %d", line, len(toks), order+1)
-	}
-	for m, tok := range toks[:order] {
-		c, ok := atoi(tok)
-		if !ok {
-			if c, err = strconv.ParseInt(string(tok), 10, 32); err != nil {
-				return fmt.Errorf("frostt: line %d: bad coordinate %q: %v", line, tok, err)
-			}
+	return i
+}
+
+// scanLine parses the line at the start of text in one pass, without a
+// token slice: a data line of order coordinates and a value between
+// spaces, tabs and carriage returns, or a blank or comment line. It appends
+// a data line's coordinates to inds and its value to vals, raises maxes to
+// the coordinates, and returns the line's length with its newline.
+//
+// A coordinate is 1 to 10 digits naming 1 to MaxInt32, and the value is
+// one parseValue takes; a comment starts with '#'. For any other line it
+// returns length 0, leaving the line to parseLine: one holding another
+// byte (non-ASCII, '\v', '\f'), a sign on a coordinate, a value parseValue
+// leaves to strconv, a line longer than maxLine, or a bad line. Such a line
+// may leave some of its coordinates on inds and in maxes; the caller drops
+// them from inds, and parseLine either reads the same coordinates again or
+// fails.
+func scanLine(text []byte, order int, inds []int32, vals []float64, maxes []int32) ([]int32, []float64, int) {
+	i := skipSeps(text, 0)
+	if i == len(text) || text[i] == '\n' || text[i] == '#' {
+		end := len(text)
+		if j := bytes.IndexByte(text[i:], '\n'); j >= 0 {
+			end = i + j
 		}
-		if c < 1 {
-			return fmt.Errorf("frostt: line %d: coordinate %d is not 1-based", line, c)
+		if end > maxLine {
+			return inds, vals, 0
+		}
+		return inds, vals, min(end+1, len(text))
+	}
+	for m := range order {
+		c, j := int64(0), i
+		for ; j < len(text) && j-i < 10 && isDigit(text[j]); j++ {
+			c = c*10 + int64(text[j]-'0')
+		}
+		if c == 0 || c > math.MaxInt32 || j == len(text) || !isSep(text[j]) {
+			return inds, vals, 0
 		}
 		ci := int32(c - 1)
-		b.maxes[m] = max(b.maxes[m], ci)
-		b.inds = append(b.inds, ci)
+		maxes[m] = max(maxes[m], ci)
+		inds = append(inds, ci)
+		i = skipSeps(text, j)
 	}
-	v, err := strconv.ParseFloat(string(toks[order]), 64)
-	if err != nil {
-		return fmt.Errorf("frostt: line %d: bad value %q: %v", line, toks[order], err)
+	v, n, ok := parseValue(text[i:])
+	if !ok {
+		return inds, vals, 0
 	}
-	b.vals = append(b.vals, v)
-	return nil
+	i = skipSeps(text, i+n)
+	if i < len(text) && text[i] != '\n' || i > maxLine {
+		return inds, vals, 0
+	}
+	return inds, append(vals, v), min(i+1, len(text))
 }
 
-// atoi parses a coordinate made of at most 10 decimal digits that fits an
-// int32, the common case, and reports false for any other token, which
-// strconv.ParseInt then parses or rejects.
-func atoi(tok []byte) (int64, bool) {
-	if len(tok) > 10 {
-		return 0, false
+// parseLine parses one line on the general path, as the line-at-a-time
+// parser Read replaced did: strings.Fields, strconv.ParseInt and
+// strconv.ParseFloat. It appends the non-zero the line holds, if any.
+func parseLine(ln []byte, line, order int, inds []int32, vals []float64, maxes []int32) ([]int32, []float64, error) {
+	toks, err := lineFields(ln)
+	if err != nil || len(toks) == 0 {
+		return inds, vals, err
 	}
-	var c int64
-	for _, ch := range tok {
-		if ch < '0' || ch > '9' {
-			return 0, false
+	if len(toks) != order+1 {
+		return inds, vals, fmt.Errorf("frostt: line %d: got %d fields, want %d", line, len(toks), order+1)
+	}
+	for m, tok := range toks[:order] {
+		c, err := strconv.ParseInt(tok, 10, 32)
+		if err != nil {
+			return inds, vals, fmt.Errorf("frostt: line %d: bad coordinate %q: %v", line, tok, err)
 		}
-		c = c*10 + int64(ch-'0')
+		if c < 1 {
+			return inds, vals, fmt.Errorf("frostt: line %d: coordinate %d is not 1-based", line, c)
+		}
+		ci := int32(c - 1)
+		maxes[m] = max(maxes[m], ci)
+		inds = append(inds, ci)
 	}
-	return c, c <= math.MaxInt32
+	v, err := strconv.ParseFloat(toks[order], 64)
+	if err != nil {
+		return inds, vals, fmt.Errorf("frostt: line %d: bad value %q: %v", line, toks[order], err)
+	}
+	return inds, append(vals, v), nil
 }
 
-// Byte classes of the field splitter.
-const (
-	inField  = iota // ASCII, not white space
-	spaceSep        // ASCII white space, as strings.Fields splits on it
-	nonASCII
-)
-
-// byteClass holds every byte's class.
-var byteClass = func() (c [256]uint8) {
-	for i := 0x80; i < len(c); i++ {
-		c[i] = nonASCII
-	}
-	for _, s := range "\t\n\v\f\r " {
-		c[s] = spaceSep
-	}
-	return c
-}()
-
-// fields splits a line into b.toks as strings.Fields(strings.TrimSpace)
-// splits it, and returns no fields for a blank or comment line. An ASCII
-// line is split in place; a line with any other byte goes through the
-// strings functions, which also split on Unicode white space.
-func (b *block) fields(ln []byte) ([][]byte, error) {
+// lineFields splits a line as strings.Fields(strings.TrimSpace) splits
+// it, and returns no fields for a blank or comment line.
+func lineFields(ln []byte) ([]string, error) {
 	if len(ln) > maxLine {
 		return nil, errTooLong
 	}
-	toks := b.toks[:0]
-	for i := 0; i < len(ln); {
-		switch byteClass[ln[i]] {
-		case spaceSep:
-			i++
-			continue
-		case nonASCII:
-			return b.fieldsUnicode(ln), nil
-		}
-		if len(toks) == 0 && ln[i] == '#' {
-			return nil, nil
-		}
-		j := i + 1
-		for j < len(ln) && byteClass[ln[j]] == inField {
-			j++
-		}
-		if j < len(ln) && byteClass[ln[j]] == nonASCII {
-			return b.fieldsUnicode(ln), nil
-		}
-		toks = append(toks, ln[i:j])
-		i = j
-	}
-	b.toks = toks
-	return toks, nil
-}
-
-// fieldsUnicode is fields for a line holding a non-ASCII byte.
-func (b *block) fieldsUnicode(ln []byte) [][]byte {
 	text := strings.TrimSpace(string(ln))
 	if text == "" || strings.HasPrefix(text, "#") {
-		return nil
+		return nil, nil
 	}
-	toks := b.toks[:0]
-	for _, f := range strings.Fields(text) {
-		toks = append(toks, []byte(f))
-	}
-	b.toks = toks
-	return toks
+	return strings.Fields(text), nil
 }
 
 // ReadFile reads a .tns file from disk; files ending in ".gz" (the format

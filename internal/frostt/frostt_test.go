@@ -197,17 +197,23 @@ func TestReadAcrossBlocks(t *testing.T) {
 	}
 }
 
-// TestReadLongLines pins the line-length limit at its edge, on lines that
-// end in a newline and on a last line without one: maxLine bytes are
-// accepted and one more is rejected, as the oracle's scanner does.
+// TestReadLongLines pins the line-length limit at its edge, on comment
+// and data lines that end in a newline and on a last line without one:
+// maxLine bytes are accepted and one more is rejected, as the oracle's
+// scanner does. The padded data line is one the fast path would otherwise
+// take.
 func TestReadLongLines(t *testing.T) {
 	head := "1 1 1.5\n"
 	for _, n := range []int{maxLine, maxLine + 1} {
 		comment := "#" + strings.Repeat("x", n-1)
+		data := "2" + strings.Repeat(" ", n-6) + "2 2.5"
 		for _, in := range []string{
 			head + comment + "\n2 2 2.5\n",
 			head + comment,
 			comment + "\n" + head,
+			head + data + "\n" + head,
+			head + data,
+			data + "\n" + head,
 		} {
 			_, err := Read(strings.NewReader(in), nil)
 			if (err == nil) != (n == maxLine) {
@@ -218,7 +224,7 @@ func TestReadLongLines(t *testing.T) {
 	}
 }
 
-// TestReadAllocIndependentOfLines pins the byte-level tokenizer: parsing
+// TestReadAllocIndependentOfLines pins the one-pass scanner: parsing
 // allocates per block and per result slice, never per line, so 50 times
 // the lines within one block cost the same allocations.
 func TestReadAllocIndependentOfLines(t *testing.T) {

@@ -94,7 +94,8 @@ func readOracle(r io.Reader, dims []int) (*tensor.Tensor, error) {
 // checkLikeOracle parses in with blocks of size bytes and fails t unless
 // the result matches the oracle's: the same error text (so the same line
 // number) for a rejected input, and bit-identical Dims, Inds and Vals for
-// an accepted one. It returns the accepted tensor.
+// an accepted one, which must also pass Validate (Read itself does not
+// run it). It returns the accepted tensor.
 func checkLikeOracle(t *testing.T, in string, size int) *tensor.Tensor {
 	t.Helper()
 	want, wantErr := readOracle(strings.NewReader(in), nil)
@@ -114,13 +115,17 @@ func checkLikeOracle(t *testing.T, in string, size int) *tensor.Tensor {
 	if !slices.EqualFunc(got.Vals, want.Vals, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
 		t.Fatalf("block size %d: values differ from the oracle's", size)
 	}
+	if err := got.Validate(false); err != nil {
+		t.Fatalf("block size %d: accepted tensor fails Validate: %v", size, err)
+	}
 	return got
 }
 
 // FuzzRead checks the .tns parser against the oracle, cutting the input
 // into blocks of several sizes (one byte puts a block boundary inside every
-// line), and requires every accepted tensor to survive a write/read round
-// trip.
+// line), and requires every accepted tensor to pass Validate and to survive
+// a write/read round trip. The later seeds sit at the scanner's edges,
+// where a line either stays on the fast path or falls back to strconv.
 func FuzzRead(f *testing.F) {
 	f.Add("1 1 1 1.0\n")
 	f.Add("# comment\n2 3 4 -5.5\n1 1 1 0\n")
@@ -140,6 +145,15 @@ func FuzzRead(f *testing.F) {
 	f.Add("1 2 3\n# middle comment\n4 5 6\n\n7 8 9")
 	f.Add("1 2 3\n1 2 x\n")
 	f.Add("1 2 3\n4 5\n")
+	f.Add("1 1 1.234567890123456789\n2 2 12345678901234567890\n")
+	f.Add("1 1 1.2345678901234567891\n2 2 0.00000000000000000000123456789012345678901\n")
+	f.Add("1 1 -2.5\n2 2 +2.5\n3 3 -0\n4 4 -0.0e5\n")
+	f.Add("1 1 1e5\n2 2 1.5E-3\n3 3 .5e+22\n4 4 7e-23\n5 5 1e64\n6 6 1e65\n")
+	f.Add("1\t2\t3.5\r\n\t4 5\t6.25 \r\n\r\n")
+	f.Add("2147483647 1 1.5\n0000000001 2 2.5\n00000000001 3 3.5\n")
+	f.Add("1 2 3.5x\n")
+	f.Add("1 2 3.5#\n")
+	f.Add("1.5 2 3.5\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		var tt *tensor.Tensor
 		for _, size := range []int{1, 7, 64, blockSize} {

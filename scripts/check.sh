@@ -34,6 +34,9 @@ go test ./...
 echo "==> kernel benchmarks, one iteration each (the code behind the EXPERIMENTS tables keeps running)"
 go test -run '^$' -bench 'FiberOps|SpecializedVsGeneric' -benchtime 1x ./internal/kernels/
 
+echo "==> set-up benchmarks, one iteration each (the .tns parse, and the CSF build, swap, census and plan)"
+go test -run '^$' -bench 'Read|Setup' -benchtime 1x ./internal/frostt/ ./internal/csf/
+
 # Race builds select the Go rank-vector loops and the Go dense update
 # passes: the detector cannot see stores made by assembly. The contract
 # tests still call the AVX2 kernels of both directly, so they run under
@@ -41,14 +44,16 @@ go test -run '^$' -bench 'FiberOps|SpecializedVsGeneric' -benchtime 1x ./interna
 echo "==> go test -race (parallel packages + shared-plan concurrency + int32-boundary dims + block-parallel parse)"
 go test -race . ./internal/par/ ./internal/sched/ ./internal/kernels/ ./internal/cpd/ ./internal/core/ ./internal/dense/ ./internal/frostt/ ./internal/tensor/ ./internal/csf/
 
-echo "==> FuzzRead smoke (block parser against the line-at-a-time oracle, 10 s)"
-go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s ./internal/frostt/
+# The fuzz smokes run a fixed count of inputs, not a time: run for ten
+# seconds, each of them could stall at 0 execs/s partway through.
+echo "==> FuzzRead smoke (block parser against the line-at-a-time oracle, 65000 inputs)"
+go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 65000x ./internal/frostt/
 
-echo "==> FuzzBuild smoke (block-parallel CSF build and derived swap against the append-built reference, 10 s)"
-go test -run '^$' -fuzz '^FuzzBuild$' -fuzztime 10s ./internal/csf/
+echo "==> FuzzBuild smoke (block-parallel CSF build and derived swap against the append-built reference, 30000 inputs)"
+go test -run '^$' -fuzz '^FuzzBuild$' -fuzztime 30000x ./internal/csf/
 
-echo "==> FuzzEngines smoke (every engine's MTTKRP against kernels.Reference, and a 3-iteration solve, on generated small tensors, 10 s)"
-go test -run '^$' -fuzz '^FuzzEngines$' -fuzztime 10s .
+echo "==> FuzzEngines smoke (every engine's MTTKRP against kernels.Reference, and a 3-iteration solve, on generated small tensors, 2000 inputs)"
+go test -run '^$' -fuzz '^FuzzEngines$' -fuzztime 2000x .
 
 echo "==> arena storage seam (mmap round trip, corrupt-header fuzz seeds, heap-vs-arena solve parity, csf-backing self-check)"
 go test -race -run 'Arena|CSFBacking' . ./internal/csf/ ./internal/lint/
