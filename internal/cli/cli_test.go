@@ -66,6 +66,11 @@ func TestStefCPDOnFile(t *testing.T) {
 	if loaded := regexp.MustCompile(`(?m)^loaded tensor 12x15x18, nnz=600, parse [0-9.]+(ns|µs|ms|s) at [0-9]+ MB/s$`); !loaded.MatchString(out) {
 		t.Errorf("no parse time and rate on the loaded line:\n%s", out)
 	}
+	// The solve's start-up (initial factors and Grams) is reported apart
+	// from its MTTKRP time.
+	if solve := regexp.MustCompile(`(?m)^solve [0-9.]+(ns|µs|ms|s), start-up [0-9.]+(ns|µs|ms|s), MTTKRP [0-9.]+(ns|µs|ms|s) \([0-9.]+% of solve\)$`); !solve.MatchString(out) {
+		t.Errorf("no solve, start-up and MTTKRP times on the solve line:\n%s", out)
+	}
 	if _, err := os.Stat(export); err != nil {
 		t.Fatalf("export file missing: %v", err)
 	}

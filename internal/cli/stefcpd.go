@@ -109,8 +109,8 @@ func RunStefCPD(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "iter %3d  fit %.6f\n", i+1, fit)
 	}
 	fmt.Fprintf(stdout, "engine=%s converged=%v iters=%d finalFit=%.6f\n", *engine, res.Converged, res.Iters, res.FinalFit())
-	fmt.Fprintf(stdout, "solve %v, MTTKRP %v (%.1f%% of solve)\n", solve.Round(time.Millisecond), res.MTTKRPTime.Round(time.Millisecond),
-		100*float64(res.MTTKRPTime)/float64(solve))
+	fmt.Fprintf(stdout, "solve %v, start-up %v, MTTKRP %v (%.1f%% of solve)\n", solve.Round(time.Millisecond),
+		res.InitTime.Round(time.Microsecond), res.MTTKRPTime.Round(time.Millisecond), 100*float64(res.MTTKRPTime)/float64(solve))
 	if *export != "" {
 		if err := cpd.SaveKruskal(*export, res); err != nil {
 			return fail(stderr, "stef-cpd", err)

@@ -16,6 +16,8 @@ package cpd
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync/atomic"
 	"time"
 
 	"stef/internal/dense"
@@ -125,6 +127,10 @@ type Result struct {
 	// Converged reports whether the fit tolerance was met before
 	// MaxIters.
 	Converged bool
+	// InitTime is the solve's start-up: the wall time from entering
+	// RunWith to its first Engine.Compute, spent on the initial factors,
+	// their Grams and the solve's buffers.
+	InitTime time.Duration
 	// MTTKRPTime accumulates wall time spent inside Engine.Compute.
 	MTTKRPTime time.Duration
 	// ModeTime accumulates Engine.Compute wall time per original mode,
@@ -175,6 +181,7 @@ func Run(dims []int, normX float64, eng Engine, opts Options) (*Result, error) {
 // state: every buffer the iteration needs is either part of the workspace
 // or hoisted out of the ALS loop below.
 func RunWith(dims []int, normX float64, eng Engine, ws Workspace, opts Options) (*Result, error) {
+	begin := time.Now()
 	if opts.MaxIters < 0 {
 		return nil, fmt.Errorf("cpd: MaxIters %d is negative", opts.MaxIters)
 	}
@@ -185,25 +192,23 @@ func RunWith(dims []int, normX float64, eng Engine, ws Workspace, opts Options) 
 		return nil, fmt.Errorf("cpd: engine %q: %w", eng.Name(), err)
 	}
 	r := opts.Rank
-	var factors []*tensor.Matrix
+	var factors, grams []*tensor.Matrix
 	if opts.InitialFactors != nil {
 		if len(opts.InitialFactors) != d {
 			return nil, fmt.Errorf("cpd: %d initial factors for order-%d tensor", len(opts.InitialFactors), d)
 		}
 		factors = make([]*tensor.Matrix, d)
+		grams = make([]*tensor.Matrix, d)
 		for m, f := range opts.InitialFactors {
 			if f.Rows != dims[m] || f.Cols != r {
 				//lint:allow hotpath-alloc one-time input validation, cold error path
 				return nil, fmt.Errorf("cpd: initial factor %d has shape %dx%d, want %dx%d", m, f.Rows, f.Cols, dims[m], r)
 			}
 			factors[m] = f.Clone()
+			grams[m] = dense.Gram(factors[m], nil)
 		}
 	} else {
-		factors = tensor.RandomFactors(dims, r, opts.Seed)
-	}
-	grams := make([]*tensor.Matrix, d)
-	for m := 0; m < d; m++ {
-		grams[m] = dense.Gram(factors[m], nil)
+		factors, grams = randomStart(dims, r, opts.Seed, opts.Threads)
 	}
 	mttkrp := make([]*tensor.Matrix, d)
 	for m := 0; m < d; m++ {
@@ -226,6 +231,7 @@ func RunWith(dims []int, normX float64, eng Engine, ws Workspace, opts Options) 
 	upd := dense.NewUpdater(r, opts.Threads)
 	var chol dense.Cholesky
 	ws.Reset()
+	res.InitTime = time.Since(begin)
 
 	for it := 0; it < opts.MaxIters; it++ {
 		var inner float64
@@ -287,6 +293,71 @@ func RunWith(dims []int, normX float64, eng Engine, ws Workspace, opts Options) 
 		}
 	}
 	return res, nil
+}
+
+// startBlock is the number of values randomStart fills between two
+// publications of its progress: 64 KiB of factor rows.
+const startBlock = 8192
+
+// randomStart returns one random rank-r factor per mode of dims, with the
+// values of tensor.RandomFactors(dims, r, seed), and their Grams, equal
+// to dense.Gram's. It fills each factor a block of rows at a time and
+// folds each block into its mode's Gram as soon as it is filled. With two
+// or more threads the folding runs on a second goroutine that follows the
+// filler through the count of rows filled so far; with one, both run in
+// turn on the caller's thread.
+func randomStart(dims []int, r int, seed int64, threads int) (factors, grams []*tensor.Matrix) {
+	factors = make([]*tensor.Matrix, len(dims))
+	grams = make([]*tensor.Matrix, len(dims))
+	for m, n := range dims {
+		factors[m] = tensor.NewMatrix(n, r)
+		grams[m] = tensor.NewMatrix(r, r)
+	}
+	// A multiple of four rows, as dense.GramStream's Go path needs.
+	block := max(4, startBlock/r/4*4)
+	src := tensor.NewUniform(seed)
+	var gs dense.GramStream
+	if threads < 2 {
+		for m, f := range factors {
+			gs.Start(grams[m])
+			for lo := 0; lo < f.Rows; lo += block {
+				rows := f.Data[lo*r : min(lo+block, f.Rows)*r]
+				src.Fill(rows)
+				gs.Add(rows)
+			}
+			gs.Finish()
+		}
+		return factors, grams
+	}
+	var filled atomic.Int64 // rows filled so far, over the factors in mode order
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		base := 0
+		for m, f := range factors {
+			gs.Start(grams[m])
+			for lo := 0; lo < f.Rows; lo += block {
+				hi := min(lo+block, f.Rows)
+				for filled.Load() < int64(base+hi) {
+					runtime.Gosched()
+				}
+				gs.Add(f.Data[lo*r : hi*r])
+			}
+			gs.Finish()
+			base += f.Rows
+		}
+	}()
+	base := 0
+	for _, f := range factors {
+		for lo := 0; lo < f.Rows; lo += block {
+			hi := min(lo+block, f.Rows)
+			src.Fill(f.Data[lo*r : hi*r])
+			filled.Store(int64(base + hi))
+		}
+		base += f.Rows
+	}
+	<-done
+	return factors, grams
 }
 
 // computeFit evaluates 1 - ||X - model||_F / ||X||_F using the standard

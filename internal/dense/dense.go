@@ -40,6 +40,56 @@ func Gram(a *tensor.Matrix, out *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
+// GramStream computes Gram of a matrix whose rows arrive in order, a block
+// at a time, grouping the rows exactly as Gram does, so that its result
+// equals Gram's bit for bit. On the AVX2 path it carries a partial group of
+// rows that are not +0 from one block to the next. On the Go path rows
+// group by position, four at a time, so every block but the last must hold
+// a multiple of four rows.
+type GramStream struct {
+	out  *tensor.Matrix
+	grp  [4][]float64 // AVX2 path: rows of the group not yet added
+	n    int          // AVX2 path: rows in grp
+	tail bool         // Go path: a block ended inside a group of four
+}
+
+// Start zeroes out (R×R for R-column rows) and begins a stream into it.
+func (s *GramStream) Start(out *tensor.Matrix) {
+	if out.Rows != out.Cols {
+		panic(fmt.Sprintf("dense: GramStream output shape %dx%d is not square", out.Rows, out.Cols))
+	}
+	out.Zero()
+	*s = GramStream{out: out}
+}
+
+// Add folds the next rows (whole rows, row-major) into the Gram.
+func (s *GramStream) Add(rows []float64) {
+	r := s.out.Cols
+	if r == 0 {
+		return
+	}
+	if !useLanes {
+		if s.tail {
+			panic("dense: GramStream block after one that ended inside a group of four rows")
+		}
+		s.tail = len(rows)/r%4 != 0
+		scalePass(rows, nil, nil, s.out.Data, r)
+		return
+	}
+	s.n = gramLanes(rows, s.out.Data, r, &s.grp, s.n)
+}
+
+// Finish adds the last partial group and mirrors the upper triangle: out
+// then holds the Gram of every row added since Start.
+func (s *GramStream) Finish() {
+	if s.n > 0 {
+		clear(s.grp[s.n:])
+		gram4AVX2(s.out.Data, s.grp[0], s.grp[1], s.grp[2], s.grp[3])
+	}
+	mirrorUpper(s.out)
+	*s = GramStream{}
+}
+
 // HadamardInto multiplies dst elementwise by src. Shapes must match.
 func HadamardInto(dst, src *tensor.Matrix) {
 	if dst.Rows != src.Rows || dst.Cols != src.Cols {

@@ -10,9 +10,7 @@ import (
 )
 
 func randMatrix(rows, cols int, seed int64) *tensor.Matrix {
-	m := tensor.NewMatrix(rows, cols)
-	m.Randomize(rand.New(rand.NewSource(seed)))
-	return m
+	return tensor.RandomFactors([]int{rows}, cols, seed)[0]
 }
 
 func TestGramMatchesMatMul(t *testing.T) {
@@ -77,7 +75,9 @@ func TestCholeskySolveRandomSPD(t *testing.T) {
 		n := 2 + rng.Intn(8)
 		// Build SPD V = AᵀA + I.
 		a := tensor.NewMatrix(n+3, n)
-		a.Randomize(rng)
+		for i := range a.Data {
+			a.Data[i] = rng.Float64()
+		}
 		v := Gram(a, nil)
 		for i := 0; i < n; i++ {
 			v.Set(i, i, v.At(i, i)+1)

@@ -130,3 +130,23 @@ func scaleLanes(rows, x, norms, gram []float64, r int) float64 {
 	}
 	return inner
 }
+
+// gramLanes is scaleLanes's Gram step alone, for GramStream: it adds the
+// rows that are not +0 in every bit into the upper triangle of gram, four
+// per gram4AVX2 call. grp holds the g rows of a partial group on entry and
+// on return; gramLanes returns their new count.
+func gramLanes(rows, gram []float64, r int, grp *[4][]float64, g int) int {
+	n := len(rows) / r
+	for i := 0; i < n; i++ {
+		row := rows[i*r:][:r] //gate:allow bounds one row window per row, not per element
+		if posZero(row) {
+			continue
+		}
+		grp[g] = row //gate:allow bounds one Gram slot per row, not per element
+		if g++; g == len(grp) {
+			gram4AVX2(gram, grp[0], grp[1], grp[2], grp[3])
+			g = 0
+		}
+	}
+	return g
+}

@@ -301,3 +301,46 @@ func TestLaneSelection(t *testing.T) {
 		}
 	}
 }
+
+// TestGramStreamMatchesGram holds GramStream to Gram bit for bit on both
+// paths, with the matrix's rows added in blocks of several sizes: on the
+// AVX2 path partial groups of non-+0 rows then span block boundaries, and
+// the +0, −0 and partly zero rows of laneInput exercise the skip.
+func TestGramStreamMatchesGram(t *testing.T) {
+	defer func(v bool) { useLanes = v }(useLanes)
+	for _, lanes := range []bool{false, true} {
+		if lanes && !cpu.AVX2 {
+			continue
+		}
+		useLanes = lanes
+		for _, r := range []int{1, 3, 5, 16, 32} {
+			for _, rows := range []int{0, 1, 5, 37, 130} {
+				_, x := laneInput(rows, r, flavourClean, int64(rows*r+1))
+				want := Gram(x, nil)
+				for _, block := range []int{4, 8, 12, 64, 1 << 20} {
+					got := tensor.NewMatrix(r, r)
+					for i := range got.Data {
+						got.Data[i] = math.NaN() // stale values the stream must overwrite
+					}
+					var s GramStream
+					s.Start(got)
+					for lo := 0; lo < rows; lo += block {
+						s.Add(x.Data[lo*r : min(lo+block, rows)*r])
+					}
+					s.Finish()
+					bitEqual(t, got.Data, want.Data, fmt.Sprintf("lanes %v, R %d, %d rows in blocks of %d", lanes, r, rows, block))
+				}
+			}
+		}
+	}
+	useLanes = false
+	defer func() {
+		if recover() == nil {
+			t.Error("Go path: a block after one that ended inside a group of four rows was accepted")
+		}
+	}()
+	var s GramStream
+	s.Start(tensor.NewMatrix(2, 2))
+	s.Add(make([]float64, 2*3))
+	s.Add(make([]float64, 2*4))
+}

@@ -128,7 +128,9 @@ func updateCase(rows, r int, reg float64, zeroCol bool, seed int64) (*Cholesky, 
 		}
 	} else {
 		b := tensor.NewMatrix(r+3, r)
-		b.Randomize(rng)
+		for i := range b.Data {
+			b.Data[i] = rng.Float64()
+		}
 		v = Gram(b, nil)
 	}
 	for p := 0; p < r; p++ {

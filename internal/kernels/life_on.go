@@ -39,9 +39,11 @@ func (s *Scratch) LifeSetPoisoned(p bool) {
 
 // LifeFill overwrites every accumulation cell of the buffer with v. The
 // cpd lifetrace registry poisons released workspaces with NaN and restores
-// zero (the freshly-constructed state the Reset journals assume) when a
-// workspace is re-acquired from the pool.
+// +0 (the clean state a completed Reduce leaves) when a workspace is
+// re-acquired from the pool. Any other fill leaves the buffer for the next
+// Reset to clear along its journals.
 func (b *OutBuf) LifeFill(v float64) {
+	b.launched = math.Float64bits(v) != 0
 	for _, m := range b.priv {
 		lifeFillMatrix(m, v)
 	}

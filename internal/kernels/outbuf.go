@@ -71,6 +71,11 @@ const (
 // actually written — or *legacy*, using the binary footprint rule
 // (full privatization below DefaultPrivatizeMaxElems, CAS above), which the
 // baseline engines keep.
+//
+// A planned buffer is clean on reduce: Reduce leaves every accumulation
+// cell +0 as it reads it, so the Reset that starts the next launch has
+// nothing to clear. Reset clears the journals only when the last launch
+// did not complete its Reduce (a walk that panicked, say).
 type OutBuf struct {
 	rows, cols int
 	t          int
@@ -81,6 +86,9 @@ type OutBuf struct {
 	hotK       int              // hot rows per replica
 	ops        vecOps           // rank-vector primitives chosen by opsFor
 	shadow     outbufShadow     // write-ownership oracle (-tags shadowtrace)
+	// launched is set by a planned buffer's Reset and cleared when its
+	// Reduce returns: while set, cells may hold a launch's values.
+	launched bool
 }
 
 // NewOutBuf returns a legacy accumulation buffer for a rows×cols output
@@ -340,16 +348,28 @@ func (b *OutBuf) AddScaled(th, row int, s float64, src []float64) {
 	o.AddScaled(row, s, src)
 }
 
-// Reset zeroes the buffer for reuse. Planned buffers clear only the rows
-// their journals say were written — per-thread journals for private
-// replicas, the cold touched list for the hybrid's shared region — instead
-// of the full rows×cols×T footprint; the work runs on T threads.
+// Reset prepares the buffer for a launch. A planned buffer is already
+// clean after a completed launch, whose Reduce cleared every cell it read;
+// after a launch that did not complete its Reduce it clears only the rows
+// its journals say were written — per-thread journals for private
+// replicas, the hot slabs and the cold touched list for the hybrid's
+// shared region — instead of the full rows×cols×T footprint, on T
+// threads. Legacy buffers are cleared in full.
 func (b *OutBuf) Reset() {
 	b.shadowReset()
 	if b.plan == nil {
 		b.resetLegacy()
 		return
 	}
+	if b.launched {
+		b.resetJournals()
+	}
+	b.launched = true
+}
+
+// resetJournals clears the rows of a planned buffer that a launch may have
+// written, on T threads.
+func (b *OutBuf) resetJournals() {
 	switch b.plan.Strategy {
 	case AccumPriv:
 		if b.t == 1 {
@@ -423,8 +443,8 @@ func (b *OutBuf) resetTouched(lo, hi int) {
 // Planned buffers read only the rows the plan proves touched: single-writer
 // rows copy exactly one replica, hot rows are folded with a parallel tree
 // combine, cold rows stream out of the shared region, untouched rows are
-// zeroed. Call Reduce once per kernel launch — the hot-slab tree combine
-// folds replicas in place.
+// zeroed. A planned buffer clears each cell it reads, so it is clean when
+// Reduce returns. Call Reduce once per kernel launch.
 func (b *OutBuf) Reduce(out *tensor.Matrix) {
 	if out.Rows != b.rows || out.Cols != b.cols {
 		panic(fmt.Sprintf("kernels: Reduce into %dx%d, want %dx%d", out.Rows, out.Cols, b.rows, b.cols))
@@ -437,28 +457,29 @@ func (b *OutBuf) Reduce(out *tensor.Matrix) {
 	case AccumPriv:
 		if b.t == 1 {
 			b.reducePrivRows(out, 0, b.rows)
-			return
+		} else {
+			par.Blocks(b.rows, b.t, func(_, lo, hi int) { b.reducePrivRows(out, lo, hi) })
 		}
-		par.Blocks(b.rows, b.t, func(_, lo, hi int) { b.reducePrivRows(out, lo, hi) })
 	case AccumHybrid:
 		b.combineHot()
 		if b.t == 1 {
 			b.reduceHybridRows(out, 0, b.rows)
-			return
+		} else {
+			par.Blocks(b.rows, b.t, func(_, lo, hi int) { b.reduceHybridRows(out, lo, hi) })
 		}
-		par.Blocks(b.rows, b.t, func(_, lo, hi int) { b.reduceHybridRows(out, lo, hi) })
 	case AccumAtomic:
 		if b.t == 1 {
 			b.reduceAtomicRows(out, 0, b.rows)
-			return
+		} else {
+			par.Blocks(b.rows, b.t, func(_, lo, hi int) { b.reduceAtomicRows(out, lo, hi) })
 		}
-		par.Blocks(b.rows, b.t, func(_, lo, hi int) { b.reduceAtomicRows(out, lo, hi) })
 	}
+	b.launched = false
 }
 
 // combineHot folds the T hot-row replicas into replica 0 with a parallel
 // tree combine: log2(T) rounds of pairwise slab adds, each round's pairs
-// running under par.Do.
+// running under par.Do. Each slab folded into another is cleared.
 func (b *OutBuf) combineHot() {
 	n := b.hotK * b.cols
 	if n == 0 || b.t == 1 {
@@ -473,14 +494,16 @@ func (b *OutBuf) combineHot() {
 		src := stride
 		par.Do(pairs, func(p int) { //gate:allow escape log2(T) pairwise-combine launches per solve
 			i := p * step
-			addScaled(b.hot[i*n:i*n+n], 1, b.hot[(i+src)*n:(i+src)*n+n]) //gate:allow bounds slab offsets bounded by the replica count
+			from := b.hot[(i+src)*n : (i+src)*n+n] //gate:allow bounds slab offsets bounded by the replica count
+			addScaled(b.hot[i*n:i*n+n], 1, from)   //gate:allow bounds slab offsets bounded by the replica count
+			clear(from)
 		})
 	}
 }
 
-// reducePrivRows reduces private replicas into out rows [lo, hi): untouched
-// rows are zeroed, single-writer rows copy that writer's replica row, and
-// multi-writer rows sum every replica.
+// reducePrivRows reduces private replicas into out rows [lo, hi), clearing
+// each replica row it reads: untouched rows are zeroed, single-writer rows
+// copy that writer's replica row, and multi-writer rows sum every replica.
 func (b *OutBuf) reducePrivRows(out *tensor.Matrix, lo, hi int) {
 	remap := b.plan.Remap
 	for i, w := range remap[lo:hi] { //gate:allow bounds row block bounds from par.Blocks
@@ -490,19 +513,26 @@ func (b *OutBuf) reducePrivRows(out *tensor.Matrix, lo, hi int) {
 		case w == RemapUntouched:
 			clear(dst)
 		case w >= 0:
-			copy(dst, b.priv[w].Row(r)) //gate:allow bounds writer thread id from the census, bounded by T
+			src := b.priv[w].Row(r) //gate:allow bounds writer thread id from the census, bounded by T
+			copy(dst, src)
+			clear(src)
 		default:
-			copy(dst, b.priv[0].Row(r)) //gate:allow bounds replica row addressed within the block
+			src := b.priv[0].Row(r) //gate:allow bounds replica row addressed within the block
+			copy(dst, src)
+			clear(src)
 			for th := 1; th < b.t; th++ {
-				b.ops.addScaled(dst, 1, b.priv[th].Row(r)) //gate:allow bounds replica index bounded by the thread loop
+				src = b.priv[th].Row(r) //gate:allow bounds replica index bounded by the thread loop
+				b.ops.addScaled(dst, 1, src)
+				clear(src)
 			}
 		}
 	}
 }
 
-// reduceHybridRows reduces the hybrid state into out rows [lo, hi): hot
-// rows read the (already tree-combined) replica 0 slab, cold rows stream
-// out of the shared bit buffer, untouched rows are zeroed.
+// reduceHybridRows reduces the hybrid state into out rows [lo, hi),
+// clearing each cell it reads: hot rows read the (already tree-combined)
+// replica 0 slab, cold rows stream out of the shared bit buffer, untouched
+// rows are zeroed.
 func (b *OutBuf) reduceHybridRows(out *tensor.Matrix, lo, hi int) {
 	remap := b.plan.Remap
 	for i, slot := range remap[lo:hi] { //gate:allow bounds row block bounds from par.Blocks
@@ -511,18 +541,22 @@ func (b *OutBuf) reduceHybridRows(out *tensor.Matrix, lo, hi int) {
 		switch {
 		case slot >= 0:
 			base := int(slot) * b.cols
-			copy(dst, b.hot[base:base+b.cols]) //gate:allow bounds hot slot from the remap, bounded by the plan's hot count
+			src := b.hot[base : base+b.cols] //gate:allow bounds hot slot from the remap, bounded by the plan's hot count
+			copy(dst, src)
+			clear(src)
 		case slot == RemapUntouched:
 			clear(dst)
 		default:
 			base := r * b.cols
-			bitsToFloats(dst, b.shared[base:base+b.cols]) //gate:allow bounds row base bounded by the remap length
+			src := b.shared[base : base+b.cols] //gate:allow bounds row base bounded by the remap length
+			bitsToFloats(dst, src)
+			clear(src)
 		}
 	}
 }
 
 // reduceAtomicRows converts the shared bit buffer into out rows [lo, hi),
-// zeroing untouched rows.
+// clearing each shared row it reads and zeroing untouched rows.
 func (b *OutBuf) reduceAtomicRows(out *tensor.Matrix, lo, hi int) {
 	remap := b.plan.Remap
 	for i, w := range remap[lo:hi] { //gate:allow bounds row block bounds from par.Blocks
@@ -533,7 +567,9 @@ func (b *OutBuf) reduceAtomicRows(out *tensor.Matrix, lo, hi int) {
 			continue
 		}
 		base := r * b.cols
-		bitsToFloats(dst, b.shared[base:base+b.cols]) //gate:allow bounds row base bounded by the remap length
+		src := b.shared[base : base+b.cols] //gate:allow bounds row base bounded by the remap length
+		bitsToFloats(dst, src)
+		clear(src)
 	}
 }
 

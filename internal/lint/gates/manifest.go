@@ -58,6 +58,7 @@ func Default() *Manifest {
 			"stef/internal/par",
 			"stef/internal/sched",
 			"stef/internal/dense",
+			"stef/internal/tensor",
 		},
 		Rules: []Rule{
 			{Func: "kernels.RootMTTKRPWith", Note: "root-mode dispatch (Alg. 4/5), runs once per iteration but owns the boundary-replica setup loop"},
@@ -109,6 +110,11 @@ func Default() *Manifest {
 			{Func: "dense.foldStat", Note: "pass A's column statistic (sum of squares or max magnitude), once per factor row per mode"},
 			{Func: "dense.solveLanes", Note: "AVX2 pass A glue: the +0-row skip and the 16-row lane groups, once per factor row per mode"},
 			{Func: "dense.scaleLanes", Note: "AVX2 pass B glue: the +0-row skip, the divide and four-row Gram calls and the fit inner product, once per factor row per mode"},
+			{Func: "dense.gramLanes", Note: "solve start-up's block Gram on AVX2: the +0-row skip and the four-row Gram calls, once per initial factor row"},
+			{Func: "dense.GramStream.Add", Note: "solve start-up's block Gram dispatch, once per block of initial factor rows"},
+			{Func: "tensor.uniforms", Note: "solve start-up's Float64 conversion, once per initial factor entry"},
+			{Func: "tensor.Uniform.refill", Note: "solve start-up's lagged-Fibonacci refill, once per 607 initial factor entries"},
+			{Func: "tensor.Uniform.Fill", Note: "solve start-up's ring walk, once per block of initial factor rows"},
 		},
 		// Shape rules for the generic Go rank-vector primitives and the
 		// dense update's passes. The AVX2 primitives (vec_amd64.s) are
@@ -138,6 +144,14 @@ func Default() *Manifest {
 			{
 				Func: "dense.scalePass", Note: "pass B: call-free, the 4-row Gram update multiplies four rows per element",
 				MaxCalls: 0, MaxLoopCalls: 0, MaxBounds: Unchecked, MinFPMul: 4, MaxLoopFrameLoads: Unchecked,
+			},
+			{
+				Func: "tensor.uniforms", Note: "start-up fill: call-free and check-free, one convert and one multiply per value",
+				MaxCalls: 0, MaxLoopCalls: 0, MaxBounds: 0, MinFPMul: 1, MaxLoopFrameLoads: 0,
+			},
+			{
+				Func: "tensor.Uniform.refill", Note: "start-up refill: call-free and check-free integer adds over the fixed ring",
+				MaxCalls: 0, MaxLoopCalls: 0, MaxBounds: 0, MinFPMul: 0, MaxLoopFrameLoads: 0,
 			},
 		},
 	}

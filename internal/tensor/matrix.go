@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Matrix is a dense row-major matrix. Factor matrices in CPD are Matrix
@@ -51,14 +50,6 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 	copy(m.Data, src.Data)
 }
 
-// Randomize fills the matrix with uniform values in [0, 1) from rng.
-// CPD-ALS conventionally starts from random non-negative factors.
-func (m *Matrix) Randomize(rng *rand.Rand) {
-	for i := range m.Data {
-		m.Data[i] = rng.Float64()
-	}
-}
-
 // NormFrobenius returns the Frobenius norm.
 func (m *Matrix) NormFrobenius() float64 {
 	s := 0.0
@@ -81,16 +72,4 @@ func (m *Matrix) MaxAbsDiff(other *Matrix) float64 {
 		}
 	}
 	return d
-}
-
-// RandomFactors returns one random factor matrix per mode of dims, each with
-// rank columns, seeded deterministically from seed.
-func RandomFactors(dims []int, rank int, seed int64) []*Matrix {
-	rng := rand.New(rand.NewSource(seed))
-	fs := make([]*Matrix, len(dims))
-	for m, n := range dims {
-		fs[m] = NewMatrix(n, rank)
-		fs[m].Randomize(rng)
-	}
-	return fs
 }

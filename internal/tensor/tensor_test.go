@@ -268,13 +268,13 @@ func TestMatrixBasics(t *testing.T) {
 	}
 }
 
-func TestMatrixRandomizeDeterministic(t *testing.T) {
-	a := NewMatrix(4, 4)
-	b := NewMatrix(4, 4)
-	a.Randomize(rand.New(rand.NewSource(5)))
-	b.Randomize(rand.New(rand.NewSource(5)))
-	if a.MaxAbsDiff(b) != 0 {
-		t.Fatal("same seed produced different matrices")
+func TestRandomFactorsDeterministic(t *testing.T) {
+	a := RandomFactors([]int{4, 3}, 4, 5)
+	b := RandomFactors([]int{4, 3}, 4, 5)
+	for m := range a {
+		if a[m].MaxAbsDiff(b[m]) != 0 {
+			t.Fatal("same seed produced different matrices")
+		}
 	}
 }
 

@@ -27,6 +27,8 @@ package stef
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync/atomic"
 
 	"stef/internal/baselines"
 	"stef/internal/core"
@@ -301,18 +303,25 @@ func (c *Compiled) DecomposeSeed(seed int64) (*Result, error) {
 	return res, nil
 }
 
-// DecomposeBest runs `restarts` solves with seeds Seed, Seed+1, ... in
-// parallel — they share the one compiled plan — and returns the result with
-// the best final fit. Ties (and the pick among equal fits) are resolved
-// deterministically in seed order.
+// DecomposeBest runs `restarts` solves with seeds Seed, Seed+1, ... — they
+// share the one compiled plan — and returns the result with the best final
+// fit. Each solve runs on Threads threads, so max(1, GOMAXPROCS/Threads)
+// workers take the seeds in order, one solve each at a time; running every
+// restart at once would hold every restart's buffers for no gain in speed.
+// The first error in seed order is returned, and ties (and the pick among
+// equal fits) are resolved deterministically in seed order.
 func (c *Compiled) DecomposeBest(restarts int) (*Result, error) {
 	if restarts < 1 {
 		restarts = 1
 	}
 	results := make([]*Result, restarts)
 	errs := make([]error, restarts)
-	par.Do(restarts, func(i int) {
-		results[i], errs[i] = c.DecomposeSeed(c.opts.Seed + int64(i))
+	workers := min(restarts, max(1, runtime.GOMAXPROCS(0)/c.opts.Threads))
+	var next atomic.Int64
+	par.Do(workers, func(int) {
+		for i := int(next.Add(1)) - 1; i < restarts; i = int(next.Add(1)) - 1 {
+			results[i], errs[i] = c.DecomposeSeed(c.opts.Seed + int64(i))
+		}
 	})
 	var best *Result
 	for i, res := range results {
@@ -352,8 +361,8 @@ func Decompose(t *tensor.Tensor, opts Options) (*Result, error) {
 	return c.Decompose()
 }
 
-// DecomposeBest compiles once, then runs `restarts` solves in parallel with
-// different random initialisations (seeds opts.Seed, opts.Seed+1, ...) and
+// DecomposeBest compiles once, then runs `restarts` solves with different
+// random initialisations (seeds opts.Seed, opts.Seed+1, ...) and
 // returns the result with the best final fit. CPD-ALS converges to local
 // optima, so a handful of restarts is the standard way to stabilise the
 // fit; on exactly low-rank data one restart usually suffices. The
