@@ -56,7 +56,7 @@ func TestStefCPDOnFile(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb)
 	}
-	for _, want := range []string{"loaded tensor", "set-up", "CSF build", "kernels: order-3 specialisation, ", "iter   3", "finalFit", "% of solve", "factors written"} {
+	for _, want := range []string{"loaded tensor", "set-up", "CSF build", "kernels: one-level fiber runs, ", "iter   3", "finalFit", "% of solve", "factors written"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
@@ -154,7 +154,7 @@ func TestTensorInfo(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errb)
 	}
-	for _, want := range []string{"CSF mode order", "Alg. 9", "balanced-partition imbalance", "STeF plan", "kernels: order-4 specialisation, ", "data-movement breakdown"} {
+	for _, want := range []string{"CSF mode order", "Alg. 9", "balanced-partition imbalance", "STeF plan", "kernels: two-level fiber runs", "data-movement breakdown"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}

@@ -93,8 +93,8 @@ func RunStefCPD(args []string, stdout, stderr io.Writer) int {
 	if plan := c.Plan(); plan != nil {
 		fmt.Fprintf(stdout, "set-up %v (CSF build %v, Alg. 9 + census + model search %v)\n",
 			setup.Round(time.Millisecond), plan.BuildTime.Round(time.Millisecond), plan.PreprocessTime.Round(time.Millisecond))
-		walk, runs, prims := kernels.KernelPath(plan.Tree.Order(), plan.Config.Save)
-		fmt.Fprintf(stdout, "kernels: %s, %s, %s\n", walk, runs, prims)
+		runs, prims := kernels.KernelPath(plan.Tree.Order(), plan.Config.Save)
+		fmt.Fprintf(stdout, "kernels: %s, %s\n", runs, prims)
 	} else {
 		fmt.Fprintf(stdout, "set-up %v\n", setup.Round(time.Millisecond))
 	}

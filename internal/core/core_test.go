@@ -192,10 +192,10 @@ func TestDescribe(t *testing.T) {
 	}
 }
 
-// TestDescribeKernelLine pins Describe's kernel line: the order-3 to 5
-// specialisations or the generic walk; two-level fiber runs at orders 4
-// and 5, where a root walk with a memo at level d-3 or d-2 stays one-level,
-// and one-level runs elsewhere; and the primitive set this build runs,
+// TestDescribeKernelLine pins Describe's kernel line: two-level fiber runs
+// from order 4, where a root walk with a memo at level d-3 or d-2 stays
+// one-level, and one-level runs at order 3; and the primitive set this
+// build runs,
 // with the reason when it is the Go forms. The expected set follows the
 // CPU probe and the race flag, so the test holds in race and non-race
 // builds alike.
@@ -213,12 +213,12 @@ func TestDescribeKernelLine(t *testing.T) {
 		save []bool // the memo set the case relies on the planner choosing
 		line string
 	}{
-		{[]int{6, 40, 50}, SaveModel, nil, "order-3 specialisation, one-level fiber runs"},
-		{[]int{6, 40, 50, 7}, SaveModel, []bool{false, true, false, false}, "order-4 specialisation, two-level fiber runs, one-level in the root walk (memo at level 1)"},
-		{[]int{6, 40, 50, 7}, SaveNone, []bool{false, false, false, false}, "order-4 specialisation, two-level fiber runs"},
-		{[]int{5, 6, 7, 8, 9}, SaveModel, []bool{false, true, true, false, false}, "order-5 specialisation, two-level fiber runs, one-level in the root walk (memo at level 2)"},
-		{[]int{5, 6, 7, 8, 9}, SaveAll, []bool{false, true, true, true, false}, "order-5 specialisation, two-level fiber runs, one-level in the root walk (memos at levels 2 and 3)"},
-		{[]int{3, 4, 5, 6, 7, 8}, SaveModel, nil, "generic walk, one-level fiber runs"},
+		{[]int{6, 40, 50}, SaveModel, nil, "one-level fiber runs"},
+		{[]int{6, 40, 50, 7}, SaveModel, []bool{false, true, false, false}, "two-level fiber runs, one-level in the root walk (memo at level 1)"},
+		{[]int{6, 40, 50, 7}, SaveNone, []bool{false, false, false, false}, "two-level fiber runs"},
+		{[]int{5, 6, 7, 8, 9}, SaveModel, []bool{false, true, true, false, false}, "two-level fiber runs, one-level in the root walk (memo at level 2)"},
+		{[]int{5, 6, 7, 8, 9}, SaveAll, []bool{false, true, true, true, false}, "two-level fiber runs, one-level in the root walk (memos at levels 2 and 3)"},
+		{[]int{3, 4, 5, 6, 7, 8}, SaveModel, nil, "two-level fiber runs"},
 	} {
 		tt := tensor.Random(tc.dims, 400, nil, 8)
 		plan, err := NewPlan(tt, Options{Rank: 4, Threads: 1, SaveRule: tc.rule})

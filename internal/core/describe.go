@@ -42,8 +42,8 @@ func (p *Plan) Describe(w io.Writer) {
 		sched = "slice-granular (baseline)"
 	}
 	fmt.Fprintf(w, "  work distribution: %s\n", sched)
-	walk, runs, prims := kernels.KernelPath(d, p.Config.Save)
-	fmt.Fprintf(w, "  kernels: %s, %s, %s\n", walk, runs, prims)
+	runs, prims := kernels.KernelPath(d, p.Config.Save)
+	fmt.Fprintf(w, "  kernels: %s, %s\n", runs, prims)
 	if len(p.Accum) > 0 {
 		fmt.Fprintf(w, "  output accumulation:")
 		for u := 1; u < d; u++ {

@@ -24,7 +24,7 @@ func TestSweepZeroAllocs(t *testing.T) {
 		// The planner memoizes only level 1 here, so the root walk and the
 		// walks for modes 2-4 all take the two-level fiber calls.
 		{"stef-d5", []int{6, 6, 6, 6, 6}, core.Options{Rank: 8, Threads: 1}},
-		// Orders above 5 take the generic walks.
+		// Order 6 takes the same walks, ending in the two-level calls.
 		{"stef-d6", []int{3, 4, 5, 6, 7, 8}, core.Options{Rank: 8, Threads: 1}},
 		{"stef2-d3", []int{15, 20, 25}, core.Options{Rank: 8, Threads: 1, SecondCSF: true}},
 	}

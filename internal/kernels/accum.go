@@ -79,8 +79,8 @@ func CountRowWrites(tree *csf.Tree, part *sched.Partition, u, src int) *RowWrite
 		case u == src:
 			lo, hi = part.OwnedRange(th, u) //gate:allow bounds per-thread span lookup, T iterations
 		default:
-			lo = part.Start[th][u]                           //gate:allow bounds per-thread span lookup, T iterations
-			hi = minI64(part.Own[th+1][u], int64(len(fids))) //gate:allow bounds per-thread span lookup, T iterations
+			lo = part.Start[th][u]                        //gate:allow bounds per-thread span lookup, T iterations
+			hi = min(part.Own[th+1][u], int64(len(fids))) //gate:allow bounds per-thread span lookup, T iterations
 		}
 		t32 := int32(th)
 		touched := 0

@@ -427,3 +427,50 @@ func TestOutBufPlannedStress(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeFallbackMatchesGeneric holds the output buffer's node-by-node
+// fallbacks to its fused calls. With no memo, the non-root walks of orders
+// 4 to 6 end in the two-level calls (NodeOut, NodePushOut,
+// NodePushScatter): a private slab takes them fused, hybrid and atomic
+// buffers one node at a time. At T = 1 both must match the private slab
+// bit for bit; at T = 3, where CAS adds land in any order, every strategy
+// must match the reference.
+func TestNodeFallbackMatchesGeneric(t *testing.T) {
+	for _, dims := range [][]int{{6, 5, 9, 8}, {4, 5, 6, 7, 8}, {3, 4, 5, 3, 4, 5}} {
+		tt := tensor.Random(dims, 600, []float64{1.5, 0, 0, 0, 0, 0}[:len(dims)], 19)
+		d := len(dims)
+		tree := csf.Build(tt, nil)
+		factors := tensor.RandomFactors(tt.Dims, 6, 3)
+		lf := LevelFactors(factors, tree.Perm())
+		save := make([]bool, d)
+		for _, threads := range []int{1, 3} {
+			part := sched.NewPartition(tree, threads)
+			partials := NewPartials(tree, 6, save)
+			RootMTTKRP(tree, lf, tensor.NewMatrix(tree.Dim(0), 6), partials, part)
+			for u := 1; u < d; u++ {
+				rw := censusFor(tree, part, save, u)
+				run := func(strat AccumStrategy) *tensor.Matrix {
+					buf := NewOutBufPlanned(PlanAccum(rw, 6, threads, strat, int64(2*threads*6)))
+					buf.Reset()
+					ModeMTTKRP(tree, lf, u, partials, buf, part)
+					got := tensor.NewMatrix(tree.Dim(u), 6)
+					buf.Reduce(got)
+					return got
+				}
+				fused := run(AccumPriv)
+				want := Reference(tt, factors, tree.Perm()[u])
+				for _, strat := range []AccumStrategy{AccumPriv, AccumHybrid, AccumAtomic} {
+					ctx := fmt.Sprintf("dims=%v T=%d u=%d %v", dims, threads, u, strat)
+					got := run(strat)
+					if threads == 1 {
+						if diff := got.MaxAbsDiff(fused); diff != 0 {
+							t.Fatalf("%s: differs from the fused private slab by %g", ctx, diff)
+						}
+						continue
+					}
+					relClose(t, got, want, ctx)
+				}
+			}
+		}
+	}
+}

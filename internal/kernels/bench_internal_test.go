@@ -5,47 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"stef/internal/csf"
-	"stef/internal/sched"
 	"stef/internal/tensor"
 )
-
-// Benchmarks comparing the generated unrolled kernels against the generic
-// recursion — the ablation for the code-generation design choice.
-func BenchmarkSpecializedVsGeneric(b *testing.B) {
-	for _, dims := range [][]int{{200, 4000, 9000}, {150, 800, 3000, 400}} {
-		tt := tensor.Random(dims, 60000, []float64{1.2, 0, 0, 0}[:len(dims)], 3)
-		d := len(dims)
-		tree := csf.Build(tt, nil)
-		const rank = 32
-		factors := tensor.RandomFactors(tt.Dims, rank, 1)
-		lf := LevelFactors(factors, tree.Perm())
-		part := sched.NewPartition(tree, 4)
-		save := make([]bool, d)
-		save[1] = true
-		partials := NewPartials(tree, rank, save)
-		out0 := tensor.NewMatrix(tree.Dim(0), rank)
-		RootMTTKRP(tree, lf, out0, partials, part)
-
-		for u := 1; u < d; u++ {
-			src := partials.SourceLevel(u)
-			buf := NewOutBuf(tree.Dim(u), rank, 4, 0)
-			sc := NewScratch(d, rank, 4)
-			b.Run(fmt.Sprintf("d%d/mode%d/specialized", d, u), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					buf.Reset()
-					ModeMTTKRPWith(tree, lf, u, partials, buf, part, sc)
-				}
-			})
-			b.Run(fmt.Sprintf("d%d/mode%d/generic", d, u), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					buf.Reset()
-					modeGeneric(tree, lf, u, src, partials, buf, part, sc)
-				}
-			})
-		}
-	}
-}
 
 // BenchmarkVecOps times the three SIMD-able rank-vector primitives, the
 // generic Go loops against the AVX2 set, at the ranks the kernels run.

@@ -1,7 +1,3 @@
-//go:generate sh -c "go run stef/cmd/kernelgen -d 3 > modes3_gen.go"
-//go:generate sh -c "go run stef/cmd/kernelgen -d 4 > modes4_gen.go"
-//go:generate sh -c "go run stef/cmd/kernelgen -d 5 > modes5_gen.go"
-
 package kernels
 
 import (
@@ -32,9 +28,10 @@ func ModeMTTKRP(tree *csf.Tree, factors []*tensor.Matrix, u int, partials *Parti
 // level u, partial results t_l are accumulated upward from the source
 // level. Work is partitioned by the tree's source-level fibers: each
 // thread processes exactly the source fibers it owns, so no contribution
-// is duplicated; scattered output rows are combined through buf (private
-// copies or atomic adds). The caller must Reset buf beforehand and Reduce
-// it afterwards.
+// is duplicated; scattered output rows are combined through buf, by the
+// strategy it was planned with. Every order takes the same recursive walk
+// (modeWalk). The caller must Reset buf beforehand and Reduce it
+// afterwards.
 func ModeMTTKRPWith(tree *csf.Tree, factors []*tensor.Matrix, u int, partials *Partials, buf *OutBuf, part *sched.Partition, sc *Scratch) {
 	lifeEnter(tree, sc)
 	d := tree.Order()
@@ -44,24 +41,14 @@ func ModeMTTKRPWith(tree *csf.Tree, factors []*tensor.Matrix, u int, partials *P
 	sc.check(d, factors[0].Cols, part.T)
 	src := partials.SourceLevel(u)
 
-	// Dispatch to the unrolled specialisations for the common orders;
-	// the generic recursion below is the semantic reference and handles
-	// every other case.
 	sc.shadow.begin(part)
-	switch {
-	case d == 3 && mode3Dispatch(tree, factors, u, src, partials, buf, part, sc):
-	case d == 4 && mode4Dispatch(tree, factors, u, src, partials, buf, part, sc):
-	case d == 5 && mode5Dispatch(tree, factors, u, src, partials, buf, part, sc):
-	default:
-		modeGeneric(tree, factors, u, src, partials, buf, part, sc)
-	}
+	modeGeneric(tree, factors, u, src, partials, buf, part, sc)
 	sc.shadow.end()
 }
 
-// modeGeneric is the order-agnostic recursive kernel behind ModeMTTKRP; it
-// is kept callable directly so tests can cross-check the specialisations.
-// At T == 1 it calls the thread body directly, as the specialisations do,
-// so a launch allocates nothing.
+// modeGeneric launches the non-root walk on every thread of the
+// partition. At T == 1 it calls the thread body directly, so a launch
+// allocates nothing.
 func modeGeneric(tree *csf.Tree, factors []*tensor.Matrix, u, src int, partials *Partials, buf *OutBuf, part *sched.Partition, sc *Scratch) {
 	if part.T == 1 {
 		modeGenericThread(0, tree, factors, u, src, partials, buf, part, sc)
@@ -72,142 +59,185 @@ func modeGeneric(tree *csf.Tree, factors []*tensor.Matrix, u, src int, partials 
 	})
 }
 
-// modeWalk is one thread's generic non-root walk. Its methods are the
-// recursion, on a value that stays on the thread's stack, so the walk
-// builds no closures.
+// modeWalk is one thread's non-root walk. Its methods are the recursion,
+// on a value that stays on the thread's stack, so the walk builds no
+// closures. Level l's accumulator holds k_l for the current path at
+// levels 1..u-1 (k_0 aliases a factor row) and t_l at levels u..src-1, so
+// the two ranges never overlap.
 type modeWalk struct {
-	tree     *csf.Tree
-	factors  []*tensor.Matrix
+	treeView
 	partials *Partials
 	sc       *Scratch
 	ops      *vecOps
 	ob       OutBufThread
-	th       int
-	d, u     int
-	src      int
-	s, e     []int64
-	oLo, oHi int64
-	// vecs[l] holds k_l for the current path at levels 1..u-1 (k_0
-	// aliases a factor row) and accumulates t_l at levels u..src-1: one
-	// scratch slot per level, so the two ranges never overlap.
-	vecs  [][]float64
-	leafF *tensor.Matrix
+	th, d    int
 }
 
-// modeGenericThread is thread th's share of the generic non-root MTTKRP.
+// modeStep is the non-root walk's step at level l of an order-d tree for
+// mode u read from source level src: walk's step above u, down's from u.
+func modeStep(l, d, u, src int) step {
+	leaves := src == d-1
+	if l >= u {
+		switch {
+		case l+1 == src:
+			return stepMemoFold
+		case l+3 == src && leaves:
+			return stepNodeRun
+		}
+		return stepFold
+	}
+	switch {
+	case u == d-1 && l == d-4:
+		return stepNodePushScatter
+	case u == d-1 && l == d-3:
+		return stepRunScatter
+	case u == d-2 && leaves && l == d-4:
+		return stepNodePushOut
+	case l+1 < u:
+		return stepDescend
+	case u == d-1:
+		return stepLeafScatter
+	case u == src:
+		return stepMemoOut
+	case u == d-2 && leaves:
+		return stepRunOut
+	case u == d-3 && leaves:
+		return stepNodeOut
+	}
+	return stepOut
+}
+
+// modeGenericThread is thread th's share of the non-root MTTKRP.
 func modeGenericThread(th int, tree *csf.Tree, factors []*tensor.Matrix, u, src int, partials *Partials, buf *OutBuf, part *sched.Partition, sc *Scratch) {
 	oLo, oHi := part.OwnedRange(th, src)
 	if oLo >= oHi {
 		return
 	}
 	d := tree.Order()
+	s, e := part.Start[th], part.Own[th+1]
 	w := modeWalk{
-		tree: tree, factors: factors, partials: partials, sc: sc, ops: &sc.ops,
+		treeView: sc.view(th, tree, factors, s, e, src, oLo, oHi),
+		partials: partials, sc: sc, ops: &sc.ops,
 		// Resolve the output handle once: the per-thread hot slab / remap
 		// / replica indirection stays out of the emission loops.
 		ob: buf.Thread(th),
-		th: th, d: d, u: u, src: src,
-		s: part.Start[th], e: part.Own[th+1],
-		oLo: oLo, oHi: oHi,
-		vecs:  sc.levelVecs(th),
-		leafF: factors[d-1], //gate:allow bounds leaf factor hoisted once per launch; d-1 is the tree's last level
+		th: th, d: d,
 	}
-	rLo, rHi := w.s[0], minI64(int64(tree.NumFibers(0)), w.e[0])
+	for l, lv := 0, w.lv; l < len(lv); l++ {
+		lv[l].step = modeStep(l, d, u, src)
+	}
+	rLo, rHi := s[0], min(int64(tree.NumFibers(0)), e[0])
 	for n := rLo; n < rHi; n++ {
 		w.walk(0, n, nil)
 	}
 }
 
-// window returns node n's child range at level l+1: the owned range at the
-// source level, the touched range elsewhere, never reversed.
-func (w *modeWalk) window(l int, n int64) (int64, int64) {
-	lo, hi := w.s[l+1], w.e[l+1]
-	if l+1 == w.src {
-		lo, hi = w.oLo, w.oHi
-	}
-	cLo := maxI64(w.tree.PtrLevel(l)[n], lo)
-	return cLo, max(cLo, minI64(w.tree.PtrLevel(l)[n+1], hi))
-}
-
 // down computes t_l for node n at level l by contracting everything below
-// it down to the source level (u <= l < src; with the leaves as source,
-// l < d-2, since the level d-2 fibers go through runHad).
+// it down to the source level (u <= l < src).
 func (w *modeWalk) down(l int, n int64) []float64 {
-	tree, factors, src, d := w.tree, w.factors, w.src, w.d
-	tl := w.vecs[l] //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
-	w.ops.zero(tl)
-	cLo, cHi := w.window(l, n)
-	switch {
-	case l+1 == src:
+	lv := &w.lv[l] //gate:allow bounds level table indexed by the recursion depth, sized to the order
+	w.ops.zero(lv.t)
+	cLo, cHi := lv.window(n)
+	ch := &w.lv[l+1] //gate:allow bounds level table indexed by the recursion depth, sized to the order
+	switch lv.step {
+	case stepMemoFold:
+		// The children are the source level: fold up each one's
+		// memoized row.
+		p := w.partials.P[l+1] //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
 		for c := cLo; c < cHi; c++ {
-			w.sc.shadow.own(w.th, src, c)
-			w.ops.hadamardAccum(tl, w.partials.P[src].Row(int(c)), factors[src].Row(int(tree.FidLevel(src)[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
+			w.sc.shadow.own(w.th, l+1, c)
+			w.ops.hadamardAccum(lv.t, p.Row(int(c)), ch.f.Row(int(ch.fids[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
 		}
-	case l+2 == src && src == d-1:
-		// The children are level d-2 fibers: one fused call for their
-		// leaf sums and fold-ups.
-		run := runOf(tree, l+1, cLo, cHi, w.oLo, w.oHi)
-		w.sc.shadow.ownRun(w.th, d-1, &run)
-		w.ops.runHad(tl, w.vecs[l+1], factors[l+1], run, w.leafF) //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
+	case stepNodeRun:
+		// The children are level d-3 nodes: every child's run of fibers,
+		// and its fold into t_l, in one call.
+		nr := w.nodeRun(ch, cLo, cHi)
+		w.sc.shadow.ownNodeRun(w.th, w.d-1, &nr)
+		gc := &w.lv[l+2] //gate:allow bounds level table indexed by the recursion depth, sized to the order
+		w.ops.nodeHad(lv.t, ch.t, gc.t, ch.f, gc.f, nr, w.leafF)
 	default:
 		for c := cLo; c < cHi; c++ {
-			w.ops.hadamardAccum(tl, w.down(l+1, c), factors[l+1].Row(int(tree.FidLevel(l + 1)[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
+			w.ops.hadamardAccum(lv.t, w.down(l+1, c), ch.f.Row(int(ch.fids[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
 		}
 	}
-	return tl
+	return lv.t
 }
 
 // walk descends levels 0..u-1 building the KRP row, then emits output
 // contributions at level u.
 func (w *modeWalk) walk(l int, n int64, kprev []float64) {
-	tree, factors, partials, u, src, d := w.tree, w.factors, w.partials, w.u, w.src, w.d
-	fid := int(tree.FidLevel(l)[n])
-	cLo, cHi := w.window(l, n)
-	var kcur []float64
-	if l == 0 {
-		kcur = factors[0].Row(fid)
-	} else {
-		kcur = w.vecs[l] //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
-		w.ops.hadamardInto(kcur, kprev, factors[l].Row(fid))
+	lv := &w.lv[l] //gate:allow bounds level table indexed by the recursion depth, sized to the order
+	g := lv.f.Row(int(lv.fids[n]))
+	kcur := g
+	if l > 0 {
+		kcur = lv.t
+		w.ops.hadamardInto(kcur, kprev, g)
 	}
-	switch {
-	case u == d-1 && l == d-3:
-		// Leaf mode: the children are level d-2 fibers, whose push-downs
-		// and leaf scatters take one fused call.
-		run := runOf(tree, d-2, cLo, cHi, w.oLo, w.oHi)
-		w.sc.shadow.ownRun(w.th, d-1, &run)
-		w.ob.RunScatter(w.vecs[d-2], kcur, factors[d-2], run) //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
-	case l+1 < u:
+	cLo, cHi := lv.window(n)
+	if lv.step == stepLeafScatter {
+		// Order 2's leaf mode: k_0 is a factor row, with no push-down to
+		// fuse.
+		for k := cLo; k < cHi; k++ {
+			w.sc.shadow.own(w.th, w.d-1, k)
+			w.ob.AddScaled(int(w.fibers.fids[k]), w.fibers.vals[k], kcur) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
+		}
+		return
+	}
+	ch := &w.lv[l+1] //gate:allow bounds level table indexed by the recursion depth, sized to the order
+	switch lv.step {
+	case stepDescend:
 		for c := cLo; c < cHi; c++ {
 			w.walk(l+1, c, kcur)
 		}
-	case u == d-1:
-		// Order 2's leaf mode: k_0 is a factor row, with no push-down to
-		// fuse.
-		vals, leafFids := tree.ValsLevel(), tree.FidLevel(d-1) //gate:allow bounds leaf level of an order-2 tree; d-1 is its last level
-		for k := cLo; k < cHi; k++ {
-			w.sc.shadow.own(w.th, d-1, k)
-			w.ob.AddScaled(int(leafFids[k]), vals[k], kcur) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
-		}
-	case u == src:
+	case stepNodePushScatter:
+		// Leaf mode: each level d-3 child's push-down, its fibers'
+		// push-downs and their leaf scatters in one fused call.
+		nr := w.nodeRun(ch, cLo, cHi)
+		w.sc.shadow.ownNodeRun(w.th, w.d-1, &nr)
+		gc := &w.lv[l+2] //gate:allow bounds level table indexed by the recursion depth, sized to the order
+		w.ob.NodePushScatter(gc.t, ch.t, kcur, ch.f, gc.f, nr)
+	case stepRunScatter:
+		// Leaf mode: the children are level d-2 fibers, whose push-downs
+		// and leaf scatters take one fused call.
+		run := w.run(cLo, cHi)
+		w.sc.shadow.ownRun(w.th, w.d-1, &run)
+		w.ob.RunScatter(ch.t, kcur, ch.f, run)
+	case stepNodePushOut:
+		// Level u = d-2 recomputed from the leaves (Algorithm 8): each
+		// level d-3 child's push-down and its fibers' sums, each folded
+		// into its output row, in one fused call.
+		nr := w.nodeRun(ch, cLo, cHi)
+		w.sc.shadow.ownNodeRun(w.th, w.d-1, &nr)
+		gc := &w.lv[l+2] //gate:allow bounds level table indexed by the recursion depth, sized to the order
+		w.ob.NodePushOut(ch.t, gc.t, kcur, ch.f, nr, w.leafF)
+	case stepMemoOut:
 		// Memoized at exactly level u: one MTTV per owned fiber
 		// (Algorithm 6).
+		p := w.partials.P[l+1] //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
 		for c := cLo; c < cHi; c++ {
-			w.sc.shadow.own(w.th, src, c)
-			w.ob.AddHadamard(int(tree.FidLevel(u)[c]), kcur, partials.P[u].Row(int(c))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
+			w.sc.shadow.own(w.th, l+1, c)
+			w.ob.AddHadamard(int(ch.fids[c]), kcur, p.Row(int(c))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
 		}
-	case u == d-2 && src == d-1:
+	case stepRunOut:
 		// Level u = d-2 recomputed from the leaves (Algorithm 8): one
 		// fused call for the children's sums, each folded into its output
 		// row.
-		run := runOf(tree, u, cLo, cHi, w.oLo, w.oHi)
-		w.sc.shadow.ownRun(w.th, d-1, &run)
-		w.ob.RunOut(w.vecs[u], kcur, run, w.leafF) //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
+		run := w.run(cLo, cHi)
+		w.sc.shadow.ownRun(w.th, w.d-1, &run)
+		w.ob.RunOut(ch.t, kcur, run, w.leafF)
+	case stepNodeOut:
+		// Level u = d-3 recomputed from the leaves (Algorithm 8): each
+		// child's sum over its run of fibers, added into its output row,
+		// in one fused call.
+		nr := w.nodeRun(ch, cLo, cHi)
+		w.sc.shadow.ownNodeRun(w.th, w.d-1, &nr)
+		gc := &w.lv[l+2] //gate:allow bounds level table indexed by the recursion depth, sized to the order
+		w.ob.NodeOut(ch.t, gc.t, kcur, gc.f, nr, w.leafF)
 	default:
 		// Recompute t_u below level u from the source (Algorithms 7 and
 		// 8).
 		for c := cLo; c < cHi; c++ {
-			w.ob.AddHadamard(int(tree.FidLevel(u)[c]), kcur, w.down(u, c)) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
+			w.ob.AddHadamard(int(ch.fids[c]), kcur, w.down(l+1, c)) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
 		}
 	}
 }

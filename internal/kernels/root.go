@@ -27,9 +27,9 @@ func RootMTTKRP(tree *csf.Tree, factors []*tensor.Matrix, out *tensor.Matrix, pa
 // Parallelism follows the partition: each thread processes its leaf range;
 // fibers whose leaves span a thread boundary are accumulated into boundary
 // replica rows and merged afterwards, so no atomics and no full output
-// privatization are needed (Section III-A). Orders 3 and 4 dispatch to
-// unrolled specialisations (root3.go); other orders use the generic
-// recursive kernel, which is the semantic reference.
+// privatization are needed (Section III-A). Every order takes the same
+// recursive walk (rootWalk), which ends in one fused call per run of
+// level d-2 fibers or per level d-4 node (vec.go).
 func RootMTTKRPWith(tree *csf.Tree, factors []*tensor.Matrix, out *tensor.Matrix, partials *Partials, part *sched.Partition, sc *Scratch) {
 	lifeEnter(tree, sc)
 	d := tree.Order()
@@ -54,24 +54,16 @@ func RootMTTKRPWith(tree *csf.Tree, factors []*tensor.Matrix, out *tensor.Matrix
 	}
 
 	sc.shadow.begin(part)
-	switch d {
-	case 3:
-		root3(tree, factors, out, partials, part, sc)
-	case 4:
-		root4(tree, factors, out, partials, part, sc)
-	case 5:
-		root5(tree, factors, out, partials, part, sc)
-	default:
-		rootGeneric(tree, factors, out, partials, part, sc)
-	}
+	rootGeneric(tree, factors, out, partials, part, sc)
 
 	mergeBoundaries(tree, out, partials, part, sc.bound)
 	sc.shadow.end()
 }
 
-// rootGeneric is the order-agnostic recursive root kernel. At T == 1 it
-// calls the thread body directly, as the specialisations do, so a launch
-// allocates nothing.
+// rootGeneric launches the root walk on every thread of the partition. At
+// T == 1 it calls the thread body directly: a closure passed to par.Do
+// always escapes, so building it only on the multi-threaded branch keeps a
+// one-thread launch free of allocation.
 func rootGeneric(tree *csf.Tree, factors []*tensor.Matrix, out *tensor.Matrix, partials *Partials, part *sched.Partition, sc *Scratch) {
 	if part.T == 1 {
 		rootGenericThread(0, tree, factors, out, partials, part, sc)
@@ -82,24 +74,34 @@ func rootGeneric(tree *csf.Tree, factors []*tensor.Matrix, out *tensor.Matrix, p
 	})
 }
 
-// rootWalk is one thread's generic root walk. Its methods are the
-// recursion, on a value that stays on the thread's stack, so the walk
-// builds no closures.
+// rootWalk is one thread's root walk. Its methods are the recursion, on a
+// value that stays on the thread's stack, so the walk builds no closures.
 type rootWalk struct {
-	tree        *csf.Tree
-	factors     []*tensor.Matrix
-	partials    *Partials
-	sc          *Scratch
-	ops         *vecOps
-	th, d       int
-	s, e, ownLo []int64
-	tmp         [][]float64 // one accumulator per level, reused depth-first
-	vals        []float64
-	leafFids    []int32
-	leafF       *tensor.Matrix
+	treeView
+	partials *Partials
+	sc       *Scratch
+	ops      *vecOps
+	th, d    int
+	ownLo    []int64
 }
 
-// rootGenericThread is thread th's share of the generic root-mode MTTKRP.
+// rootStep is the root walk's step at level l of an order-d tree with
+// memo set save.
+func rootStep(l, d int, save []bool) step {
+	switch {
+	case l+1 == d-1:
+		return stepLeaves
+	case l+2 == d-1 && save[l+1]:
+		return stepFibers
+	case l+2 == d-1:
+		return stepRun
+	case l+3 == d-1 && !save[l+1] && !save[l+2]:
+		return stepNodeRun
+	}
+	return stepFold
+}
+
+// rootGenericThread is thread th's share of the root-mode MTTKRP.
 func rootGenericThread(th int, tree *csf.Tree, factors []*tensor.Matrix, out *tensor.Matrix, partials *Partials, part *sched.Partition, sc *Scratch) {
 	s := part.Start[th]
 	e := part.Own[th+1] // exclusive end of touched nodes per level
@@ -109,70 +111,80 @@ func rootGenericThread(th int, tree *csf.Tree, factors []*tensor.Matrix, out *te
 	}
 	d := tree.Order()
 	w := rootWalk{
-		tree: tree, factors: factors, partials: partials, sc: sc, ops: &sc.ops,
-		th: th, d: d, s: s, e: e, ownLo: ownLo,
-		tmp:  sc.levelVecs(th),
-		vals: tree.ValsLevel(), leafFids: tree.FidLevel(d - 1), leafF: factors[d-1], //gate:allow bounds leaf level hoisted once per launch; d-1 is the tree's last level
+		treeView: sc.view(th, tree, factors, s, e, d-1, s[d-1], e[d-1]),
+		partials: partials, sc: sc, ops: &sc.ops,
+		th: th, d: d, ownLo: ownLo,
 	}
+	for l, lv := 0, w.lv; l < len(lv); l++ {
+		lv[l].step = rootStep(l, d, partials.Save) //gate:allow bounds memo flags are sized to the order; once per level and launch
+	}
+	root := &w.lv[0]
 	for n := s[0]; n < e[0]; n++ {
 		w.rec(0, n)
 		if n >= ownLo[0] { //gate:allow bounds ownLo is sized to the order; constant level index
 			sc.shadow.own(th, 0, n)
-			copy(out.Row(int(tree.FidLevel(0)[n])), w.tmp[0]) //gate:allow bounds output row addressed by stored fiber id, data-dependent
+			copy(out.Row(int(root.fids[n])), root.t) //gate:allow bounds output row addressed by stored fiber id, data-dependent
 		} else {
 			sc.shadow.boundary(th, 0, n)
-			copy(sc.bound[0].Row(th), w.tmp[0]) //gate:allow bounds boundary replica row, one per thread
+			copy(sc.bound[0].Row(th), root.t) //gate:allow bounds boundary replica row, one per thread
 		}
 	}
 }
 
-// window returns node n's child range at level l+1, clamped to the
-// thread's nodes and never reversed.
-func (w *rootWalk) window(l int, n int64) (int64, int64) {
-	lo := maxI64(w.tree.PtrLevel(l)[n], w.s[l+1])
-	return lo, max(lo, minI64(w.tree.PtrLevel(l)[n+1], w.e[l+1]))
-}
-
-// rec computes t_l for node n at level l into tmp[l], storing the memo
+// rec computes t_l for node n at level l into lv[l].t, storing the memo
 // rows of the saved levels below it.
 func (w *rootWalk) rec(l int, n int64) {
-	tree, factors, partials, d := w.tree, w.factors, w.partials, w.d
-	tl := w.tmp[l]
-	cLo, cHi := w.window(l, n)
-	if l+1 == d-1 {
+	lv := &w.lv[l] //gate:allow bounds level table indexed by the recursion depth, sized to the order
+	cLo, cHi := lv.window(n)
+	if lv.step == stepLeaves {
 		// Order 2: the root's children are the leaves.
-		w.ops.fiberSum(tl, w.vals[cLo:cHi], w.leafFids[cLo:cHi], w.leafF) //gate:allow bounds leaf window from the fiber pointers, data-dependent
+		w.ops.fiberSum(lv.t, w.fibers.vals[cLo:cHi], w.fibers.fids[cLo:cHi], w.leafF) //gate:allow bounds leaf window from the fiber pointers, data-dependent
 		return
 	}
-	w.ops.zero(tl)
-	if l+2 == d-1 && !partials.Save[l+1] { //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
-		// The children are level d-2 fibers with no memo: their
-		// leaf sums and fold-ups in one call.
-		w.ops.runHad(tl, w.tmp[l+1], factors[l+1], runOf(tree, l+1, cLo, cHi, w.s[d-1], w.e[d-1]), w.leafF) //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
-		return
-	}
-	for c := cLo; c < cHi; c++ {
-		child := w.tmp[l+1]                                 //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
-		g := factors[l+1].Row(int(tree.FidLevel(l + 1)[c])) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
-		if l+2 == d-1 {
-			// The child is a level d-2 fiber whose sum the memo
-			// copy below needs: one call for its leaf sum and
-			// fold-up.
-			kLo, kHi := w.window(l+1, c)                                                //gate:allow bounds fiber pointers indexed by a partition-clamped node id, data-dependent
-			w.ops.fiberHad(tl, child, g, w.vals[kLo:kHi], w.leafFids[kLo:kHi], w.leafF) //gate:allow bounds leaf window from the fiber pointers, data-dependent
-		} else {
-			w.rec(l+1, c)
-			w.ops.hadamardAccum(tl, child, g)
+	w.ops.zero(lv.t)
+	ch := &w.lv[l+1] //gate:allow bounds level table indexed by the recursion depth, sized to the order
+	switch lv.step {
+	case stepRun:
+		// The children are level d-2 fibers with no memo: their leaf
+		// sums and fold-ups in one call.
+		w.ops.runHad(lv.t, ch.t, ch.f, w.run(cLo, cHi), w.leafF)
+	case stepNodeRun:
+		// The children are level d-3 nodes, and neither they nor their
+		// fibers are memoized: every child's run of fibers, and its fold
+		// into t_l, in one call.
+		nr := w.nodeRun(ch, cLo, cHi)
+		w.sc.shadow.ownNodeRun(w.th, w.d-1, &nr)
+		gc := &w.lv[l+2] //gate:allow bounds level table indexed by the recursion depth, sized to the order
+		w.ops.nodeHad(lv.t, ch.t, gc.t, ch.f, gc.f, nr, w.leafF)
+	case stepFibers:
+		// The children are level d-2 fibers whose sums the memo copy
+		// needs: one call per fiber for its leaf sum and fold-up.
+		for c := cLo; c < cHi; c++ {
+			kLo, kHi := ch.window(c)                                                                                       //gate:allow bounds fiber pointers indexed by a partition-clamped node id, data-dependent
+			w.ops.fiberHad(lv.t, ch.t, ch.f.Row(int(ch.fids[c])), w.fibers.vals[kLo:kHi], w.fibers.fids[kLo:kHi], w.leafF) //gate:allow bounds fiber row and leaf window addressed by stored ids and pointers, data-dependent
+			w.store(l+1, c, ch.t)
 		}
-		if partials.Save[l+1] { //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
-			if c >= w.ownLo[l+1] { //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
-				w.sc.shadow.own(w.th, l+1, c)
-				copy(partials.P[l+1].Row(int(c)), child) //gate:allow bounds memoized partial row addressed by node id, data-dependent
-			} else {
-				w.sc.shadow.boundary(w.th, l+1, c)
-				copy(w.sc.bound[l+1].Row(w.th), child) //gate:allow bounds boundary replica row per level, sized to the order
+	default:
+		save := w.partials.Save[l+1] //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
+		for c := cLo; c < cHi; c++ {
+			w.rec(l+1, c)
+			w.ops.hadamardAccum(lv.t, ch.t, ch.f.Row(int(ch.fids[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
+			if save {
+				w.store(l+1, c, ch.t) //gate:allow bounds memo row vs boundary replica chosen by a data-dependent owner test
 			}
 		}
+	}
+}
+
+// store copies t_l of node c into its memo row, or into the thread's
+// boundary replica row when c is the thread's shared first node.
+func (w *rootWalk) store(l int, c int64, t []float64) {
+	if c >= w.ownLo[l] {
+		w.sc.shadow.own(w.th, l, c)
+		copy(w.partials.P[l].Row(int(c)), t)
+	} else {
+		w.sc.shadow.boundary(w.th, l, c)
+		copy(w.sc.bound[l].Row(w.th), t)
 	}
 }
 

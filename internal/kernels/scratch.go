@@ -19,16 +19,16 @@ type Scratch struct {
 	stride  int // padded rank, keeps threads off shared cache lines
 	slots   int // accumulator slots per thread, one per CSF level 0..d-2
 	vecs    []float64
-	// levels[th*slots+l] is vec(th, l): the per-level tables the generic
-	// walks index by depth, built once so no launch allocates them.
-	levels [][]float64
+	// walk[th*slots+l] is level l of thread th's treeView (walk.go),
+	// filled at the start of each launch, so no launch allocates it.
+	walk []walkLevel
 	// bound[l] holds one boundary replica row per thread for level l
 	// (level 0 stands in for the root output). Kernels must zero the rows
 	// they merge before writing: pooled reuse leaves stale data behind.
 	bound []*tensor.Matrix
 	// ops is the rank-vector primitive set chosen by opsFor (vec.go).
-	// Kernels rebind the primitive names from here at the top of each
-	// thread body.
+	// The walks call the primitives through it; the subtree kernels
+	// rebind the names from here at the top of each thread body.
 	ops vecOps
 	// shadow is the write-disjointness oracle; a no-op unless built with
 	// -tags shadowtrace (see shadow_off.go / shadow_on.go).
@@ -53,10 +53,7 @@ func NewScratch(d, rank, threads int) *Scratch {
 		ops:     opsFor(),
 	}
 	s.vecs = make([]float64, threads*s.slots*s.stride)
-	s.levels = make([][]float64, threads*s.slots)
-	for i := range s.levels {
-		s.levels[i] = s.vec(i/s.slots, i%s.slots)
-	}
+	s.walk = make([]walkLevel, threads*s.slots)
 	for l := range s.bound {
 		s.bound[l] = tensor.NewMatrix(threads, rank)
 	}
@@ -68,12 +65,6 @@ func NewScratch(d, rank, threads int) *Scratch {
 func (s *Scratch) vec(th, slot int) []float64 {
 	base := (th*s.slots + slot) * s.stride
 	return s.vecs[base : base+s.rank : base+s.rank]
-}
-
-// levelVecs returns thread th's accumulators indexed by CSF level:
-// levelVecs(th)[l] is vec(th, l).
-func (s *Scratch) levelVecs(th int) [][]float64 {
-	return s.levels[th*s.slots : (th+1)*s.slots]
 }
 
 // check panics unless the scratch fits an order-d kernel launch at the

@@ -37,7 +37,7 @@ func expectShadowPanic(t *testing.T) {
 }
 
 // TestShadowCleanRuns drives the full kernel suite (root and every non-root
-// mode, specialised and generic orders, heavy boundary sharing) under the
+// mode, orders 3 to 6, heavy boundary sharing) under the
 // armed oracle: a clean Algorithm 3 implementation must never trip it, and
 // the outputs must still match the COO reference.
 func TestShadowCleanRuns(t *testing.T) {
@@ -46,7 +46,7 @@ func TestShadowCleanRuns(t *testing.T) {
 		{6, 5, 9, 8},
 		{3, 4, 5, 6, 4},
 		{2, 300, 5},        // two root slices: heavy boundary sharing
-		{3, 5, 6, 4, 3, 4}, // order 6: generic kernels
+		{3, 5, 6, 4, 3, 4}, // order 6
 	}
 	for _, dims := range shapes {
 		tt := tensor.Random(dims, 400, nil, int64(len(dims))*7)
@@ -89,8 +89,8 @@ func TestShadowFlagsCorruptedPartition(t *testing.T) {
 	// and run the offending thread body on this goroutine.
 	sc.shadow.begin(part)
 	defer expectShadowPanic(t)
-	root3Thread(1, tree, lf, out, partials, part, sc)
-	t.Fatal("root3Thread returned; oracle never fired")
+	rootGenericThread(1, tree, lf, out, partials, part, sc)
+	t.Fatal("rootGenericThread returned; oracle never fired")
 }
 
 // TestShadowCrossThreadClaim checks the ownership half of the oracle

@@ -10,11 +10,12 @@
 //
 // Every walk ends in the fiber primitives below: one call per run of
 // sibling level d-2 fibers sums their leaves and applies the fold-up or
-// push-down that consumes each sum. The order-4 and order-5 walks end one
-// level higher, in one call per level d-4 node that does so for each of
-// its level d-3 children. Where the CPU has AVX2 they run as assembly
-// (vec_amd64.s) that keeps each sum in registers, bit-identical to the Go
-// forms here.
+// push-down that consumes each sum. From order 4 the root and non-root
+// walks end one level higher, in one call per level d-4 node that does so
+// for each of its level d-3 children, except where a memo needs each
+// child's sum; the subtree walks stay on one-level runs. Where the CPU has
+// AVX2 they run as assembly (vec_amd64.s) that keeps each sum in
+// registers, bit-identical to the Go forms here.
 package kernels
 
 import (
@@ -235,24 +236,6 @@ type nodeRun struct {
 	fibers     fiberRun
 }
 
-// nodeRunOf returns the run of level-l nodes [lo, hi), whose grandchildren
-// are the tree's leaves (l+2 is the last level), with fiber windows
-// clamped to [cMin, cMax) and leaf windows to [kMin, kMax).
-func nodeRunOf(tree *csf.Tree, l int, lo, hi, cMin, cMax, kMin, kMax int64) nodeRun {
-	return nodeRun{
-		nids: tree.FidLevel(l)[lo:hi],
-		ptr:  tree.PtrLevel(l)[lo : hi+1],
-		cMin: cMin, cMax: cMax,
-		fibers: fiberRun{
-			mids: tree.FidLevel(l + 1),
-			ptr:  tree.PtrLevel(l + 1),
-			kMin: kMin, kMax: kMax,
-			vals: tree.ValsLevel(),
-			fids: tree.FidLevel(l + 2),
-		},
-	}
-}
-
 // run returns node n's run of level d-2 fibers.
 func (nr *nodeRun) run(n int) fiberRun {
 	lo := max(nr.ptr[n], nr.cMin)
@@ -305,10 +288,9 @@ func nodePushScatter(out *tensor.Matrix, kf, kn, a []float64, gm, fm *tensor.Mat
 }
 
 // vecOps bundles the rank-vector and fiber primitives. A Scratch or OutBuf
-// picks its set once at construction via opsFor; kernels rebind the
-// primitive names to the chosen set at the top of each thread body, so a
-// fiber, a run or a node run pays one indirect call and the selection
-// never appears in a loop.
+// picks its set once at construction via opsFor, and the kernels call
+// through it, so a fiber, a run or a node run pays one indirect call and
+// the selection never appears in a loop.
 type vecOps struct {
 	zero            func(v []float64)
 	addScaled       func(dst []float64, s float64, src []float64)
@@ -354,26 +336,15 @@ func opsFor() vecOps {
 	return genericVecOps
 }
 
-// KernelPath names, for Describe, the walk the root and non-root kernels
-// take on an order-d tree planned with memo set save, how deep the fiber
-// runs of the walks that read the leaves reach, and the primitive set
-// opsFor selects in this build on this CPU, with the reason when it is the
-// Go forms. The order-4 and order-5 walks end in two-level runs, except a
-// root walk with a memo at level d-3 or d-2, which needs each child's sum;
-// the order-3 and generic walks end in one-level runs.
-func KernelPath(d int, save []bool) (walk, runs, prims string) {
-	switch d {
-	case 3:
-		walk = "order-3 specialisation"
-	case 4:
-		walk = "order-4 specialisation"
-	case 5:
-		walk = "order-5 specialisation"
-	default:
-		walk = "generic walk"
-	}
+// KernelPath names, for Describe, how deep the fiber runs reach in the
+// walks that read the leaves of an order-d tree planned with memo set
+// save, and the primitive set opsFor selects in this build on this CPU,
+// with the reason when it is the Go forms. From order 4 the walks end in
+// two-level runs, except a root walk with a memo at level d-3 or d-2,
+// which needs each child's sum; order 3 ends in one-level runs.
+func KernelPath(d int, save []bool) (runs, prims string) {
 	runs = "one-level fiber runs"
-	if d == 4 || d == 5 {
+	if d >= 4 {
 		runs = "two-level fiber runs"
 		lo, hi := strconv.Itoa(d-3), strconv.Itoa(d-2)
 		switch saveLo, saveHi := d-3 < len(save) && save[d-3], d-2 < len(save) && save[d-2]; {
@@ -388,23 +359,9 @@ func KernelPath(d int, save []bool) (walk, runs, prims string) {
 	_, ok := simdVecOps()
 	switch {
 	case ok && !cpu.RaceBuild:
-		return walk, runs, "AVX2 fiber primitives"
+		return runs, "AVX2 fiber primitives"
 	case ok:
-		return walk, runs, "Go forms (race build)"
+		return runs, "Go forms (race build)"
 	}
-	return walk, runs, "Go forms (no AVX2)"
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return runs, "Go forms (no AVX2)"
 }

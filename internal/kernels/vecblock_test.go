@@ -201,8 +201,8 @@ func TestOpsForSelection(t *testing.T) {
 // T=4 runs must agree to the last bit.
 func TestBlockedEndToEndBitIdentical(t *testing.T) {
 	simd := simdOrSkip(t)
-	shapes := map[int][]int{3: {9, 11, 7}, 4: {6, 9, 11, 7}, 5: {5, 6, 7, 4, 6}}
-	for d := 3; d <= 5; d++ {
+	shapes := map[int][]int{3: {9, 11, 7}, 4: {6, 9, 11, 7}, 5: {5, 6, 7, 4, 6}, 6: {4, 5, 3, 6, 4, 5}, 7: {3, 4, 3, 4, 3, 4, 3}}
+	for d := 3; d <= 7; d++ {
 		tt := tensor.Random(shapes[d], 500, nil, int64(d))
 		tree := csf.Build(tt, nil)
 		for _, threads := range []int{1, 4} {

@@ -62,19 +62,16 @@ func Default() *Manifest {
 		},
 		Rules: []Rule{
 			{Func: "kernels.RootMTTKRPWith", Note: "root-mode dispatch (Alg. 4/5), runs once per iteration but owns the boundary-replica setup loop"},
-			{Func: "kernels.rootGeneric", Note: "order-agnostic recursive root kernel dispatch; the T==1 path calls the thread body directly"},
-			{Func: "kernels.rootGenericThread", Note: "order-agnostic root kernel (per-thread body), the semantic reference per-nnz path"},
-			{Func: "kernels.rootWalk.rec", Note: "order-agnostic root recursion, once per internal CSF node"},
-			{Func: "kernels.root3Thread", Note: "order-3 unrolled root kernel (per-thread body), dominant benchmark path"},
-			{Func: "kernels.root4Thread", Note: "order-4 unrolled root kernel (per-thread body)"},
-			{Func: "kernels.root5Thread", Note: "order-5 unrolled root kernel (per-thread body)"},
+			{Func: "kernels.rootGeneric", Note: "root kernel launch at every order; the T==1 path calls the thread body directly"},
+			{Func: "kernels.rootGenericThread", Note: "root kernel at every order (per-thread body): the level table set-up and the root-node loop"},
+			{Func: "kernels.rootWalk.rec", Note: "root recursion at every order, once per internal CSF node above the fused runs"},
 			{Func: "kernels.RootMTTKRPSubtrees", Note: "subtree-parallel root kernel (ablation path), per-nnz"},
 			{Func: "kernels.ModeMTTKRPSubtrees", Note: "subtree-parallel non-root kernel, per-nnz"},
-			{Func: "kernels.ModeMTTKRPWith", Note: "non-root dispatch (Alg. 6-8)"},
-			{Func: "kernels.modeGeneric", Note: "order-agnostic recursive non-root kernel dispatch; the T==1 path calls the thread body directly"},
-			{Func: "kernels.modeGenericThread", Note: "order-agnostic non-root kernel (per-thread body)"},
-			{Func: "kernels.modeWalk.walk", Note: "order-agnostic non-root recursion above level u, once per internal CSF node"},
-			{Func: "kernels.modeWalk.down", Note: "order-agnostic non-root recursion below level u, once per internal CSF node"},
+			{Func: "kernels.ModeMTTKRPWith", Note: "non-root entry (Alg. 6-8)"},
+			{Func: "kernels.modeGeneric", Note: "non-root kernel launch at every order; the T==1 path calls the thread body directly"},
+			{Func: "kernels.modeGenericThread", Note: "non-root kernel at every order (per-thread body): the level table set-up and the root-node loop"},
+			{Func: "kernels.modeWalk.walk", Note: "non-root recursion above level u at every order, once per internal CSF node above the fused runs"},
+			{Func: "kernels.modeWalk.down", Note: "non-root recursion below level u at every order, once per internal CSF node above the fused runs"},
 			{Func: "kernels.zero", Note: "rank-vector clear inside every fiber visit; must lower to memclr"},
 			{Func: "kernels.addScaled", Note: "leaf-level axpy, executed once per nonzero"},
 			{Func: "kernels.OutBufThread.AddScaled", Note: "per-add output scatter: hot-replica / direct / CAS dispatch, once per leaf write"},

@@ -32,7 +32,7 @@ echo "==> go test ./..."
 go test ./...
 
 echo "==> kernel and solve start-up benchmarks, one iteration each (the code behind the EXPERIMENTS tables keeps running)"
-go test -run '^$' -bench 'FiberOps|SpecializedVsGeneric|SolveStart' -benchtime 1x ./internal/kernels/ ./internal/cpd/
+go test -run '^$' -bench 'FiberOps|SolveStart' -benchtime 1x ./internal/kernels/ ./internal/cpd/
 
 echo "==> set-up benchmarks, one iteration each (the .tns parse, and the CSF build, swap, census and plan)"
 go test -run '^$' -bench 'Read|Setup' -benchtime 1x ./internal/frostt/ ./internal/csf/
