@@ -28,11 +28,13 @@ func (c engineCase) String() string {
 }
 
 // decodeEngineCase turns fuzz bytes into a case: the order (2–7), the mode
-// lengths (1–8, so length-1 modes are common), the rank (1–40, so every
-// remainder mod 4 occurs), the thread count (1–3), the accumulation
-// strategy and privatization bound, then up to 300 non-zeros, one
-// coordinate byte per mode and one value byte each. Small modes make
-// repeated coordinates common, and a zero value byte is a zero value.
+// lengths (1–8, so length-1 modes are common), the rank (1–70, so every
+// column block of the fiber kernels occurs, two 32-column blocks
+// included, and every remainder mod 4), the thread count (1–3), the
+// accumulation strategy and privatization bound, then up to 300
+// non-zeros, one coordinate byte per mode and one value byte each. Small
+// modes make repeated coordinates common, and a zero value byte is a zero
+// value.
 func decodeEngineCase(data []byte) (engineCase, bool) {
 	if len(data) < 6 {
 		return engineCase{}, false
@@ -47,7 +49,7 @@ func decodeEngineCase(data []byte) (engineCase, bool) {
 	}
 	p := data[1+d:]
 	c := engineCase{
-		rank:    1 + int(p[0])%40,
+		rank:    1 + int(p[0])%70,
 		threads: 1 + int(p[1])%3,
 		accum:   []string{"", "priv", "hybrid", "atomic"}[p[2]%4],
 	}

@@ -12,6 +12,11 @@ import (
 // scheduler hands out disjoint slice ranges to workers: root rows are
 // disjoint across slices, so concurrent calls on disjoint ranges are safe.
 func RootMTTKRPSubtrees(tree *csf.Tree, factors []*tensor.Matrix, out *tensor.Matrix, partials *Partials, lo, hi int64) {
+	rootSubtrees(opsFor(), tree, factors, out, partials, lo, hi)
+}
+
+// rootSubtrees is RootMTTKRPSubtrees with the primitive set ops.
+func rootSubtrees(ops vecOps, tree *csf.Tree, factors []*tensor.Matrix, out *tensor.Matrix, partials *Partials, lo, hi int64) {
 	d := tree.Order()
 	r := factors[0].Cols
 	tmp := make([][]float64, d-1)
@@ -19,9 +24,8 @@ func RootMTTKRPSubtrees(tree *csf.Tree, factors []*tensor.Matrix, out *tensor.Ma
 		//gate:allow escape,bounds per-call accumulator setup, once per subtree range, not per-nnz
 		tmp[l] = make([]float64, r) //lint:allow hotpath-alloc per-call setup, once per subtree range
 	}
-	// Rebind the primitives to opsFor's set (vec.go); the names shadow the
-	// generic package functions on purpose.
-	ops := opsFor()
+	// Rebind the primitives to ops; the names shadow the generic package
+	// functions on purpose.
 	zero, hadamardAccum, fiberSum, fiberHad := ops.zero, ops.hadamardAccum, ops.fiberSum, ops.fiberHad
 	vals, leafFids, leafF := tree.ValsLevel(), tree.FidLevel(d-1), factors[d-1] //gate:allow bounds leaf level hoisted once per call; d-1 is the tree's last level
 	var rec func(l int, n int64)
@@ -63,6 +67,11 @@ func RootMTTKRPSubtrees(tree *csf.Tree, factors []*tensor.Matrix, out *tensor.Ma
 // privatizes or serialises writes). It reads partials.SourceLevel(u) like
 // ModeMTTKRP.
 func ModeMTTKRPSubtrees(tree *csf.Tree, factors []*tensor.Matrix, u int, partials *Partials, out *tensor.Matrix, lo, hi int64) {
+	modeSubtrees(opsFor(), tree, factors, u, partials, out, lo, hi)
+}
+
+// modeSubtrees is ModeMTTKRPSubtrees with the primitive set ops.
+func modeSubtrees(ops vecOps, tree *csf.Tree, factors []*tensor.Matrix, u int, partials *Partials, out *tensor.Matrix, lo, hi int64) {
 	d := tree.Order()
 	src := partials.SourceLevel(u)
 	r := factors[0].Cols
@@ -76,9 +85,8 @@ func ModeMTTKRPSubtrees(tree *csf.Tree, factors []*tensor.Matrix, u int, partial
 		//gate:allow escape,bounds per-call accumulator setup, once per subtree range, not per-nnz
 		tmp[l] = make([]float64, r) //lint:allow hotpath-alloc per-call setup, once per subtree range
 	}
-	// Rebind the primitives to opsFor's set (vec.go); the names shadow the
-	// generic package functions on purpose.
-	ops := opsFor()
+	// Rebind the primitives to ops; the names shadow the generic package
+	// functions on purpose.
 	zero, addScaled, hadamardAccum, hadamardInto, runHad := ops.zero, ops.addScaled, ops.hadamardAccum, ops.hadamardInto, ops.runHad
 	leafF, nnz := factors[d-1], tree.NNZ64() //gate:allow bounds leaf factor hoisted once per call; d-1 is the tree's last level
 	// down computes t_l for node n at level l (u <= l < src; with the

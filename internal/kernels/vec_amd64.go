@@ -4,6 +4,7 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 
 	"stef/internal/cpu"
 	"stef/internal/tensor"
@@ -13,7 +14,8 @@ import (
 // assembled in every amd64 build, race builds included, so the contract
 // tests reach it everywhere; only opsFor's selection skips it under -race.
 // Each //asm:writes line names the arguments a fiber kernel stores into,
-// for the write-disjoint analyzer.
+// for the write-disjoint analyzer; everything else a kernel reads arrives
+// through a kernelArgs.
 
 //go:noescape
 func addScaledAVX2(dst []float64, s float64, src []float64)
@@ -24,71 +26,108 @@ func hadamardAccumAVX2(dst, a, b []float64)
 //go:noescape
 func hadamardIntoAVX2(dst, a, b []float64)
 
-// nodeRunAsm walks a run of nodes, each with its run of fibers (see the
-// comment in vec_amd64.s). For each node n it applies the node action:
-// nodeNone folds the fibers straight into v; nodeFoldV and nodeFoldRow
-// set t = +0, fold the fibers into t, then fold t into v with row
-// nids[n] of the nmrows×len(child) matrix nm, or into that row with v;
-// nodePush sets t = v ⊙ that row and folds the fibers into t. Each fiber
-// c sums child = Σₖ vals[k]·f[fids[k]] over the rows×len(child) matrix f
-// for the leaves k in [ptr[c], ptr[c+1]) clamped to [kmin, kmax); with
-// fold it then folds the sum with row mids[c] of the mrows×len(child)
-// matrix m, into the node's target or, with rowDst, into that row. Node
-// n's fibers are [nptr[n], nptr[n+1]) clamped to [cmin, cmax). It reports
-// false when a node id, fiber id or leaf id is out of range; the caller
-// guarantees the rest (see nodeShapeOK).
-//
-//asm:writes v t child m nm
-//go:noescape
-func nodeRunAsm(v, t, child, m []float64, mrows int, nm []float64, nmrows int, nids []int32, nptr []int64, cmin, cmax int, mids []int32, ptr []int64, kmin, kmax int, vals []float64, fids []int32, f []float64, rows int, rowDst, fold bool, node uint8) (ok bool)
+// kernelArgs is the read-only side of one run or node-run kernel call,
+// which the assembly reads through one pointer at the offsets go_asm.h
+// gives: the nodes' ids and fiber pointers with the fiber window, the
+// fibers' ids and leaf pointers with the leaf window, and the leaf values
+// and ids (nodeRun); the rank; the row counts of the matrices the node,
+// fiber and leaf ids index; and the data of the matrices and the vector
+// the call reads but does not write. A field the call has no use for, or
+// writes, is left zero.
+type kernelArgs struct {
+	nodeRun
+	rank                int
+	nrows, frows, lrows int
+	nm, fm, lm, vec     []float64
+}
 
-// The node actions of nodeRunAsm.
-const (
-	nodeNone    uint8 = iota // the one-level forms: one node, no node row
-	nodeFoldV                // nodeHad: v += t ⊙ h
-	nodeFoldRow              // nodeOut: h += v ⊙ t
-	nodePush                 // nodePushOut: t = v ⊙ h, pushed down
+// oneNode and wholeRun make a run of fibers a node run of one node: the
+// run forms read no node id, and the node's pointers clamp to the whole
+// fiber window [0, len(mids)).
+var (
+	oneNode  [1]int32
+	wholeRun = [2]int64{math.MinInt64, math.MaxInt64}
 )
 
-// nodeRunScatterAsm computes, for each node n of a run clamped as in
-// nodeRunAsm, with push, t = a ⊙ row nids[n] of nm, then for each of the
-// node's fibers c, k = t (or a, without push) ⊙ row mids[c] of gm, and
-// adds vals[j]·k into row fids[j] of the orows×len(k) matrix out, leaf by
-// leaf. It reports false when an id is out of range; no row outside out
-// is written.
+// runArgs returns run r as a node run of one node.
+func runArgs(r fiberRun) nodeRun {
+	return nodeRun{nids: oneNode[:], ptr: wholeRun[:], cMax: int64(len(r.mids)), fibers: r}
+}
+
+// foldAsm runs the fold-up forms (runHad, nodeHad, nodeOut) over a's
+// nodes, as mode says. For each node n, the accumulator t starts as v
+// (foldRun, whose one node is the whole run) or as +0 (foldHad, foldOut);
+// each of the node's fibers c adds child ⊙ row mids[c] of a.fm into it,
+// where child = Σₖ vals[k]·row fids[k] of a.lm over the fiber's leaves,
+// summed from +0. The node then ends: foldRun stores t in v, foldHad adds
+// t ⊙ row nids[n] of a.nm into v, foldOut adds a.vec ⊙ t into row nids[n]
+// of v, an a.nrows×rank matrix. It reports false when an id is out of
+// range; the wrappers guarantee the rest (see nodeShapeOK).
 //
-//asm:writes out k t
+//asm:writes v
 //go:noescape
-func nodeRunScatterAsm(out []float64, orows int, k, a, t, nm []float64, nmrows int, nids []int32, nptr []int64, cmin, cmax int, gm []float64, grows int, mids []int32, ptr []int64, kmin, kmax int, vals []float64, fids []int32, push bool) (ok bool)
+func foldAsm(a *kernelArgs, v []float64, mode uint8) (ok bool)
+
+// The modes of foldAsm.
+const (
+	foldRun uint8 = iota // runHad: one node, t is dst itself
+	foldHad              // nodeHad: dst += t ⊙ h
+	foldOut              // nodeOut: h += k ⊙ t
+)
+
+// pushAsm runs the push-out forms (runOut, nodePushOut) over a's nodes.
+// With push, each node n first sets t = a.vec ⊙ row nids[n] of a.nm and w
+// = t; without, w = a.vec. Each of the node's fibers c then adds child ⊙ w
+// into row mids[c] of out, an a.frows×rank matrix, with child summed as
+// in foldAsm. It reports false when an id is out of range.
+//
+//asm:writes out t
+//go:noescape
+func pushAsm(a *kernelArgs, out, t []float64, push bool) (ok bool)
+
+// scatterAsm runs the scatter forms (runScatter, nodePushScatter) over
+// a's nodes, with t and w as in pushAsm: for each fiber c, k = w ⊙ row
+// mids[c] of a.fm, then vals[j]·k is added into row fids[j] of out, an
+// a.lrows×rank matrix, leaf by leaf, so a row repeated in the run is
+// updated in leaf order. It reports false when an id is out of range.
+//
+//asm:writes out t
+//go:noescape
+func scatterAsm(a *kernelArgs, out, t []float64, push bool) (ok bool)
+
+// fiberAsm computes child = Σₖ vals[k]·f[fids[k]] over the
+// rows×len(child) matrix f, summed from +0, and with fold then adds child
+// ⊙ g into dst. It reports false when a leaf id is out of range.
+//
+//asm:writes dst child
+//go:noescape
+func fiberAsm(dst, child, g, vals []float64, fids []int32, f []float64, rows int, fold bool) (ok bool)
 
 // The fiber wrappers check what the assembly relies on: the rank R is
 // len(child) or len(k), every other rank vector holds at least R values,
 // each matrix's stride is R and its data covers every row, and every
 // window lies in its arrays. The assembly checks each id itself, since it
 // indexes rows without Go's bounds checks, and the wrapper panics on its
-// flag as Row would. The one-level forms are one node, nodeNone, whose
-// window [0, len(mids)) is the whole run.
+// flag as Row would. The run forms are a node run of one node (runArgs).
+// Scratch vectors (child, t and k of the run and node forms) are checked
+// as before, though the assembly keeps them in registers.
 
-// fiberSumAVX2 is the AVX2 form of fiberSum: a run of one fiber, not
-// folded.
+// fiberSumAVX2 is the AVX2 form of fiberSum.
 func fiberSumAVX2(child, vals []float64, fids []int32, f *tensor.Matrix) {
 	if !fiberShapeOK(len(child), len(child), len(child), len(vals), len(fids), f) {
 		badFiberShape(len(child), len(child), len(child), len(vals), len(fids), f)
 	}
-	nids, nptr, mids, ptr := [1]int32{}, [2]int64{0, 1}, [1]int32{}, [2]int64{0, int64(len(vals))}
-	if !nodeRunAsm(nil, nil, child, child, 1, nil, 0, nids[:], nptr[:], 0, 1, mids[:], ptr[:], 0, len(vals), vals, fids, f.Data, f.Rows, false, false, nodeNone) {
+	if !fiberAsm(nil, child, nil, vals, fids, f.Data, f.Rows, false) {
 		badFid(fids[:len(vals)], f.Rows)
 	}
 }
 
-// fiberHadAVX2 is the AVX2 form of fiberHad: a run of one fiber whose g is
-// the one row of a 1×R matrix.
+// fiberHadAVX2 is the AVX2 form of fiberHad.
 func fiberHadAVX2(dst, child, g, vals []float64, fids []int32, f *tensor.Matrix) {
 	if !fiberShapeOK(len(child), len(dst), len(g), len(vals), len(fids), f) {
 		badFiberShape(len(child), len(dst), len(g), len(vals), len(fids), f)
 	}
-	nids, nptr, mids, ptr := [1]int32{}, [2]int64{0, 1}, [1]int32{}, [2]int64{0, int64(len(vals))}
-	if !nodeRunAsm(dst, nil, child, g, 1, nil, 0, nids[:], nptr[:], 0, 1, mids[:], ptr[:], 0, len(vals), vals, fids, f.Data, f.Rows, false, true, nodeNone) {
+	if !fiberAsm(dst, child, g, vals, fids, f.Data, f.Rows, true) {
 		badFid(fids[:len(vals)], f.Rows)
 	}
 }
@@ -98,8 +137,8 @@ func runHadAVX2(dst, child []float64, gm *tensor.Matrix, r fiberRun, f *tensor.M
 	if !fiberShapeOK(len(child), len(dst), len(child), 0, 0, gm) || !runShapeOK(len(child), r, f) {
 		badRunShape(len(child), len(dst), gm, r, f)
 	}
-	nids, nptr := [1]int32{}, [2]int64{0, int64(len(r.mids))}
-	if !nodeRunAsm(dst, nil, child, gm.Data, gm.Rows, nil, 0, nids[:], nptr[:], 0, len(r.mids), r.mids, r.ptr, int(r.kMin), int(r.kMax), r.vals, r.fids, f.Data, f.Rows, false, true, nodeNone) {
+	a := kernelArgs{nodeRun: runArgs(r), rank: len(child), frows: gm.Rows, lrows: f.Rows, fm: gm.Data, lm: f.Data}
+	if !foldAsm(&a, dst, foldRun) {
 		badRunID(r, gm.Rows, f.Rows)
 	}
 }
@@ -109,8 +148,8 @@ func runOutAVX2(out *tensor.Matrix, child, g []float64, r fiberRun, f *tensor.Ma
 	if !fiberShapeOK(len(child), len(g), len(child), 0, 0, out) || !runShapeOK(len(child), r, f) {
 		badRunShape(len(child), len(g), out, r, f)
 	}
-	nids, nptr := [1]int32{}, [2]int64{0, int64(len(r.mids))}
-	if !nodeRunAsm(g, nil, child, out.Data, out.Rows, nil, 0, nids[:], nptr[:], 0, len(r.mids), r.mids, r.ptr, int(r.kMin), int(r.kMax), r.vals, r.fids, f.Data, f.Rows, true, true, nodeNone) {
+	a := kernelArgs{nodeRun: runArgs(r), rank: len(child), frows: out.Rows, lrows: f.Rows, lm: f.Data, vec: g}
+	if !pushAsm(&a, out.Data, nil, false) {
 		badRunID(r, out.Rows, f.Rows)
 	}
 }
@@ -120,8 +159,8 @@ func runScatterAVX2(out *tensor.Matrix, k, a []float64, gm *tensor.Matrix, r fib
 	if !fiberShapeOK(len(k), len(a), len(k), 0, 0, gm) || !runShapeOK(len(k), r, out) {
 		badRunShape(len(k), len(a), gm, r, out)
 	}
-	nids, nptr := [1]int32{}, [2]int64{0, int64(len(r.mids))}
-	if !nodeRunScatterAsm(out.Data, out.Rows, k, a, nil, nil, 0, nids[:], nptr[:], 0, len(r.mids), gm.Data, gm.Rows, r.mids, r.ptr, int(r.kMin), int(r.kMax), r.vals, r.fids, false) {
+	args := kernelArgs{nodeRun: runArgs(r), rank: len(k), frows: gm.Rows, lrows: out.Rows, fm: gm.Data, vec: a}
+	if !scatterAsm(&args, out.Data, nil, false) {
 		badRunID(r, gm.Rows, out.Rows)
 	}
 }
@@ -132,8 +171,8 @@ func nodeHadAVX2(dst, t, child []float64, gm, fm *tensor.Matrix, nr nodeRun, f *
 	if !fiberShapeOK(r, len(dst), len(t), 0, 0, gm) || !nodeShapeOK(r, &nr, fm, f) {
 		badNodeShape(r, len(dst), len(t), gm, fm, &nr, f)
 	}
-	fb := &nr.fibers
-	if !nodeRunAsm(dst, t, child, fm.Data, fm.Rows, gm.Data, gm.Rows, nr.nids, nr.ptr, int(nr.cMin), int(nr.cMax), fb.mids, fb.ptr, int(fb.kMin), int(fb.kMax), fb.vals, fb.fids, f.Data, f.Rows, false, true, nodeFoldV) {
+	a := kernelArgs{nodeRun: nr, rank: r, nrows: gm.Rows, frows: fm.Rows, lrows: f.Rows, nm: gm.Data, fm: fm.Data, lm: f.Data}
+	if !foldAsm(&a, dst, foldHad) {
 		badNodeID(&nr, gm.Rows, fm.Rows, f.Rows)
 	}
 }
@@ -144,8 +183,8 @@ func nodeOutAVX2(out *tensor.Matrix, t, child, k []float64, fm *tensor.Matrix, n
 	if !fiberShapeOK(r, len(k), len(t), 0, 0, out) || !nodeShapeOK(r, &nr, fm, f) {
 		badNodeShape(r, len(k), len(t), out, fm, &nr, f)
 	}
-	fb := &nr.fibers
-	if !nodeRunAsm(k, t, child, fm.Data, fm.Rows, out.Data, out.Rows, nr.nids, nr.ptr, int(nr.cMin), int(nr.cMax), fb.mids, fb.ptr, int(fb.kMin), int(fb.kMax), fb.vals, fb.fids, f.Data, f.Rows, false, true, nodeFoldRow) {
+	a := kernelArgs{nodeRun: nr, rank: r, nrows: out.Rows, frows: fm.Rows, lrows: f.Rows, fm: fm.Data, lm: f.Data, vec: k}
+	if !foldAsm(&a, out.Data, foldOut) {
 		badNodeID(&nr, out.Rows, fm.Rows, f.Rows)
 	}
 }
@@ -156,8 +195,8 @@ func nodePushOutAVX2(out *tensor.Matrix, kn, child, a []float64, gm *tensor.Matr
 	if !fiberShapeOK(r, len(a), len(kn), 0, 0, gm) || !nodeShapeOK(r, &nr, out, f) {
 		badNodeShape(r, len(a), len(kn), gm, out, &nr, f)
 	}
-	fb := &nr.fibers
-	if !nodeRunAsm(a, kn, child, out.Data, out.Rows, gm.Data, gm.Rows, nr.nids, nr.ptr, int(nr.cMin), int(nr.cMax), fb.mids, fb.ptr, int(fb.kMin), int(fb.kMax), fb.vals, fb.fids, f.Data, f.Rows, true, true, nodePush) {
+	args := kernelArgs{nodeRun: nr, rank: r, nrows: gm.Rows, frows: out.Rows, lrows: f.Rows, nm: gm.Data, lm: f.Data, vec: a}
+	if !pushAsm(&args, out.Data, kn, true) {
 		badNodeID(&nr, gm.Rows, out.Rows, f.Rows)
 	}
 }
@@ -168,8 +207,8 @@ func nodePushScatterAVX2(out *tensor.Matrix, kf, kn, a []float64, gm, fm *tensor
 	if !fiberShapeOK(r, len(a), len(kn), 0, 0, gm) || !nodeShapeOK(r, &nr, fm, out) {
 		badNodeShape(r, len(a), len(kn), gm, fm, &nr, out)
 	}
-	fb := &nr.fibers
-	if !nodeRunScatterAsm(out.Data, out.Rows, kf, a, kn, gm.Data, gm.Rows, nr.nids, nr.ptr, int(nr.cMin), int(nr.cMax), fm.Data, fm.Rows, fb.mids, fb.ptr, int(fb.kMin), int(fb.kMax), fb.vals, fb.fids, true) {
+	args := kernelArgs{nodeRun: nr, rank: r, nrows: gm.Rows, frows: fm.Rows, lrows: out.Rows, nm: gm.Data, fm: fm.Data, vec: a}
+	if !scatterAsm(&args, out.Data, kn, true) {
 		badNodeID(&nr, gm.Rows, fm.Rows, out.Rows)
 	}
 }

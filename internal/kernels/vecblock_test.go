@@ -273,3 +273,124 @@ func TestGenericUnalignedLengths(t *testing.T) {
 		bitEqual(t, got, want, fmt.Sprintf("n=%d hadamardInto", n))
 	}
 }
+
+// poisonScratch wraps ops so that every run and node call NaN-fills its
+// scratch vectors (child, t, k) after it returns; the one-fiber forms,
+// whose child is an output, are left as they are.
+func poisonScratch(ops vecOps) vecOps {
+	nan := func(vs ...[]float64) {
+		for _, v := range vs {
+			for i := range v {
+				v[i] = math.NaN()
+			}
+		}
+	}
+	p := ops
+	p.runHad = func(dst, child []float64, gm *tensor.Matrix, r fiberRun, f *tensor.Matrix) {
+		ops.runHad(dst, child, gm, r, f)
+		nan(child)
+	}
+	p.runOut = func(out *tensor.Matrix, child, g []float64, r fiberRun, f *tensor.Matrix) {
+		ops.runOut(out, child, g, r, f)
+		nan(child)
+	}
+	p.runScatter = func(out *tensor.Matrix, k, a []float64, gm *tensor.Matrix, r fiberRun) {
+		ops.runScatter(out, k, a, gm, r)
+		nan(k)
+	}
+	p.nodeHad = func(dst, t, child []float64, gm, fm *tensor.Matrix, nr nodeRun, f *tensor.Matrix) {
+		ops.nodeHad(dst, t, child, gm, fm, nr, f)
+		nan(t, child)
+	}
+	p.nodeOut = func(out *tensor.Matrix, t, child, k []float64, fm *tensor.Matrix, nr nodeRun, f *tensor.Matrix) {
+		ops.nodeOut(out, t, child, k, fm, nr, f)
+		nan(t, child)
+	}
+	p.nodePushOut = func(out *tensor.Matrix, kn, child, a []float64, gm *tensor.Matrix, nr nodeRun, f *tensor.Matrix) {
+		ops.nodePushOut(out, kn, child, a, gm, nr, f)
+		nan(kn, child)
+	}
+	p.nodePushScatter = func(out *tensor.Matrix, kf, kn, a []float64, gm, fm *tensor.Matrix, nr nodeRun) {
+		ops.nodePushScatter(out, kf, kn, a, gm, fm, nr)
+		nan(kf, kn)
+	}
+	return p
+}
+
+// TestScratchNeverRead holds the walks to the scratch contract of the run
+// and node forms: whatever those leave in child, t and k, no walk reads it
+// back. Root and non-root sweeps of orders 3–7 under every memo subset, at
+// T ∈ {1, 3} and R ∈ {16, 20, 32, 64}, and the subtree walks over every
+// slice, run once with the SIMD set (the Go forms without AVX2) and once
+// with the same set NaN-filling its scratch after every run and node call.
+// Every output and memo row must come out bit for bit the same.
+func TestScratchNeverRead(t *testing.T) {
+	ops := genericVecOps
+	if simd, ok := simdVecOps(); ok {
+		ops = simd
+	}
+	poisoned := poisonScratch(ops)
+	shapes := map[int][]int{3: {9, 11, 7}, 4: {6, 9, 11, 7}, 5: {5, 6, 7, 4, 6}, 6: {4, 5, 3, 6, 4, 5}, 7: {3, 4, 3, 4, 3, 4, 3}}
+	for d := 3; d <= 7; d++ {
+		tt := tensor.Random(shapes[d], 500, nil, int64(d))
+		tree := csf.Build(tt, nil)
+		for _, rank := range []int{16, 20, 32, 64} {
+			lf := LevelFactors(tensor.RandomFactors(tt.Dims, rank, 777), tree.Perm())
+			for _, save := range memoSubsets(d) {
+				for _, threads := range []int{1, 3} {
+					part := sched.NewPartition(tree, threads)
+					sweep := func(ops vecOps) []*tensor.Matrix {
+						sc := NewScratch(d, rank, threads)
+						sc.ops = ops
+						partials := NewPartials(tree, rank, save)
+						out0 := tensor.NewMatrix(tree.Dim(0), rank)
+						RootMTTKRPWith(tree, lf, out0, partials, part, sc)
+						outs := []*tensor.Matrix{out0}
+						for u := 1; u < d; u++ {
+							rw := CountRowWrites(tree, part, u, partials.SourceLevel(u))
+							buf := NewOutBufPlanned(PlanAccum(rw, rank, threads, AccumPriv, 0))
+							buf.ops = ops
+							buf.Reset()
+							ModeMTTKRPWith(tree, lf, u, partials, buf, part, sc)
+							out := tensor.NewMatrix(tree.Dim(u), rank)
+							buf.Reduce(out)
+							outs = append(outs, out)
+						}
+						for _, p := range partials.P {
+							if p != nil {
+								outs = append(outs, p)
+							}
+						}
+						return outs
+					}
+					got, want := sweep(poisoned), sweep(ops)
+					for i := range want {
+						bitEqual(t, got[i].Data, want[i].Data, fmt.Sprintf("order=%d T=%d R=%d save=%v output %d", d, threads, rank, save, i))
+					}
+				}
+				subtrees := func(ops vecOps) []*tensor.Matrix {
+					partials := NewPartials(tree, rank, save)
+					slices := int64(tree.NumFibers(0))
+					out0 := tensor.NewMatrix(tree.Dim(0), rank)
+					rootSubtrees(ops, tree, lf, out0, partials, 0, slices)
+					outs := []*tensor.Matrix{out0}
+					for u := 1; u < d; u++ {
+						out := tensor.NewMatrix(tree.Dim(u), rank)
+						modeSubtrees(ops, tree, lf, u, partials, out, 0, slices)
+						outs = append(outs, out)
+					}
+					for _, p := range partials.P {
+						if p != nil {
+							outs = append(outs, p)
+						}
+					}
+					return outs
+				}
+				got, want := subtrees(poisoned), subtrees(ops)
+				for i := range want {
+					bitEqual(t, got[i].Data, want[i].Data, fmt.Sprintf("subtrees order=%d R=%d save=%v output %d", d, rank, save, i))
+				}
+			}
+		}
+	}
+}

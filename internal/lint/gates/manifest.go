@@ -65,8 +65,8 @@ func Default() *Manifest {
 			{Func: "kernels.rootGeneric", Note: "root kernel launch at every order; the T==1 path calls the thread body directly"},
 			{Func: "kernels.rootGenericThread", Note: "root kernel at every order (per-thread body): the level table set-up and the root-node loop"},
 			{Func: "kernels.rootWalk.rec", Note: "root recursion at every order, once per internal CSF node above the fused runs"},
-			{Func: "kernels.RootMTTKRPSubtrees", Note: "subtree-parallel root kernel (ablation path), per-nnz"},
-			{Func: "kernels.ModeMTTKRPSubtrees", Note: "subtree-parallel non-root kernel, per-nnz"},
+			{Func: "kernels.rootSubtrees", Note: "subtree-parallel root kernel (ablation path), per-nnz"},
+			{Func: "kernels.modeSubtrees", Note: "subtree-parallel non-root kernel, per-nnz"},
 			{Func: "kernels.ModeMTTKRPWith", Note: "non-root entry (Alg. 6-8)"},
 			{Func: "kernels.modeGeneric", Note: "non-root kernel launch at every order; the T==1 path calls the thread body directly"},
 			{Func: "kernels.modeGenericThread", Note: "non-root kernel at every order (per-thread body): the level table set-up and the root-node loop"},
