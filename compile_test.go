@@ -12,6 +12,7 @@ import (
 
 	"stef"
 	"stef/internal/csf"
+	"stef/internal/kernels"
 	"stef/internal/tensor"
 )
 
@@ -100,9 +101,7 @@ func TestCompiledConcurrentDecompose(t *testing.T) {
 // order, to within 1e-9.
 func TestThreadedDenseUpdateDeterministic(t *testing.T) {
 	tt := tensor.Random([]int{40, 300, 25}, 4000, nil, 13)
-	// priv: hybrid and atomic accumulation add shared rows in CAS order,
-	// which varies from run to run whatever the model would pick here.
-	opts := stef.Options{Rank: 8, MaxIters: 6, Tol: -1, Threads: 4, Accum: "priv"}
+	opts := stef.Options{Rank: 8, MaxIters: 6, Tol: -1, Threads: 4}
 	c, err := stef.Compile(tt, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -151,6 +150,48 @@ func TestThreadedDenseUpdateDeterministic(t *testing.T) {
 	for it, f := range serial.Fits {
 		if d := math.Abs(f - want.Fits[it]); !(d <= 1e-9) {
 			t.Fatalf("fit after iteration %d: %.12g on 4 threads, %.12g on 1", it+1, want.Fits[it], f)
+		}
+	}
+}
+
+// TestDefaultAccumulationDeterministic pins the accumulation rule on a
+// skewed two-thread plan: every non-root level whose two copies fit the
+// privatization cap is privatized, so same-seed solves give the same
+// factors bit for bit. Where the planner weighed strategies by modeled
+// cost, this input's level 1 took the hybrid strategy and added its
+// shared rows with CAS in an order that varies from run to run.
+func TestDefaultAccumulationDeterministic(t *testing.T) {
+	p, err := tensor.ProfileByName("delicious-3d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.NNZ /= 30
+	p.Seed++
+	c, err := stef.Compile(p.Generate(), stef.Options{Rank: 8, Threads: 2, MaxIters: 2, Tol: -1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u, ap := range c.Plan().Accum {
+		if ap != nil && ap.Strategy != kernels.AccumPriv {
+			t.Fatalf("level %d planned %v, want priv", u, ap)
+		}
+	}
+	var want *stef.Result
+	for i := 0; i < 4; i++ {
+		res, err := c.Decompose()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = res
+			continue
+		}
+		for m := range res.Factors {
+			for k, v := range res.Factors[m].Data {
+				if math.Float64bits(v) != math.Float64bits(want.Factors[m].Data[k]) {
+					t.Fatalf("solve %d mode %d entry %d: %v, the first solve's %v", i, m, k, v, want.Factors[m].Data[k])
+				}
+			}
 		}
 	}
 }

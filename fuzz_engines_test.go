@@ -17,24 +17,28 @@ type engineCase struct {
 	tt      *tensor.Tensor
 	rank    int
 	threads int
-	accum   string
 	// maxPriv bounds per-thread output privatization (0 = engine
-	// default; 1 sends the baselines' buffers to the shared CAS path).
+	// default; 1 sends every stef and stef2 level at T > 1 to the hybrid
+	// strategy and the baselines' buffers to the shared CAS path).
 	maxPriv int64
 }
 
 func (c engineCase) String() string {
-	return fmt.Sprintf("dims=%v nnz=%d R=%d T=%d accum=%q maxPriv=%d", c.tt.Dims, c.tt.NNZ(), c.rank, c.threads, c.accum, c.maxPriv)
+	return fmt.Sprintf("dims=%v nnz=%d R=%d T=%d maxPriv=%d", c.tt.Dims, c.tt.NNZ(), c.rank, c.threads, c.maxPriv)
 }
 
 // decodeEngineCase turns fuzz bytes into a case: the order (2–7), the mode
 // lengths (1–8, so length-1 modes are common), the rank (1–70, so every
 // column block of the fiber kernels occurs, two 32-column blocks
 // included, and every remainder mod 4), the thread count (1–3), the
-// accumulation strategy and privatization bound, then up to 300
-// non-zeros, one coordinate byte per mode and one value byte each. Small
-// modes make repeated coordinates common, and a zero value byte is a zero
-// value.
+// privatization bound, then up to 300 non-zeros, one coordinate byte per
+// mode and one value byte each. Small modes make repeated coordinates
+// common, and a zero value byte is a zero value.
+//
+// The bound is 1 when bit 2 of p[2] is set, and also when p[2]%4 is 2 or
+// 3: committed corpus inputs with those two codes forced the hybrid or
+// atomic strategy, and maxPriv = 1 still sends them at T > 1 to a CAS
+// path, the planned hybrid strategy.
 func decodeEngineCase(data []byte) (engineCase, bool) {
 	if len(data) < 6 {
 		return engineCase{}, false
@@ -51,9 +55,8 @@ func decodeEngineCase(data []byte) (engineCase, bool) {
 	c := engineCase{
 		rank:    1 + int(p[0])%70,
 		threads: 1 + int(p[1])%3,
-		accum:   []string{"", "priv", "hybrid", "atomic"}[p[2]%4],
 	}
-	if p[2]&4 != 0 {
+	if p[2]%4 >= 2 || p[2]&4 != 0 {
 		c.maxPriv = 1
 	}
 	nnz := min(int(p[3])*300/255, (len(p)-4)/(d+1))
@@ -109,7 +112,6 @@ func checkEngineCase(t *testing.T, c engineCase, engine string) {
 	}()
 	opts := stef.Options{Rank: c.rank, MaxIters: 3, Tol: -1, Threads: c.threads, Engine: engine, Seed: 5, MaxPrivElems: c.maxPriv}
 	if engine == "stef" || engine == "stef2" {
-		opts.Accum = c.accum
 		if c.tt.Order() == 2 {
 			if _, err := stef.Decompose(c.tt, opts); err == nil {
 				t.Fatalf("%s on %v: Decompose accepted an order-2 tensor", engine, c)

@@ -3,6 +3,7 @@ package cli
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -129,11 +130,11 @@ func minDuration(reps int, fn func() error) time.Duration {
 // arena-backed tree of the same tensor and reports whether every factor
 // matrix is bit-identical. Both solves go through CompileTree, so the plan
 // decisions are shared and the only difference is where the level arrays
-// live. Accumulation is pinned to priv: at T > 1 only privatized
-// reductions are deterministic, while the model's hybrid or atomic choice
-// adds through CAS in an order that varies from run to run.
+// live. The privatization cap is lifted so every level is privatized: a
+// level past the cap takes the hybrid strategy, whose CAS adds land in an
+// order that varies from run to run at T > 1.
 func solveParity(heap, arena *csf.Tree, rank, iters, threads int) (bool, error) {
-	opts := stef.Options{Rank: rank, Threads: threads, MaxIters: iters, Tol: -1, Seed: 1, Accum: "priv"}
+	opts := stef.Options{Rank: rank, Threads: threads, MaxIters: iters, Tol: -1, Seed: 1, MaxPrivElems: math.MaxInt64}
 	run := func(tr *csf.Tree) (*stef.Result, error) {
 		c, err := stef.CompileTree(tr, opts)
 		if err != nil {

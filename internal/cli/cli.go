@@ -42,3 +42,10 @@ func fail(stderr io.Writer, tool string, err error) int {
 	fmt.Fprintf(stderr, "%s: %v\n", tool, err)
 	return 1
 }
+
+// usage prints a prefixed flag error and returns exit code 2, the code
+// of a flag the flag package rejects.
+func usage(stderr io.Writer, tool string, err error) int {
+	fmt.Fprintf(stderr, "%s: %v\n", tool, err)
+	return 2
+}

@@ -203,15 +203,15 @@ func TestBenchSmallRun(t *testing.T) {
 	}
 }
 
-// TestBenchSweepsJSON runs the -solvebench, -accumbench and -arenabench
-// sweeps end to end on one small tensor and checks the JSON report's
-// schema, not its timings: every section has its rows, and the heap and
-// arena solves agree bit for bit.
+// TestBenchSweepsJSON runs the -solvebench and -arenabench sweeps end to
+// end on one small tensor and checks the JSON report's schema, not its
+// timings: every section has its rows, and the heap and arena solves
+// agree bit for bit.
 func TestBenchSweepsJSON(t *testing.T) {
 	code, out, errb := run(t, benchEntry,
-		"-solvebench", "-accumbench", "-arenabench", "-json",
+		"-solvebench", "-arenabench", "-json",
 		"-tensors", "uber", "-ranks", "8", "-scale", "0.02", "-threads", "2",
-		"-accumthreads", "1,2", "-reps", "1", "-solves", "2", "-iters", "2")
+		"-reps", "1", "-solves", "2", "-iters", "2")
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errb)
 	}
@@ -223,16 +223,6 @@ func TestBenchSweepsJSON(t *testing.T) {
 	}
 	if len(rep.SolveBench) != 1 || rep.SolveBench[0].Tensor != "uber" || rep.SolveBench[0].Solves != 2 {
 		t.Errorf("solvebench rows %+v, want one uber row of 2 solves", rep.SolveBench)
-	}
-	// One tensor × one rank × two thread counts × four forced strategies,
-	// each row timing uber's three non-root modes.
-	if len(rep.AccumBench) != 8 {
-		t.Errorf("accumbench has %d rows, want 8", len(rep.AccumBench))
-	}
-	for _, r := range rep.AccumBench {
-		if len(r.Modes) != 3 {
-			t.Errorf("accumbench %s T=%d: %d mode rows, want 3", r.Force, r.Threads, len(r.Modes))
-		}
 	}
 	if len(rep.ArenaBench) != 1 {
 		t.Fatalf("arenabench has %d rows, want 1", len(rep.ArenaBench))
@@ -250,6 +240,39 @@ func TestBenchBadRanks(t *testing.T) {
 	}
 }
 
+// TestBadCountFlags runs each tool with an out-of-range count: each must
+// exit 2 with the flag named on stderr, before any work and without a
+// panic.
+func TestBadCountFlags(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		entry func([]string, *bytes.Buffer, *bytes.Buffer) int
+		args  []string
+		want  string
+	}{
+		{"stef-bench -ranks 0", benchEntry, []string{"-table2", "-tensors", "uber", "-ranks", "0"}, "-ranks"},
+		{"stef-bench -ranks -4", benchEntry, []string{"-table2", "-tensors", "uber", "-ranks", "-4"}, "-ranks"},
+		{"tensorinfo -threads 0", infoEntry, []string{"-tensor", "uber", "-threads", "0"}, "-threads 0"},
+		{"tensorinfo -rank 0", infoEntry, []string{"-tensor", "uber", "-rank", "0"}, "-rank 0"},
+		{"tensorgen -nnz -5", genEntry, []string{"-dims", "10x10x10", "-nnz", "-5"}, "-nnz -5"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic: %v", r)
+				}
+			}()
+			code, out, errb := run(t, c.entry, c.args...)
+			if code != 2 || !strings.Contains(errb, c.want) {
+				t.Errorf("exit %d, stderr %q, stdout %q; want exit 2 naming %q", code, errb, out, c.want)
+			}
+			if out != "" {
+				t.Errorf("stdout %q; want no output before the flag is rejected", out)
+			}
+		})
+	}
+}
+
 func TestParseHelpers(t *testing.T) {
 	if _, err := ParseDims("3x4x5"); err != nil {
 		t.Error(err)
@@ -262,6 +285,9 @@ func TestParseHelpers(t *testing.T) {
 	}
 	if _, err := parseIntList(","); err == nil {
 		t.Error("empty list accepted")
+	}
+	if _, err := parseIntList("8,0"); err == nil {
+		t.Error("a value below 1 accepted")
 	}
 }
 

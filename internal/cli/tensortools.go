@@ -40,6 +40,9 @@ func RunTensorGen(args []string, stdout, stderr io.Writer) int {
 		listProfiles(stdout)
 		return 0
 	}
+	if *nnz < 0 {
+		return usage(stderr, "tensorgen", fmt.Errorf("-nnz %d is negative", *nnz))
+	}
 	var tt *tensor.Tensor
 	switch {
 	case *huge:
@@ -109,6 +112,9 @@ func RunTensorInfo(args []string, stdout, stderr io.Writer) int {
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	if *rank < 1 || *threads < 1 {
+		return usage(stderr, "tensorinfo", fmt.Errorf("-rank %d and -threads %d must both be at least 1", *rank, *threads))
 	}
 	var (
 		tree *csf.Tree

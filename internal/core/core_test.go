@@ -236,17 +236,6 @@ func TestDescribeKernelLine(t *testing.T) {
 	}
 }
 
-func TestParseAccumRule(t *testing.T) {
-	for s, want := range map[string]AccumRule{"": AccumModel, "auto": AccumModel, "priv": AccumPriv, "hybrid": AccumHybrid, "atomic": AccumAtomic} {
-		if got, err := ParseAccumRule(s); err != nil || got != want {
-			t.Errorf("ParseAccumRule(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseAccumRule("bogus"); err == nil || !strings.Contains(err.Error(), `"bogus"`) {
-		t.Errorf("ParseAccumRule(\"bogus\") error = %v, want one naming the value", err)
-	}
-}
-
 func TestLeafRootedPerm(t *testing.T) {
 	got := leafRootedPerm([]int{2, 0, 3, 1})
 	want := []int{1, 2, 0, 3}

@@ -45,38 +45,6 @@ const (
 	SwapOpposite
 )
 
-// AccumRule selects how non-root MTTKRP outputs are accumulated.
-type AccumRule int
-
-const (
-	// AccumModel uses the data-movement model's per-mode choice among
-	// {priv, hybrid, atomic} (STeF default).
-	AccumModel AccumRule = iota
-	// AccumPriv forces full per-thread privatization on every mode.
-	AccumPriv
-	// AccumHybrid forces the hybrid hot-row strategy on every mode.
-	AccumHybrid
-	// AccumAtomic forces the shared CAS buffer on every mode.
-	AccumAtomic
-)
-
-// ParseAccumRule maps an accumulation name onto its rule: "" or "auto"
-// (the model's choice), "priv", "hybrid" or "atomic". The error names the
-// bad value; callers add their own prefix.
-func ParseAccumRule(s string) (AccumRule, error) {
-	switch s {
-	case "", "auto":
-		return AccumModel, nil
-	case "priv":
-		return AccumPriv, nil
-	case "hybrid":
-		return AccumHybrid, nil
-	case "atomic":
-		return AccumAtomic, nil
-	}
-	return AccumModel, fmt.Errorf("unknown accumulation strategy %q (want auto, priv, hybrid or atomic)", s)
-}
-
 // Options configures the planner and engine.
 type Options struct {
 	// Rank is the decomposition rank R.
@@ -97,11 +65,11 @@ type Options struct {
 	// SecondCSF enables the STeF2 variant: a second CSF rooted at the
 	// base CSF's leaf mode handles that mode's MTTKRP.
 	SecondCSF bool
-	// MaxPrivElems bounds output privatization (see kernels.OutBuf).
+	// MaxPrivElems is the privatization cap of the accumulation rule
+	// (model.Params.Privatized): a non-root output gets T private copies
+	// when rows·R·T fits it, the hybrid strategy otherwise (default
+	// kernels.DefaultPrivatizeMaxElems).
 	MaxPrivElems int64
-	// AccumRule overrides the model's accumulation-strategy choice for
-	// ablations and the bench's -accum forcing flag.
-	AccumRule AccumRule
 }
 
 func (o Options) withDefaults() Options {
@@ -113,6 +81,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheBytes <= 0 {
 		o.CacheBytes = model.DefaultCacheBytes
+	}
+	if o.MaxPrivElems <= 0 {
+		o.MaxPrivElems = kernels.DefaultPrivatizeMaxElems
 	}
 	return o
 }
@@ -220,7 +191,7 @@ func NewPlan(t *tensor.Tensor, opts Options) (*Plan, error) {
 			chosenParams = swappedParams
 		}
 		bestForLayout := bestSaveFor(chosenParams)
-		p.Config = model.Config{Swap: swap, Save: bestForLayout, Cost: chosenParams.IterationCost(bestForLayout), Accum: chosenParams.AccumChoices()}
+		p.Config = model.Config{Swap: swap, Save: bestForLayout, Cost: chosenParams.IterationCost(bestForLayout)}
 	} else if swap {
 		chosenParams = swappedParams
 	}
@@ -326,7 +297,7 @@ func NewPlanFromTree(tree *csf.Tree, opts Options) (*Plan, error) {
 	case SaveNone:
 		save = make([]bool, d)
 	}
-	p.Config = model.Config{Save: save, Cost: params.IterationCost(save), Accum: params.AccumChoices()}
+	p.Config = model.Config{Save: save, Cost: params.IterationCost(save)}
 	p.AllConfigs = []model.Config{p.Config}
 	p.PreprocessTime = time.Since(preStart)
 
@@ -375,9 +346,9 @@ func swappedRowStats(baseStats []model.RowStats, d2, leaf []int64) []model.RowSt
 // buildAccum fixes the accumulation plan for every non-root mode. The
 // exact row-write census over the final tree and partition runs first; its
 // counts and single/multi-writer classification replace the search-time
-// histogram estimates before the strategy choice is re-resolved, so the
-// executed choice reflects the partition actually used. The census-backed
-// Params are stored on the plan for diagnostics.
+// histogram estimates, so the stored Params price the partition actually
+// used. Each level takes the strategy of the model's accumulation rule
+// (Params.Privatized).
 func (p *Plan) buildAccum() {
 	opts := p.Opts
 	d := p.Tree.Order()
@@ -400,35 +371,17 @@ func (p *Plan) buildAccum() {
 	}
 	params.AttachAccum(stats, opts.Threads, opts.MaxPrivElems)
 	p.Params = params
-	p.Config.Accum = params.AccumChoices()
 	p.Accum = make([]*kernels.AccumPlan, d)
 	hotBudget := (opts.CacheBytes / 8) / 2
 	for u := 1; u < d; u++ {
 		if rws[u] == nil {
 			continue
 		}
-		strat := kernelStrategy(params.AccumChoice(u))
-		switch opts.AccumRule {
-		case AccumPriv:
+		strat := kernels.AccumHybrid
+		if params.Privatized(u) {
 			strat = kernels.AccumPriv
-		case AccumHybrid:
-			strat = kernels.AccumHybrid
-		case AccumAtomic:
-			strat = kernels.AccumAtomic
 		}
 		p.Accum[u] = kernels.PlanAccum(rws[u], opts.Rank, opts.Threads, strat, hotBudget)
-	}
-}
-
-// kernelStrategy maps the model's strategy enum onto the executable one.
-func kernelStrategy(s model.AccumStrategy) kernels.AccumStrategy {
-	switch s {
-	case model.AccumHybrid:
-		return kernels.AccumHybrid
-	case model.AccumAtomic:
-		return kernels.AccumAtomic
-	default:
-		return kernels.AccumPriv
 	}
 }
 

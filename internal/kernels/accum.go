@@ -145,8 +145,8 @@ type AccumPlan struct {
 	HotIDs []int32
 	// Cold lists the touched non-hot rows, ascending (hybrid Reset).
 	Cold []int32
-	// Touched lists every written row, ascending.
-	Touched []int32
+	// TouchedRows counts the written rows.
+	TouchedRows int
 	// PerThread[th] is thread th's touched-row journal (AccumPriv Reset).
 	PerThread [][]int32
 	// Diagnostics: total Add calls, Add calls landing in the hot set, and
@@ -163,14 +163,10 @@ func (p *AccumPlan) HotK() int { return len(p.HotIDs) }
 // String renders the plan for Describe output, e.g.
 // "hybrid(hot=24, direct=16384, cas=3)".
 func (p *AccumPlan) String() string {
-	switch p.Strategy {
-	case AccumPriv:
-		return fmt.Sprintf("priv(touched=%d)", len(p.Touched))
-	case AccumHybrid:
-		return fmt.Sprintf("hybrid(hot=%d, direct=%d, cas=%d)", len(p.HotIDs), p.DirectRows, p.CASRows)
-	default:
-		return fmt.Sprintf("atomic(touched=%d)", len(p.Touched))
+	if p.Strategy == AccumPriv {
+		return fmt.Sprintf("priv(touched=%d)", p.TouchedRows)
 	}
+	return fmt.Sprintf("hybrid(hot=%d, direct=%d, cas=%d)", len(p.HotIDs), p.DirectRows, p.CASRows)
 }
 
 // PlanAccum resolves the accumulation mechanics for one output from its
@@ -198,24 +194,14 @@ func PlanAccum(rw *RowWrites, cols, t int, strat AccumStrategy, hotBudgetElems i
 		PerThread: rw.PerThread,
 		Writes:    rw.Writes,
 	}
-	for r, w := range rw.Writer {
+	for _, w := range rw.Writer {
 		if w != RemapUntouched {
-			ap.Touched = append(ap.Touched, int32(r))
+			ap.TouchedRows++
 		}
 	}
 	switch strat {
 	case AccumPriv:
 		ap.Remap = rw.Writer
-		return ap
-	case AccumAtomic:
-		ap.Remap = make([]int32, rows)
-		for r, w := range rw.Writer {
-			if w == RemapUntouched {
-				ap.Remap[r] = RemapUntouched
-			} else {
-				ap.Remap[r] = RemapColdCAS
-			}
-		}
 		return ap
 	case AccumHybrid:
 		// Hot candidates: shared rows written often enough to amortise a

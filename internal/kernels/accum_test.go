@@ -185,8 +185,8 @@ func TestPlanAccumInvariants(t *testing.T) {
 			if ap.CASRows+ap.DirectRows != len(ap.Cold) {
 				t.Fatalf("u=%d: CAS %d + direct %d != cold %d", u, ap.CASRows, ap.DirectRows, len(ap.Cold))
 			}
-			if len(ap.HotIDs)+len(ap.Cold) != len(ap.Touched) {
-				t.Fatalf("u=%d: hot %d + cold %d != touched %d", u, len(ap.HotIDs), len(ap.Cold), len(ap.Touched))
+			if len(ap.HotIDs)+len(ap.Cold) != ap.TouchedRows {
+				t.Fatalf("u=%d: hot %d + cold %d != touched %d", u, len(ap.HotIDs), len(ap.Cold), ap.TouchedRows)
 			}
 			var hotWrites int64
 			for slot, r := range ap.HotIDs {
@@ -222,12 +222,6 @@ func TestPlanAccumInvariants(t *testing.T) {
 		for r, w := range priv.Remap {
 			if w != rw.Writer[r] {
 				t.Fatalf("u=%d: priv remap[%d] = %d, census writer %d", u, r, w, rw.Writer[r])
-			}
-		}
-		atom := PlanAccum(rw, cols, threads, AccumAtomic, 0)
-		for _, r := range atom.Touched {
-			if atom.Remap[r] != RemapColdCAS {
-				t.Fatalf("u=%d: atomic touched row %d remaps to %d", u, r, atom.Remap[r])
 			}
 		}
 	}
@@ -287,7 +281,7 @@ func TestPlannedStrategiesMatchReference(t *testing.T) {
 			part := sched.NewPartition(tree, threads)
 			save := memoSubsets(d)[1%len(memoSubsets(d))]
 			ctx := fmt.Sprintf("dims=%v T=%d", cs.dims, threads)
-			for _, strat := range []AccumStrategy{AccumPriv, AccumHybrid, AccumAtomic} {
+			for _, strat := range []AccumStrategy{AccumPriv, AccumHybrid} {
 				for _, budget := range []int64{1, int64(3 * threads * 4), 1 << 20} {
 					runAllModesPlanned(t, tt, tree, part, save, 4, strat, budget, ctx)
 				}
@@ -311,7 +305,7 @@ func TestPlannedQuick(t *testing.T) {
 		tree := csf.Build(tt, nil)
 		threads := 1 + int(tRaw)%6
 		part := sched.NewPartition(tree, threads)
-		strat := []AccumStrategy{AccumPriv, AccumHybrid, AccumAtomic}[int(sRaw)%3]
+		strat := []AccumStrategy{AccumPriv, AccumHybrid}[int(sRaw)%2]
 		budget := []int64{1, 64, 1 << 18}[int(bRaw)%3]
 
 		rank := 3
@@ -382,7 +376,8 @@ func stressCensus(threads int) *RowWrites {
 // TestOutBufPlannedStress hammers every accumulation path from T real
 // goroutines across repeated Reset/launch/Reduce cycles and checks the
 // reduced values exactly. Run with -race this doubles as the data-race
-// proof for atomicAddFloat, the hot slabs and the direct stores.
+// proof for atomicAddFloat (the hybrid's CAS rows), the hot slabs and the
+// direct stores.
 func TestOutBufPlannedStress(t *testing.T) {
 	const threads, cols, iters, launches = 8, 8, 25, 12
 	rw := stressCensus(threads)
@@ -390,7 +385,7 @@ func TestOutBufPlannedStress(t *testing.T) {
 	for i := range src {
 		src[i] = float64(i + 1)
 	}
-	for _, strat := range []AccumStrategy{AccumPriv, AccumHybrid, AccumAtomic} {
+	for _, strat := range []AccumStrategy{AccumPriv, AccumHybrid} {
 		ap := PlanAccum(rw, cols, threads, strat, int64(4*threads*cols))
 		if strat == AccumHybrid && ap.HotK() != 4 {
 			t.Fatalf("stress fixture: hot set %d, want 4", ap.HotK())
@@ -431,10 +426,10 @@ func TestOutBufPlannedStress(t *testing.T) {
 // TestNodeFallbackMatchesGeneric holds the output buffer's node-by-node
 // fallbacks to its fused calls. With no memo, the non-root walks of orders
 // 4 to 6 end in the two-level calls (NodeOut, NodePushOut,
-// NodePushScatter): a private slab takes them fused, hybrid and atomic
-// buffers one node at a time. At T = 1 both must match the private slab
-// bit for bit; at T = 3, where CAS adds land in any order, every strategy
-// must match the reference.
+// NodePushScatter): a private slab takes them fused, a hybrid buffer one
+// node at a time. At T = 1 the hybrid must match the private slab bit for
+// bit; at T = 3, where CAS adds land in any order, both strategies must
+// match the reference.
 func TestNodeFallbackMatchesGeneric(t *testing.T) {
 	for _, dims := range [][]int{{6, 5, 9, 8}, {4, 5, 6, 7, 8}, {3, 4, 5, 3, 4, 5}} {
 		tt := tensor.Random(dims, 600, []float64{1.5, 0, 0, 0, 0, 0}[:len(dims)], 19)
@@ -459,7 +454,7 @@ func TestNodeFallbackMatchesGeneric(t *testing.T) {
 				}
 				fused := run(AccumPriv)
 				want := Reference(tt, factors, tree.Perm()[u])
-				for _, strat := range []AccumStrategy{AccumPriv, AccumHybrid, AccumAtomic} {
+				for _, strat := range []AccumStrategy{AccumPriv, AccumHybrid} {
 					ctx := fmt.Sprintf("dims=%v T=%d u=%d %v", dims, threads, u, strat)
 					got := run(strat)
 					if threads == 1 {

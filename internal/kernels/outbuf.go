@@ -10,12 +10,12 @@ import (
 )
 
 // DefaultPrivatizeMaxElems bounds the total element count (rows×cols×T) up
-// to which the legacy footprint rule privatizes non-root MTTKRP outputs per
-// thread. Above the bound, threads scatter with lock-free compare-and-swap
-// adds instead — the paper's "either atomic updates are needed, or each
-// thread needs to hold its own copy" (Section III-B). Planned buffers
-// (NewOutBufPlanned) replace this blunt binary with the sparsity-aware
-// hybrid strategy chosen by the data-movement model.
+// to which non-root MTTKRP outputs are privatized per thread — the
+// paper's "either atomic updates are needed, or each thread needs to hold
+// its own copy" (Section III-B). Above the bound, a legacy buffer scatters
+// every row with lock-free compare-and-swap adds, while a planned buffer
+// (NewOutBufPlanned) takes the hybrid strategy: per-thread replicas for
+// the hot rows only.
 const DefaultPrivatizeMaxElems = 1 << 24
 
 // AccumStrategy selects how an OutBuf combines the scattered row
@@ -29,11 +29,8 @@ const (
 	// AccumHybrid privatizes only the hot rows (dense per-thread replicas
 	// indexed through a compact remap); the cold tail goes straight to the
 	// shared buffer — plain stores where the partition proves a single
-	// writer, CAS adds otherwise.
+	// writer, CAS adds otherwise. Planned only past the privatization cap.
 	AccumHybrid
-	// AccumAtomic scatters every row into one shared buffer with CAS adds
-	// (the paper's atomic extreme).
-	AccumAtomic
 )
 
 func (s AccumStrategy) String() string {
@@ -42,8 +39,6 @@ func (s AccumStrategy) String() string {
 		return "priv"
 	case AccumHybrid:
 		return "hybrid"
-	case AccumAtomic:
-		return "atomic"
 	}
 	return fmt.Sprintf("accum(%d)", uint8(s))
 }
@@ -81,7 +76,7 @@ type OutBuf struct {
 	t          int
 	plan       *AccumPlan       // nil for legacy footprint-rule buffers
 	priv       []*tensor.Matrix // AccumPriv / legacy privatized
-	shared     []uint64         // float64 bit patterns: atomic + hybrid cold rows
+	shared     []uint64         // float64 bit patterns: legacy CAS + hybrid cold rows
 	hot        []float64        // AccumHybrid: T contiguous k×cols replicas
 	hotK       int              // hot rows per replica
 	ops        vecOps           // rank-vector primitives chosen by opsFor
@@ -130,8 +125,6 @@ func NewOutBufPlanned(ap *AccumPlan) *OutBuf {
 		b.shared = makeShared(ap.Rows, ap.Cols)
 		b.hotK = ap.HotK()
 		b.hot = make([]float64, ap.T*b.hotK*ap.Cols)
-	case AccumAtomic:
-		b.shared = makeShared(ap.Rows, ap.Cols)
 	default:
 		panic(fmt.Sprintf("kernels: NewOutBufPlanned: unknown strategy %v", ap.Strategy))
 	}
@@ -154,18 +147,6 @@ func (b *OutBuf) Plan() *AccumPlan { return b.plan }
 
 // Privatized reports whether the buffer holds full per-thread copies.
 func (b *OutBuf) Privatized() bool { return b.priv != nil }
-
-// Strategy returns the buffer's accumulation strategy. Legacy buffers
-// report the binary choice they were built with.
-func (b *OutBuf) Strategy() AccumStrategy {
-	if b.plan != nil {
-		return b.plan.Strategy
-	}
-	if b.priv != nil {
-		return AccumPriv
-	}
-	return AccumAtomic
-}
 
 // OutBufThread is thread th's write handle on an OutBuf: the per-thread
 // indirection (private replica base, hot slab, remap) is resolved once at
@@ -256,8 +237,8 @@ func (o *OutBufThread) AddHadamard(row int, a, bv []float64) {
 
 // RunOut folds each fiber of a run into its output row: the fiber's leaf
 // sum, from +0 into child, times g, added into row mids[c]. A private slab
-// takes the fused run; hybrid, direct and atomic rows take fiberSum, then
-// AddHadamard, fiber by fiber.
+// takes the fused run; hybrid and legacy shared buffers take fiberSum,
+// then AddHadamard, fiber by fiber.
 func (o *OutBufThread) RunOut(child, g []float64, r fiberRun, f *tensor.Matrix) {
 	if o.slab != nil {
 		o.ops.runOut(o.slab, child, g, r, f)
@@ -390,12 +371,6 @@ func (b *OutBuf) resetJournals() {
 			hi := (th + 1) * len(b.plan.Cold) / b.t
 			b.resetCold(lo, hi)
 		})
-	case AccumAtomic:
-		if b.t == 1 {
-			b.resetTouched(0, len(b.plan.Touched))
-			return
-		}
-		par.Blocks(len(b.plan.Touched), b.t, func(_, lo, hi int) { b.resetTouched(lo, hi) })
 	}
 }
 
@@ -430,15 +405,6 @@ func (b *OutBuf) resetCold(lo, hi int) {
 	}
 }
 
-// resetTouched clears the journalled rows Touched[lo:hi] of the shared
-// region.
-func (b *OutBuf) resetTouched(lo, hi int) {
-	for _, r := range b.plan.Touched[lo:hi] {
-		base := int(r) * b.cols
-		clear(b.shared[base : base+b.cols]) //gate:allow bounds journal rows are data-dependent
-	}
-}
-
 // Reduce sums the per-thread state into out, overwriting it, on T threads.
 // Planned buffers read only the rows the plan proves touched: single-writer
 // rows copy exactly one replica, hot rows are folded with a parallel tree
@@ -466,12 +432,6 @@ func (b *OutBuf) Reduce(out *tensor.Matrix) {
 			b.reduceHybridRows(out, 0, b.rows)
 		} else {
 			par.Blocks(b.rows, b.t, func(_, lo, hi int) { b.reduceHybridRows(out, lo, hi) })
-		}
-	case AccumAtomic:
-		if b.t == 1 {
-			b.reduceAtomicRows(out, 0, b.rows)
-		} else {
-			par.Blocks(b.rows, b.t, func(_, lo, hi int) { b.reduceAtomicRows(out, lo, hi) })
 		}
 	}
 	b.launched = false
@@ -552,24 +512,6 @@ func (b *OutBuf) reduceHybridRows(out *tensor.Matrix, lo, hi int) {
 			bitsToFloats(dst, src)
 			clear(src)
 		}
-	}
-}
-
-// reduceAtomicRows converts the shared bit buffer into out rows [lo, hi),
-// clearing each shared row it reads and zeroing untouched rows.
-func (b *OutBuf) reduceAtomicRows(out *tensor.Matrix, lo, hi int) {
-	remap := b.plan.Remap
-	for i, w := range remap[lo:hi] { //gate:allow bounds row block bounds from par.Blocks
-		r := lo + i
-		dst := out.Row(r) //gate:allow bounds row index within the par.Blocks block
-		if w == RemapUntouched {
-			clear(dst)
-			continue
-		}
-		base := r * b.cols
-		src := b.shared[base : base+b.cols] //gate:allow bounds row base bounded by the remap length
-		bitsToFloats(dst, src)
-		clear(src)
 	}
 }
 

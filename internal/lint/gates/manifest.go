@@ -84,7 +84,6 @@ func Default() *Manifest {
 			{Func: "kernels.OutBuf.Reduce", Note: "touched-row reduction driver, O(touched·R) per mode solve"},
 			{Func: "kernels.OutBuf.reducePrivRows", Note: "journal-guided privatized reduction loop, per touched row"},
 			{Func: "kernels.OutBuf.reduceHybridRows", Note: "hot-slab combine + cold-row copy loop, per touched row"},
-			{Func: "kernels.OutBuf.reduceAtomicRows", Note: "shared-buffer copy-out loop, per touched row"},
 			{Func: "kernels.OutBuf.combineHot", Note: "log-T tree combine of the hot replica slabs"},
 			{Func: "kernels.CountRowWrites", Note: "O(nnz) write census behind every accumulation plan"},
 			{Func: "kernels.hadamardAccum", Note: "fiber fold-up, executed once per internal CSF node"},

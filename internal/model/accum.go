@@ -1,61 +1,26 @@
 package model
 
 import (
-	"fmt"
 	"slices"
 )
 
 // This file extends the Section IV data-movement model with an output
 // *accumulation* cost term. The base model charges every non-root MTTKRP a
-// flat DM_factor write for its scattered output; in reality that cost is
-// strategy-dependent — full per-thread privatization pays O(T·rows·R)
-// Reset/Reduce even when few rows are touched, while a shared atomic buffer
-// serializes on the hot rows that skewed tensors guarantee. Given the
-// per-level row-write histogram (an O(nnz) census), the model scores
-// {priv, hybrid(k), atomic} per level and the configuration search picks
-// the cheapest jointly with memoization and the last-two-mode swap.
-
-// AccumStrategy is the model's view of an output accumulation strategy;
-// internal/kernels carries the executable twin (core maps between them).
-type AccumStrategy int
-
-const (
-	// AccumPriv: every thread holds a full private output copy.
-	AccumPriv AccumStrategy = iota
-	// AccumHybrid: dense per-thread replicas for the hottest rows, shared
-	// writes (plain or CAS) for the cold tail.
-	AccumHybrid
-	// AccumAtomic: one shared output, every add a CAS.
-	AccumAtomic
-)
-
-// AccumStrategies enumerates the strategies in preference order (ties in
-// the score keep the earlier, simpler strategy).
-func AccumStrategies() []AccumStrategy {
-	return []AccumStrategy{AccumPriv, AccumHybrid, AccumAtomic}
-}
-
-func (s AccumStrategy) String() string {
-	switch s {
-	case AccumPriv:
-		return "priv"
-	case AccumHybrid:
-		return "hybrid"
-	case AccumAtomic:
-		return "atomic"
-	}
-	return fmt.Sprintf("accum(%d)", int(s))
-}
-
-// DefaultPrivCapElems mirrors kernels.DefaultPrivatizeMaxElems: the
-// rows·R·T element budget above which full privatization is off the table.
-const DefaultPrivCapElems = 1 << 24
+// flat DM_factor write for its scattered output; in reality the cost
+// depends on how the T threads' scattered rows are combined. One footprint
+// rule (Privatized) fixes that per level: every thread gets a full private
+// copy of the output when one thread runs or when the T copies fit the
+// privatization cap, and only a level past the cap takes the hybrid
+// strategy (per-thread replicas of the hottest rows, shared stores for the
+// cold tail). Given the per-level row-write histogram (an O(nnz) census),
+// the model prices whichever strategy the rule picks, and core plans the
+// same one.
 
 // casOverhead is the modeled extra cost, in element-moves per element, of a
 // CAS add relative to a plain store: the locked read-modify-write cycle,
 // retries, and cache-line ping-pong between colliding cores. Calibrated
 // against the dev host, where forced-atomic MTTKRP kernels measure 6-9x
-// the privatized ones; every atomic add pays it, contended or not.
+// the privatized ones; every CAS add pays it, contended or not.
 const casOverhead = 6
 
 // RowStats condenses the row-write histogram of one CSF level's MTTKRP
@@ -175,66 +140,27 @@ func (s RowStats) topMass(k int64) int64 {
 // AttachAccum arms the accumulation-cost extension: stats[u] is the
 // row-write histogram summary for CSF level u (u >= 1; stats[0] is
 // ignored — the root mode accumulates through boundary replicas, not an
-// OutBuf). The best strategy per level is resolved once and memoized;
-// ModeCost then charges the resolved term instead of the flat write
-// approximation. privCap <= 0 selects DefaultPrivCapElems.
+// OutBuf), threads is T and privCap the rows·R·T element bound of the
+// privatization rule. ModeCost then charges each level the rule's
+// strategy instead of the flat write approximation.
 //
-// The resolved strategies are save-independent: for u < d-1 the output is
-// written once per level-u fiber whether the kernel reads memoized partials
-// or recomputes from the leaves, and the leaf mode always scatters once per
-// non-zero — so one resolution serves every point of the search.
+// The charge is save-independent: for u < d-1 the output is written once
+// per level-u fiber whether the kernel reads memoized partials or
+// recomputes from the leaves, and the leaf mode always scatters once per
+// non-zero — so one term serves every point of the search.
 func (p *Params) AttachAccum(stats []RowStats, threads int, privCap int64) {
-	if privCap <= 0 {
-		privCap = DefaultPrivCapElems
-	}
 	p.T = threads
 	p.Accum = stats
 	p.PrivCap = privCap
-	d := len(p.Dims)
-	p.accumStrat = make([]AccumStrategy, d)
-	p.accumCost = make([]Cost, d)
-	for u := 1; u < d; u++ {
-		best := AccumPriv
-		bestC := p.AccumCost(u, AccumPriv)
-		if threads > 1 {
-			cands := []AccumStrategy{AccumHybrid, AccumAtomic}
-			if !p.privFits(u) {
-				// Over the privatization budget: hybrid and atomic only.
-				best = AccumHybrid
-				bestC = p.AccumCost(u, AccumHybrid)
-				cands = cands[1:]
-			}
-			for _, s := range cands {
-				if c := p.AccumCost(u, s); c.Total() < bestC.Total() {
-					best, bestC = s, c
-				}
-			}
-		}
-		p.accumStrat[u] = best
-		p.accumCost[u] = bestC
-	}
 }
 
-// AccumAttached reports whether AttachAccum has armed the extension.
-func (p Params) AccumAttached() bool { return p.accumCost != nil }
-
-// AccumChoice returns the resolved strategy for level u (AccumPriv when
-// the extension is not attached).
-func (p Params) AccumChoice(u int) AccumStrategy {
-	if p.accumStrat == nil || u < 0 || u >= len(p.accumStrat) {
-		return AccumPriv
-	}
-	return p.accumStrat[u]
-}
-
-// AccumChoices returns the resolved per-level strategies (nil when the
-// extension is not attached).
-func (p Params) AccumChoices() []AccumStrategy { return p.accumStrat }
-
-// privFits reports whether full privatization of level u's output is
-// within the footprint budget.
-func (p Params) privFits(u int) bool {
-	return int64(p.Dims[u])*int64(p.R)*int64(p.T) <= p.PrivCap
+// Privatized is the accumulation rule, decided here and nowhere else: the
+// non-root output at CSF level u gets a full private copy per thread when
+// one thread runs or when the T copies (rows·R·T elements) fit PrivCap;
+// otherwise it takes the hybrid strategy. The model prices that strategy
+// (AccumCost) and core plans it.
+func (p Params) Privatized(u int) bool {
+	return p.T <= 1 || int64(p.Dims[u])*int64(p.R)*int64(p.T) <= p.PrivCap
 }
 
 // hotBudgetElems is the footprint budget for the hybrid strategy's dense
@@ -276,53 +202,44 @@ func (p Params) dmOut(u int, touched, x int64) int64 {
 }
 
 // AccumCost estimates the per-iteration data movement of accumulating
-// level u's MTTKRP output under the given strategy: the scatter-phase
-// traffic, the contention penalty, and the journal-guided Reset/Reduce.
-// Requires AttachAccum's inputs (T, Accum) to be populated.
-func (p Params) AccumCost(u int, s AccumStrategy) Cost {
+// level u's MTTKRP output under the strategy Privatized picks: the
+// scatter-phase traffic, any CAS premium, and the journal-guided
+// Reset/Reduce. Requires AttachAccum's inputs (T, Accum) to be populated.
+func (p Params) AccumCost(u int) Cost {
 	if p.Accum == nil || u < 1 || u >= len(p.Dims) || u >= len(p.Accum) || p.T < 1 {
 		return Cost{}
 	}
+	if p.Privatized(u) {
+		return p.privCost(u)
+	}
+	return p.hybridCostAt(u, p.HotPick(u))
+}
+
+// privCost is the cost of full privatization: every thread scatters into
+// its own replica, and Reset/Reduce walk the touched-row journals.
+func (p Params) privCost(u int) Cost {
 	st := p.Accum[u]
 	R := int64(p.R)
 	T := int64(p.T)
 	rows := int64(p.Dims[u])
-	W := st.Writes
 	// perThreadTouched bounds Σ_th |rows thread th touches|: at most every
 	// write lands on a fresh row, at most every thread touches every
 	// touched row.
-	perThreadTouched := T * st.Touched
-	if W < perThreadTouched {
-		perThreadTouched = W
-	}
+	perThreadTouched := min(st.Writes, T*st.Touched)
 	var c Cost
-	switch s {
-	case AccumPriv:
-		if rows*R*T > p.CacheElems {
-			// Replicas spill. The CSF traversal clusters writes by row, so
-			// a spilled replica row costs one read-modify-write round trip
-			// per thread that touches it, not one per add.
-			c.Reads += perThreadTouched * R
-			c.Writes += perThreadTouched * R
-		} else {
-			// Cache-resident replicas: cold misses on the touched rows.
-			c.Writes += perThreadTouched * R
-		}
-		c.Writes += perThreadTouched * R // Reset: journal-guided clears
-		c.Reads += perThreadTouched * R  // Reduce: one live replica row per touch
-		c.Writes += rows * R             // Reduce: the output matrix
-	case AccumHybrid:
-		return p.hybridCostAt(u, p.HotPick(u))
-	case AccumAtomic:
-		vol := p.dmOut(u, st.Touched, W)
-		c.Reads += vol // CAS load
-		c.Writes += vol
-		// Every add is a locked RMW, contended or not.
-		c.Reads += casOverhead * W * R
-		c.Writes += st.Touched * R // Reset
-		c.Reads += st.Touched * R  // Reduce
-		c.Writes += rows * R       // Reduce: the output matrix
+	if rows*R*T > p.CacheElems {
+		// Replicas spill. The CSF traversal clusters writes by row, so a
+		// spilled replica row costs one read-modify-write round trip per
+		// thread that touches it, not one per add.
+		c.Reads += perThreadTouched * R
+		c.Writes += perThreadTouched * R
+	} else {
+		// Cache-resident replicas: cold misses on the touched rows.
+		c.Writes += perThreadTouched * R
 	}
+	c.Writes += perThreadTouched * R // Reset: journal-guided clears
+	c.Reads += perThreadTouched * R  // Reduce: one live replica row per touch
+	c.Writes += rows * R             // Reduce: the output matrix
 	return c
 }
 

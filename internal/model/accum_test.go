@@ -112,6 +112,10 @@ func TestMultiMassEstimateVsExact(t *testing.T) {
 	}
 }
 
+// testCap is the privatization cap the tests arm the model with: the
+// 2^24-element default of core's planner.
+const testCap = 1 << 24
+
 // attached builds an armed Params over a synthetic 3-level profile.
 func attached(dims []int, r, threads int, stats []RowStats, privCap int64) Params {
 	fibers := make([]int64, len(dims))
@@ -125,14 +129,16 @@ func attached(dims []int, r, threads int, stats []RowStats, privCap int64) Param
 
 func TestAttachAccumSingleThreadIsPriv(t *testing.T) {
 	stats := []RowStats{{}, histStats([]int64{5, 3, 2}), histStats([]int64{9, 1})}
-	p := attached([]int{100, 3, 2}, 8, 1, stats, 0)
+	// A cap of one element fits no output: only T = 1 makes the rule
+	// privatize.
+	p := attached([]int{100, 3, 2}, 8, 1, stats, 1)
 	for u := 1; u < 3; u++ {
-		if got := p.AccumChoice(u); got != AccumPriv {
-			t.Fatalf("T=1 level %d resolved %v, want priv: one thread never pays reduction", u, got)
+		if !p.Privatized(u) {
+			t.Fatalf("T=1 level %d not privatized: one thread never pays reduction", u)
 		}
-	}
-	if !p.AccumAttached() {
-		t.Fatal("AccumAttached false after AttachAccum")
+		if got, want := p.AccumCost(u), p.privCost(u); got != want {
+			t.Fatalf("T=1 level %d AccumCost %v, want the priv cost %v", u, got, want)
+		}
 	}
 }
 
@@ -143,57 +149,40 @@ func TestAttachAccumPrivCapExcludesPriv(t *testing.T) {
 		counts[i*997] = 100
 	}
 	stats := []RowStats{{}, NewRowStats(counts)}
-	p := attached([]int{50, 1_000_000}, 16, 8, stats, 0)
-	if p.privFits(1) {
-		t.Fatal("fixture fits the privatization cap; enlarge it")
-	}
-	if got := p.AccumChoice(1); got == AccumPriv {
+	p := attached([]int{50, 1_000_000}, 16, 8, stats, testCap)
+	if p.Privatized(1) {
 		t.Fatal("priv chosen for a level over the privatization cap")
 	}
-}
-
-func TestAttachAccumMemoizesMinimum(t *testing.T) {
-	counts := make([]int64, 40_000)
-	for i := range counts {
-		counts[i] = 1
-	}
-	counts[0], counts[1], counts[2] = 5000, 4000, 3000
-	stats := []RowStats{{}, NewRowStats(counts), histStats([]int64{6, 6, 6, 6})}
-	p := attached([]int{30, 40_000, 4}, 16, 8, stats, 0)
-	for u := 1; u < 3; u++ {
-		choice := p.AccumChoice(u)
-		chosen := p.AccumCost(u, choice).Total()
-		for _, s := range AccumStrategies() {
-			if s == AccumPriv && !p.privFits(u) {
-				continue
-			}
-			if c := p.AccumCost(u, s).Total(); c < chosen {
-				t.Fatalf("level %d resolved %v (%d) but %v costs %d", u, choice, chosen, s, c)
-			}
-		}
+	if got, want := p.AccumCost(1), p.hybridCostAt(1, p.HotPick(1)); got != want {
+		t.Fatalf("over-cap AccumCost %v, want the hybrid cost %v", got, want)
 	}
 }
 
-// TestAccumCostOrdering pins the qualitative shape the calibration encodes.
-func TestAccumCostOrdering(t *testing.T) {
-	// Skewed multi-writer mass: atomic pays the casOverhead premium on every
-	// add and must lose to both privatized strategies.
-	counts := make([]int64, 10_000)
-	for i := range counts {
-		counts[i] = 10
+// TestAttachAccumPrivUnderCap pins the rule: a level whose T copies fit
+// the cap is privatized, and priced as such, even where the model prices
+// the hybrid strategy lower; one element more than the footprint sends
+// it to hybrid.
+func TestAttachAccumPrivUnderCap(t *testing.T) {
+	stats := []RowStats{{}, NewRowStats(skewedHugeMode())}
+	foot := int64(2_000_000 * 8 * 8)
+	p := attached([]int{40, 2_000_000}, 8, 8, stats, foot)
+	if !p.Privatized(1) {
+		t.Fatal("a level whose copies fit the cap exactly is not privatized")
 	}
-	stats := []RowStats{{}, NewRowStats(counts)}
-	p := attached([]int{40, 10_000}, 16, 8, stats, 0)
-	priv := p.AccumCost(1, AccumPriv).Total()
-	hyb := p.AccumCost(1, AccumHybrid).Total()
-	atom := p.AccumCost(1, AccumAtomic).Total()
-	if atom <= priv || atom <= hyb {
-		t.Fatalf("atomic (%d) not dominated by priv (%d) / hybrid (%d) under uniform multi-writer mass", atom, priv, hyb)
+	if hyb := p.hybridCostAt(1, p.HotPick(1)); hyb.Total() >= p.privCost(1).Total() {
+		t.Fatalf("fixture: hybrid (%v) not priced under priv (%v); the case tests nothing", hyb, p.privCost(1))
 	}
+	if got, want := p.AccumCost(1), p.privCost(1); got != want {
+		t.Fatalf("under-cap AccumCost %v, want the priv cost %v", got, want)
+	}
+	if q := attached([]int{40, 2_000_000}, 8, 8, stats, foot-1); q.Privatized(1) {
+		t.Fatal("a level one element over the cap is privatized")
+	}
+}
 
-	// A huge mode with concentrated mass: full privatization pays spilled
-	// replicas plus a rows-proportional Reduce; hybrid's hot set absorbs the
-	// skew and must win.
+// skewedHugeMode is the row-write histogram of a 2M-row mode whose mass
+// sits on 64 rows, over a cold tail of 100k once-written rows.
+func skewedHugeMode() []int64 {
 	big := make([]int64, 2_000_000)
 	for i := 0; i < 64; i++ {
 		big[i*31_249] = 10_000
@@ -204,10 +193,18 @@ func TestAccumCostOrdering(t *testing.T) {
 			big[r] = 1
 		}
 	}
-	bst := []RowStats{{}, NewRowStats(big)}
-	bp := attached([]int{40, 2_000_000}, 8, 8, bst, 1<<40) // cap lifted: compare all three
-	bpriv := bp.AccumCost(1, AccumPriv).Total()
-	bhyb := bp.AccumCost(1, AccumHybrid).Total()
+	return big
+}
+
+// TestAccumCostOrdering pins the qualitative shape the calibration
+// encodes: on a huge mode with concentrated mass, full privatization
+// pays spilled replicas plus a rows-proportional Reduce, and hybrid's hot
+// set absorbs the skew and must cost less.
+func TestAccumCostOrdering(t *testing.T) {
+	bst := []RowStats{{}, NewRowStats(skewedHugeMode())}
+	bp := attached([]int{40, 2_000_000}, 8, 8, bst, testCap)
+	bpriv := bp.privCost(1).Total()
+	bhyb := bp.hybridCostAt(1, bp.HotPick(1)).Total()
 	if bhyb >= bpriv {
 		t.Fatalf("hybrid (%d) not under priv (%d) on a huge skewed mode", bhyb, bpriv)
 	}
@@ -219,12 +216,12 @@ func TestHotPickRespectsBudget(t *testing.T) {
 		counts[i] = 50
 	}
 	stats := []RowStats{{}, NewRowStats(counts)}
-	p := attached([]int{40, 100_000}, 32, 8, stats, 1<<40)
+	p := attached([]int{40, 100_000}, 32, 8, stats, testCap)
 	k := p.HotPick(1)
 	if maxK := p.hotBudgetElems() / int64(p.T*p.R); k > maxK {
 		t.Fatalf("HotPick k=%d over footprint budget %d", k, maxK)
 	}
-	if p2 := attached([]int{40, 4}, 32, 1, []RowStats{{}, histStats([]int64{9, 9, 9, 9})}, 0); p2.HotPick(1) != 0 {
+	if p2 := attached([]int{40, 4}, 32, 1, []RowStats{{}, histStats([]int64{9, 9, 9, 9})}, testCap); p2.HotPick(1) != 0 {
 		t.Fatal("HotPick nonzero at T=1")
 	}
 }
@@ -246,14 +243,14 @@ func TestModeCostUsesAccumTerm(t *testing.T) {
 		}
 		stats[u] = NewRowStats(counts)
 	}
-	base.AttachAccum(stats, 4, 0)
+	base.AttachAccum(stats, 4, testCap)
 	if got := base.ModeCost(save, 0); got != before[0] {
 		t.Fatalf("root ModeCost changed by AttachAccum: %v -> %v", before[0], got)
 	}
 	for u := 1; u < 3; u++ {
 		want := before[u]
 		want.Writes -= base.dmFactor(u, fibers[u])
-		want = want.Add(base.AccumCost(u, base.AccumChoice(u)))
+		want = want.Add(base.AccumCost(u))
 		if got := base.ModeCost(save, u); got != want {
 			t.Fatalf("level %d ModeCost=%v, want flat term swapped for accum term %v", u, got, want)
 		}

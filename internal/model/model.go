@@ -48,10 +48,6 @@ type Params struct {
 	T       int
 	Accum   []RowStats
 	PrivCap int64
-
-	// Memoized per-level strategy resolution; nil until AttachAccum.
-	accumStrat []AccumStrategy
-	accumCost  []Cost
 }
 
 // ParamsForCache builds Params from level dims and fiber counts with a
@@ -160,10 +156,10 @@ func (p Params) ModeCost(save []bool, u int) Cost {
 		c.Reads += p.Fibers[src] * int64(p.R)
 	}
 	// Output accumulation: the flat DM_factor write approximation, or —
-	// when row-write stats are attached — the resolved strategy's
-	// scatter + Reset/Reduce term (see accum.go).
-	if p.accumCost != nil && u < len(p.accumCost) {
-		c = c.Add(p.accumCost[u])
+	// when row-write stats are attached — the scatter + Reset/Reduce term
+	// of the strategy the accumulation rule picks (see accum.go).
+	if p.Accum != nil && u < len(p.Accum) {
+		c = c.Add(p.AccumCost(u))
 	} else {
 		c.Writes += p.dmFactor(u, p.Fibers[u])
 	}

@@ -12,11 +12,6 @@ type Config struct {
 	// Cost is the model's data-movement estimate for one CPD iteration
 	// under this configuration.
 	Cost Cost
-	// Accum[u] is the resolved accumulation strategy for the non-root
-	// mode at CSF level u (nil when the Params carried no row-write
-	// stats). Strategies are save-independent, so every configuration of
-	// one layout shares the same vector.
-	Accum []AccumStrategy
 }
 
 // EnumerateSaves yields every valid memoization vector for an order-d
@@ -46,9 +41,9 @@ func EnumerateSaves(d int) [][]bool {
 func Search(base, swapped Params) (best Config, all []Config) {
 	d := len(base.Dims)
 	for _, save := range EnumerateSaves(d) {
-		all = append(all, Config{Swap: false, Save: save, Cost: base.IterationCost(save), Accum: base.AccumChoices()})
+		all = append(all, Config{Swap: false, Save: save, Cost: base.IterationCost(save)})
 		if swapped.Fibers != nil {
-			all = append(all, Config{Swap: true, Save: save, Cost: swapped.IterationCost(save), Accum: swapped.AccumChoices()})
+			all = append(all, Config{Swap: true, Save: save, Cost: swapped.IterationCost(save)})
 		}
 	}
 	best = all[0]

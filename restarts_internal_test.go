@@ -51,7 +51,7 @@ func TestDecomposeBestBoundsSolvesInFlight(t *testing.T) {
 	tt := tensor.Random([]int{10, 12, 14}, 600, nil, 11)
 	const iters, restarts = 3, 7
 	for _, threads := range []int{1, 2, 3} {
-		c, err := Compile(tt, Options{Rank: 4, MaxIters: iters, Tol: -1, Seed: 30, Threads: threads, Accum: "priv"})
+		c, err := Compile(tt, Options{Rank: 4, MaxIters: iters, Tol: -1, Seed: 30, Threads: threads})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,12 +62,11 @@ type Options struct {
 	// CacheBytes parameterises STeF's data-movement model (0 = default).
 	CacheBytes int64
 	// MaxPrivElems bounds per-thread output privatization in the MTTKRP
-	// buffers (0 = engine default).
+	// buffers (0 = engine default, 2^24 elements). stef and stef2 give
+	// every thread a private copy of a non-root output whose rows·R·T
+	// fits it, and take the hybrid strategy past it; the baselines scatter
+	// past it with CAS adds.
 	MaxPrivElems int64
-	// Accum forces the non-root output accumulation strategy for the
-	// stef/stef2 engines: "" or "auto" (model choice), "priv", "hybrid"
-	// or "atomic".
-	Accum string
 	// Reorder optionally relabels tensor indices before decomposition to
 	// improve locality: "" (none), "lexi" (Lexi-Order) or "bfsmcs"
 	// (BFS-MCS), both from Li et al. (ICS'19). Factor matrices are
@@ -194,7 +193,7 @@ func CompileTree(tree *csf.Tree, opts Options) (*Compiled, error) {
 
 // normalize is the one option-normalisation step of every entry point:
 // it applies the rank (16) and thread (1) defaults, rejects a negative
-// MaxIters and checks the Accum, Reorder and Engine names. It returns the
+// MaxIters and checks the Reorder and Engine names. It returns the
 // normalised options and the planner options of the stef and stef2
 // engines.
 func normalize(opts Options) (Options, core.Options, error) {
@@ -207,10 +206,6 @@ func normalize(opts Options) (Options, core.Options, error) {
 	if opts.Threads < 1 {
 		opts.Threads = 1
 	}
-	accum, err := core.ParseAccumRule(opts.Accum)
-	if err != nil {
-		return opts, core.Options{}, fmt.Errorf("stef: %w", err)
-	}
 	switch opts.Reorder {
 	case "", "lexi", "bfsmcs":
 	default:
@@ -221,7 +216,7 @@ func normalize(opts Options) (Options, core.Options, error) {
 	}
 	return opts, core.Options{
 		Rank: opts.Rank, Threads: opts.Threads, CacheBytes: opts.CacheBytes, MaxPrivElems: opts.MaxPrivElems,
-		AccumRule: accum, SecondCSF: opts.Engine == "stef2",
+		SecondCSF: opts.Engine == "stef2",
 	}, nil
 }
 
