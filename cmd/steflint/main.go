@@ -239,6 +239,9 @@ func runGates(writeBaseline bool, stdout, stderr *os.File) int {
 	for _, v := range res.ShapeViolations {
 		fmt.Fprintln(stdout, v)
 	}
+	for _, m := range res.Missing {
+		fmt.Fprintln(stdout, m)
+	}
 	for _, s := range res.Stale {
 		fmt.Fprintln(stdout, s)
 	}
@@ -259,7 +262,7 @@ func runGates(writeBaseline bool, stdout, stderr *os.File) int {
 			fmt.Fprintf(stdout, "improvement vs baseline: %s (tighten with -gates -write-baseline)\n", d)
 		}
 	}
-	nfail := len(res.Violations) + len(res.ShapeViolations) + len(res.Stale)
+	nfail := len(res.Violations) + len(res.ShapeViolations) + len(res.Missing) + len(res.Stale)
 	if !writeBaseline {
 		nfail += len(res.Regressions)
 	}
@@ -267,8 +270,8 @@ func runGates(writeBaseline bool, stdout, stderr *os.File) int {
 		nfail++
 	}
 	if nfail > 0 {
-		fmt.Fprintf(stderr, "steflint: gates failed: %d violation(s), %d shape violation(s), %d stale allow(s), %d regression(s), toolchain stale: %v\n",
-			len(res.Violations), len(res.ShapeViolations), len(res.Stale), len(res.Regressions), toolchainStale)
+		fmt.Fprintf(stderr, "steflint: gates failed: %d violation(s), %d shape violation(s), %d missing hot function(s), %d stale allow(s), %d regression(s), toolchain stale: %v\n",
+			len(res.Violations), len(res.ShapeViolations), len(res.Missing), len(res.Stale), len(res.Regressions), toolchainStale)
 		return 1
 	}
 	return 0

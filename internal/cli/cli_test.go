@@ -3,9 +3,11 @@ package cli
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -158,6 +160,26 @@ func TestTensorInfo(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}
+	}
+}
+
+// TestTensorInfoBreakdownTotalsModeledCost holds tensorinfo's per-mode
+// breakdown to the plan printed above it: the "all" row's reads, writes
+// and total are the modeled cost's, accumulation term included.
+func TestTensorInfoBreakdownTotalsModeledCost(t *testing.T) {
+	code, out, errb := run(t, infoEntry, "-tensor", "uber", "-rank", "8", "-threads", "2")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errb)
+	}
+	cost := regexp.MustCompile(`(?m)^  modeled cost: reads=(\d+) writes=(\d+) `).FindStringSubmatch(out)
+	all := regexp.MustCompile(`(?m)^all +(\d+) +(\d+) +(\d+)$`).FindStringSubmatch(out)
+	if cost == nil || all == nil {
+		t.Fatalf("no modeled cost line or no breakdown total in:\n%s", out)
+	}
+	reads, _ := strconv.ParseInt(cost[1], 10, 64)
+	writes, _ := strconv.ParseInt(cost[2], 10, 64)
+	if want := fmt.Sprintf("%d %d %d", reads, writes, reads+writes); strings.Join(all[1:], " ") != want {
+		t.Errorf("breakdown totals reads, writes, total = %s; the modeled cost is %s", strings.Join(all[1:], " "), want)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"stef/internal/core"
 	"stef/internal/csf"
 	"stef/internal/frostt"
-	"stef/internal/model"
 	"stef/internal/sched"
 	"stef/internal/tensor"
 )
@@ -170,9 +169,10 @@ func RunTensorInfo(args []string, stdout, stderr io.Writer) int {
 	}
 	plan.Describe(stdout)
 
+	// The plan's own parameters carry the accumulation term, so the
+	// breakdown totals the modeled cost printed above.
 	fmt.Fprintln(stdout, "\nper-mode data-movement breakdown (chosen configuration):")
-	params := model.ParamsForCache(plan.Tree.Dims(), plan.Tree.FiberCounts(), *rank, 0)
-	params.Explain(stdout, plan.Config.Save)
+	plan.Params.Explain(stdout, plan.Config.Save)
 	return 0
 }
 

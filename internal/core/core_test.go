@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"stef/internal/cpu"
 	"stef/internal/csf"
+	"stef/internal/kernels"
 	"stef/internal/model"
 	"stef/internal/tensor"
 )
@@ -189,6 +191,46 @@ func TestDescribe(t *testing.T) {
 	}
 	if _, ok := plan.runnerUp(); !ok {
 		t.Error("no runner-up configuration found")
+	}
+}
+
+// TestDescribeAccumulationBytes pins the storage line's accumulation
+// figure, what one workspace allocates for the non-root outputs: (T−1)
+// replicas of rows·R·8 bytes per priv level at T = 1, 2 and 3 (thread 0
+// accumulates in the output), and the shared region plus T hot slabs per
+// level of a plan whose one-element cap makes every level hybrid.
+func TestDescribeAccumulationBytes(t *testing.T) {
+	const rank = 8
+	tt := tensor.Random([]int{60, 700, 900}, 3000, []float64{0, 1.3, 1.3}, 4)
+	for _, tc := range []struct {
+		threads int
+		maxPriv int64
+	}{{1, 0}, {2, 0}, {3, 0}, {2, 1}} {
+		plan, err := NewPlan(tt, Options{Rank: rank, Threads: tc.threads, MaxPrivElems: tc.maxPriv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want int64
+		for u := 1; u < tt.Order(); u++ {
+			ap := plan.Accum[u]
+			rowBytes := int64(rank * 8)
+			switch {
+			case tc.maxPriv == 0 && ap.Strategy == kernels.AccumPriv:
+				want += int64(tc.threads-1) * int64(plan.Tree.Dim(u)) * rowBytes
+			case tc.maxPriv == 1 && ap.Strategy == kernels.AccumHybrid:
+				want += int64(plan.Tree.Dim(u))*rowBytes + int64(tc.threads*ap.HotK())*rowBytes
+			default:
+				t.Fatalf("T %d cap %d: level %d planned %v", tc.threads, tc.maxPriv, u, ap)
+			}
+		}
+		if got := plan.AccumBytes(); got != want {
+			t.Errorf("T %d cap %d: AccumBytes %d, want %d", tc.threads, tc.maxPriv, got, want)
+		}
+		var sb strings.Builder
+		plan.Describe(&sb)
+		if line := fmt.Sprintf("accumulation %.2f MB\n", float64(want)/(1<<20)); !strings.Contains(sb.String(), line) {
+			t.Errorf("T %d cap %d: Describe lacks %q:\n%s", tc.threads, tc.maxPriv, line, sb.String())
+		}
 	}
 }
 

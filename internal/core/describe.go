@@ -11,7 +11,8 @@ import (
 // Describe writes a human-readable summary of every decision in the plan:
 // the chosen layout and memoization set with their modeled cost, the
 // runner-up configurations, the work-distribution mode, the kernel walk,
-// its fiber-run depth and primitive set, and the Table II byte accounting.
+// its fiber-run depth and primitive set, the Table II byte accounting and
+// what one workspace allocates to accumulate the non-root outputs.
 // tensorinfo and the examples use it; it is also handy in bug reports.
 func (p *Plan) Describe(w io.Writer) {
 	tree := p.Tree
@@ -57,8 +58,8 @@ func (p *Plan) Describe(w io.Writer) {
 	if p.Tree2 != nil {
 		fmt.Fprintf(w, "  STeF2 auxiliary CSF rooted at original mode %d\n", p.Tree2.PermLevel(0))
 	}
-	fmt.Fprintf(w, "  storage: memo %.2f MB, CSF %.2f MB, factors %.2f MB (ratio %.2f)\n",
-		mb(p.MemoBytes), mb(p.CSFBytes), mb(p.FactorBytes), p.Ratio())
+	fmt.Fprintf(w, "  storage: memo %.2f MB, CSF %.2f MB, factors %.2f MB (ratio %.2f), accumulation %.2f MB\n",
+		mb(p.MemoBytes), mb(p.CSFBytes), mb(p.FactorBytes), p.Ratio(), mb(p.AccumBytes()))
 	fmt.Fprintf(w, "  preprocessing: %v (Alg. 9 + census + model search), build: %v\n", p.PreprocessTime, p.BuildTime)
 }
 

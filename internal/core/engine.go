@@ -75,7 +75,8 @@ func (e *Engine) NewWorkspace() cpd.Workspace {
 	return w
 }
 
-// Compute implements cpd.Engine, writing only into ws and out.
+// Compute implements cpd.Engine, writing only into ws and out. It reads no
+// factor of mode UpdateOrder()[pos], so out may be that factor.
 func (e *Engine) Compute(ws cpd.Workspace, pos int, factors []*tensor.Matrix, out *tensor.Matrix) {
 	w, ok := ws.(*Workspace)
 	if !ok {
@@ -96,8 +97,10 @@ func (e *Engine) Compute(ws cpd.Workspace, pos int, factors []*tensor.Matrix, ou
 		kernels.LevelFactorsInto(w.lf2, factors, plan.Tree2.Perm())
 		kernels.RootMTTKRPWith(plan.Tree2, w.lf2, out, w.partials2, plan.Part2, w.scratch)
 	default:
+		// Thread 0 accumulates in out itself; the other threads' replicas
+		// are added to it in the reduce.
 		buf := w.bufs[pos]
-		buf.Reset()
+		buf.ResetInto(out)
 		kernels.ModeMTTKRPWith(tree, w.lf, pos, w.partials, buf, plan.Part, w.scratch)
 		buf.Reduce(out)
 	}

@@ -66,9 +66,10 @@ type Options struct {
 	// base CSF's leaf mode handles that mode's MTTKRP.
 	SecondCSF bool
 	// MaxPrivElems is the privatization cap of the accumulation rule
-	// (model.Params.Privatized): a non-root output gets T private copies
-	// when rows·R·T fits it, the hybrid strategy otherwise (default
-	// kernels.DefaultPrivatizeMaxElems).
+	// (model.Params.Privatized): a non-root output is privatized when
+	// rows·R·T fits it — thread 0 accumulates in the output, each other
+	// thread in a private copy — and takes the hybrid strategy otherwise
+	// (default kernels.DefaultPrivatizeMaxElems).
 	MaxPrivElems int64
 }
 
@@ -135,6 +136,18 @@ func (p *Plan) Ratio() float64 {
 		return 0
 	}
 	return float64(p.MemoBytes) / float64(den)
+}
+
+// AccumBytes returns what one workspace allocates to accumulate the
+// non-root outputs: the sum of the levels' AccumPlan.WorkspaceBytes.
+func (p *Plan) AccumBytes() int64 {
+	var b int64
+	for _, ap := range p.Accum {
+		if ap != nil {
+			b += ap.WorkspaceBytes()
+		}
+	}
+	return b
 }
 
 // NewPlan builds the CSF for t, runs the model search and fixes every

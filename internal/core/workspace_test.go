@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"runtime"
 	"testing"
 
 	"stef/internal/core"
@@ -110,6 +111,50 @@ func TestSolveIterationsAllocateOnlyLaunchesOnTwoThreads(t *testing.T) {
 	perIter := (long - short) / 8
 	if limit := float64(2 * len(dims) * threads); perIter > limit {
 		t.Fatalf("each extra iteration allocates %.1f objects on %d threads, want at most %.0f (goroutine launches only)", perIter, threads, limit)
+	}
+}
+
+// TestSeededSolveAllocatesOnlyItsFactors pins a solve's memory by count:
+// on a pooled workspace, a seeded solve allocates its factors and nothing
+// else of their size. Every MTTKRP goes into the factor it updates, and
+// thread 0 accumulates in it, so the bytes a solve allocates beyond its
+// factors stay below the smallest dims × R matrix, at T = 1 and 2.
+func TestSeededSolveAllocatesOnlyItsFactors(t *testing.T) {
+	const rank = 8
+	tt := tensor.Random([]int{3000, 4000, 5000}, 6000, []float64{0, 1.2, 1.2}, 9)
+	factorBytes, smallest := uint64(0), uint64(0)
+	for m, n := range tt.Dims {
+		b := uint64(n * rank * 8)
+		factorBytes += b
+		if m == 0 || b < smallest {
+			smallest = b
+		}
+	}
+	for _, threads := range []int{1, 2} {
+		eng, _, err := core.NewEngineFor(tt, core.Options{Rank: rank, Threads: threads})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := eng.NewWorkspace()
+		solve := func() uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			ws.Reset()
+			if _, err := cpd.RunWith(tt.Dims, tt.NormFrobenius(), eng, ws, cpd.Options{Rank: rank, MaxIters: 3, Tol: -1, Seed: 4, Threads: threads}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		solve() // warm up
+		least := solve()
+		for range 2 {
+			least = min(least, solve())
+		}
+		if extra := int64(least) - int64(factorBytes); extra >= int64(smallest) {
+			t.Fatalf("T %d: a solve allocates %d bytes, %d beyond its %d bytes of factors; the smallest factor takes %d",
+				threads, least, extra, factorBytes, smallest)
+		}
 	}
 }
 

@@ -59,7 +59,10 @@ type Engine interface {
 	// Compute fills out with the MTTKRP for UpdateOrder()[pos], given the
 	// current factor matrices (indexed by original mode). out has shape
 	// Dims[UpdateOrder()[pos]] × R and may contain stale data on entry.
-	// ws must have been produced by this engine's NewWorkspace.
+	// out may alias factors[UpdateOrder()[pos]] — RunWith passes that
+	// factor, so the MTTKRP lands in the matrix the update solves in place
+	// — so Compute must not read that factor. ws must have been produced
+	// by this engine's NewWorkspace.
 	Compute(ws Workspace, pos int, factors []*tensor.Matrix, out *tensor.Matrix)
 }
 
@@ -129,7 +132,8 @@ type Result struct {
 	Converged bool
 	// InitTime is the solve's start-up: the wall time from entering
 	// RunWith to its first Engine.Compute, spent on the initial factors,
-	// their Grams and the solve's buffers.
+	// their Grams and the dense update's R×R buffers. There are no MTTKRP
+	// buffers: each MTTKRP is written into the factor it updates.
 	InitTime time.Duration
 	// MTTKRPTime accumulates wall time spent inside Engine.Compute.
 	MTTKRPTime time.Duration
@@ -210,10 +214,6 @@ func RunWith(dims []int, normX float64, eng Engine, ws Workspace, opts Options) 
 	} else {
 		factors, grams = randomStart(dims, r, opts.Seed, opts.Threads)
 	}
-	mttkrp := make([]*tensor.Matrix, d)
-	for m := 0; m < d; m++ {
-		mttkrp[m] = tensor.NewMatrix(dims[m], r)
-	}
 	lambda := make([]float64, r)
 	res := &Result{Factors: factors, Lambda: lambda, ModeTime: make([]time.Duration, d)}
 	res.Fits = make([]float64, 0, opts.MaxIters)
@@ -238,7 +238,9 @@ func RunWith(dims []int, normX float64, eng Engine, ws Workspace, opts Options) 
 		for pos := 0; pos < d; pos++ {
 			m := order[pos]
 			start := time.Now()
-			eng.Compute(ws, pos, factors, mttkrp[m])
+			// The MTTKRP goes straight into the factor it updates: no
+			// MTTKRP reads its own mode's factor.
+			eng.Compute(ws, pos, factors, factors[m])
 			el := time.Since(start)
 			res.MTTKRPTime += el
 			res.ModeTime[m] += el
@@ -259,13 +261,13 @@ func RunWith(dims []int, normX float64, eng Engine, ws Workspace, opts Options) 
 				//lint:allow hotpath-alloc cold error path, aborts the iteration
 				return nil, fmt.Errorf("cpd: engine %q iteration %d mode %d: %w", eng.Name(), it, m, err)
 			}
-			// The fused update solves, clamps and normalises the factor,
-			// leaves its column scaling in lambda and its new Gram in
-			// grams[m], and after the last mode also returns <X, M>.
-			inner = upd.Update(&chol, factors[m], mttkrp[m], dense.UpdateOptions{
+			// The fused update solves, clamps and normalises the factor in
+			// place, leaves its column scaling in lambda and its new Gram
+			// in grams[m], and returns <X, M> for this mode's MTTKRP; the
+			// fit takes the last mode's.
+			inner = upd.Update(&chol, factors[m], dense.UpdateOptions{
 				NonNegative: opts.NonNegative,
 				TwoNorm:     it == 0,
-				Inner:       pos == d-1,
 			}, lambda, grams[m])
 			// Gram diagonal p is Σ a[i][p]², finite exactly when column p
 			// is (short of overflow).
@@ -362,8 +364,9 @@ func randomStart(dims []int, r int, seed int64, threads int) (factors, grams []*
 
 // computeFit evaluates 1 - ||X - model||_F / ||X||_F using the standard
 // identity: ||X - M||² = ||X||² + ||M||² - 2<X, M>, where inner = <X, M>
-// comes from the last mode's update (which has the last MTTKRP result at
-// hand) and ||M||² from the Gram matrices and lambda. g is an R×R scratch
+// comes from the last mode's update (which takes it from the MTTKRP and
+// the solved factor as it overwrites the one with the other) and ||M||²
+// from the Gram matrices and lambda. g is an R×R scratch
 // matrix overwritten here.
 func computeFit(normX float64, grams []*tensor.Matrix, lambda []float64, inner float64, g *tensor.Matrix) float64 {
 	r := len(lambda)

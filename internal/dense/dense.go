@@ -32,9 +32,9 @@ func Gram(a *tensor.Matrix, out *tensor.Matrix) *tensor.Matrix {
 	}
 	out.Zero()
 	if rows := a.Data[:a.Rows*r]; useLanes {
-		scaleLanes(rows, nil, nil, out.Data, r)
+		scaleLanes(rows, nil, out.Data, r)
 	} else {
-		scalePass(rows, nil, nil, out.Data, r)
+		scalePass(rows, nil, out.Data, r)
 	}
 	mirrorUpper(out)
 	return out
@@ -73,7 +73,7 @@ func (s *GramStream) Add(rows []float64) {
 			panic("dense: GramStream block after one that ended inside a group of four rows")
 		}
 		s.tail = len(rows)/r%4 != 0
-		scalePass(rows, nil, nil, s.out.Data, r)
+		scalePass(rows, nil, s.out.Data, r)
 		return
 	}
 	s.n = gramLanes(rows, s.out.Data, r, &s.grp, s.n)
@@ -260,10 +260,10 @@ func (c *Cholesky) SolveRowsInPlace(m *tensor.Matrix) {
 	rows := m.Data[:m.Rows*m.Cols]
 	if useLanes {
 		var off [laneRows]int
-		solveLanes(c, rows, nil, m.Cols, false, statNone, nil, c.lanes, off[:])
+		solveLanes(c, rows, m.Cols, false, statNone, nil, c.lanes, off[:])
 		return
 	}
-	solvePass(c, rows, nil, m.Cols, false, statNone, nil)
+	solvePass(c, rows, m.Cols, false, statNone, nil, nil)
 }
 
 // NormalizeColumns scales each column of a to unit 2-norm and returns the
@@ -310,11 +310,11 @@ func normalizeColumns(a *tensor.Matrix, norms []float64, stat colStat) {
 	}
 	rows := a.Data[:a.Rows*a.Cols]
 	clear(norms)
-	solvePass(nil, rows, nil, a.Cols, false, stat, norms)
+	solvePass(nil, rows, a.Cols, false, stat, norms, nil)
 	reduceNorms(norms, norms, stat)
 	if useLanes {
-		scaleLanes(rows, nil, norms, nil, a.Cols)
+		scaleLanes(rows, norms, nil, a.Cols)
 		return
 	}
-	scalePass(rows, nil, norms, nil, a.Cols)
+	scalePass(rows, norms, nil, a.Cols)
 }

@@ -43,84 +43,75 @@ func finite(v []float64) bool {
 	return true
 }
 
-// solveLanes is solvePass on the AVX2 kernels for a non-nil c. It gathers
-// the next 16 rows of src (dst when src is nil) into the lane buffer b
-// (exactly 16·r values), noting their row offsets in off (exactly 16),
-// solves them in lane order and writes them back to dst with the clamp
-// and the column statistic.
+// solveLanes is solvePass on the AVX2 kernels for a non-nil c, in place.
+// It gathers the next 16 rows into the lane buffer b (exactly 16·r
+// values), noting their row offsets in off (exactly 16), solves them in
+// lane order and scatters them back with the clamp and the column
+// statistic. The scatter reads each input row before it overwrites it, so
+// solveLanes returns ⟨X, M⟩'s share of these rows, Σ rowDot(x, â) in row
+// order, with solvePass's bits.
 //
-// A row whose input is +0 in every bit is written as +0 without being
-// solved when c's factor is finite: l·(+0) is ±0 and +0 − (±0) is +0, so
-// both substitutions and the divides by the positive diagonal leave it +0,
-// and a +0 row adds nothing to the statistic.
-func solveLanes(c *Cholesky, dst, src []float64, r int, nonNeg bool, stat colStat, stats, b []float64, off []int) {
+// A row whose input is +0 in every bit is left +0 without being solved
+// when c's factor is finite: l·(+0) is ±0 and +0 − (±0) is +0, so both
+// substitutions and the divides by the positive diagonal leave it +0, a +0
+// row adds nothing to the statistic, and its rowDot, +0, leaves the sum
+// (which is never −0) as it is.
+func solveLanes(c *Cholesky, rows []float64, r int, nonNeg bool, stat colStat, stats, b []float64, off []int) float64 {
 	if r <= 0 {
-		return
+		return 0
 	}
-	in := src
-	if in == nil {
-		in = dst
-	}
-	rows := len(dst) / r
-	n := 0
-	for i := 0; i < rows; i++ {
+	n := len(rows) / r
+	k := 0
+	inner := 0.0
+	for i := 0; i < n; i++ {
 		o := i * r
-		if c.finite && posZero(in[o:][:r]) { //gate:allow bounds one row window per row, not per element
-			if src != nil {
-				clear(dst[o:][:r]) //gate:allow bounds one row window per skipped row, not per element
-			}
+		if c.finite && posZero(rows[o:][:r]) { //gate:allow bounds one row window per row, not per element
 			continue
 		}
-		off[n] = o //gate:allow bounds one offset per solved row, not per element
-		if n++; n == laneRows {
-			gatherLanesAVX2(b, in, off)
+		off[k] = o //gate:allow bounds one offset per solved row, not per element
+		if k++; k == laneRows {
+			gatherLanesAVX2(b, rows, off)
 			solveLanesAVX2(b, c.l, c.lt)
-			scatterLanesAVX2(dst, b, off, stats, nonNeg, stat)
-			n = 0
+			inner = scatterLanesAVX2(rows, b, off, stats, nonNeg, stat, inner)
+			k = 0
 		}
 	}
-	if n > 0 {
-		gatherLanesAVX2(b, in, off[:n])
+	if k > 0 {
+		gatherLanesAVX2(b, rows, off[:k])
 		solveLanesAVX2(b, c.l, c.lt)
-		scatterLanesAVX2(dst, b, off[:n], stats, nonNeg, stat)
+		inner = scatterLanesAVX2(rows, b, off[:k], stats, nonNeg, stat, inner)
 	}
+	return inner
 }
 
 // scaleLanes is scalePass on the AVX2 kernels: it divides each row by
-// norms (skipped when nil), adds the rows four at a time into the upper
-// triangle of gram (skipped when nil) and, when x is non-nil, returns the
-// fit's inner product Σ x·row·norms, a serial sum that stays scalar.
+// norms (skipped when nil) and adds the rows four at a time into the upper
+// triangle of gram (skipped when nil).
 //
 // A row that is +0 in every bit skips the divide and the Gram when the
 // norms are finite (or nil): +0/n is +0 for every finite positive n, and
 // a row whose value at p is zero adds nothing to Gram row p.
-func scaleLanes(rows, x, norms, gram []float64, r int) float64 {
+func scaleLanes(rows, norms, gram []float64, r int) {
 	if r <= 0 {
-		return 0
+		return
 	}
 	skip := norms == nil || finite(norms)
 	n := len(rows) / r
 	var grp [4][]float64
 	g := 0
-	inner := 0.0
 	for i := 0; i < n; i++ {
 		row := rows[i*r:][:r] //gate:allow bounds one row window per row, not per element
-		if !skip || !posZero(row) {
-			if norms != nil {
-				divRowsAVX2(row, norms)
-			}
-			if gram != nil {
-				grp[g] = row //gate:allow bounds one Gram slot per row, not per element
-				if g++; g == len(grp) {
-					gram4AVX2(gram, grp[0], grp[1], grp[2], grp[3])
-					g = 0
-				}
-			}
+		if skip && posZero(row) {
+			continue
 		}
-		if x != nil {
-			xr, nr := x[i*r:][:r], norms[:r] //gate:allow bounds one row window per row, not per element
-			for p := range row {
-				inner += xr[p] * row[p] * nr[p]
+		if norms != nil {
+			divRowsAVX2(row, norms)
+		}
+		if gram != nil {
+			grp[g] = row //gate:allow bounds one Gram slot per row, not per element
+			if g++; g == len(grp) {
+				gram4AVX2(gram, grp[0], grp[1], grp[2], grp[3])
+				g = 0
 			}
 		}
 	}
@@ -128,7 +119,6 @@ func scaleLanes(rows, x, norms, gram []float64, r int) float64 {
 		clear(grp[g:])
 		gram4AVX2(gram, grp[0], grp[1], grp[2], grp[3])
 	}
-	return inner
 }
 
 // gramLanes is scaleLanes's Gram step alone, for GramStream: it adds the

@@ -18,7 +18,7 @@ func solveLanesAVX2(b, l, lt []float64)
 
 //asm:writes dst stats
 //go:noescape
-func scatterLanesAVX2(dst, b []float64, off []int, stats []float64, clamp bool, stat colStat)
+func scatterLanesAVX2(dst, b []float64, off []int, stats []float64, clamp bool, stat colStat, inner float64) float64
 
 //asm:writes rows
 //go:noescape

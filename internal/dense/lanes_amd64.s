@@ -65,6 +65,32 @@ GLOBL absmask<>(SB), RODATA|NOPTR, $8
 	VCMPPD    $0x1e, Y8, Y9, Y10; \
 	VBLENDVPD Y10, Y9, Y8, Y8
 
+// DOT adds the row V times the input row still at P (read before V is
+// stored over it) into the four partial sums at A: p_j += x·v for the
+// columns of residue j. Y9 is clobbered.
+#define DOT(P, V, A) \
+	VMULPD  (P), V, Y9; \
+	VADDPD  A, Y9, Y9; \
+	VMOVUPD Y9, A
+
+// DOTM is DOT for the last r&3 columns, under the mask in Y12: the masked
+// columns of V are zero, and so are those of the loaded x.
+#define DOTM(P, V, A) \
+	VMASKMOVPD (P), Y12, Y9; \
+	VMULPD     Y9, V, Y9; \
+	VADDPD     A, Y9, Y9; \
+	VMOVUPD    Y9, A
+
+// ROWSUM adds one row's ⟨x, â⟩, (p0+p1)+(p2+p3) from its partial sums at
+// P0..P3, to the running sum in X11, as rowDot and solvePass do.
+#define ROWSUM(P0, P1, P2, P3) \
+	VMOVSD P0, X9; \
+	VADDSD P1, X9, X9; \
+	VMOVSD P2, X10; \
+	VADDSD P3, X10, X10; \
+	VADDSD X10, X9, X9; \
+	VADDSD X9, X11, X11
+
 // ROWPTRS loads into R8..R11 the addresses base + 8·off[i] of the next
 // four rows (off in DX, base in BASE) while fewer than CX remain; the
 // others keep DEF.
@@ -278,13 +304,19 @@ done:
 	VZEROUPPER
 	RET
 
-// func scatterLanesAVX2(dst, b []float64, off []int, stats []float64, clamp bool, stat colStat)
+// func scatterLanesAVX2(dst, b []float64, off []int, stats []float64, clamp bool, stat colStat, inner float64) float64
 //
 // Writes lane j < len(off) of b (len 16·r) to the row dst[off[j]:][:r],
 // zeroing its negative elements when clamp is set, and folds the rows in
 // lane order into stats (len r): Σ v² for statSumSq, max |v| for
-// statMaxAbs, untouched for statNone.
-TEXT ·scatterLanesAVX2(SB), NOSPLIT, $0-112
+// statMaxAbs, untouched for statNone. Before it overwrites a row it adds
+// the row it read there times the clamped lane into four per-lane partial
+// sums, one per column residue; it returns inner plus each lane's
+// (p0+p1)+(p2+p3), added in lane order.
+//
+// Frame: the partial sums of the four lanes of a group, 32 bytes each.
+TEXT ·scatterLanesAVX2(SB), NOSPLIT, $128-128
+	VMOVSD  inner+112(FP), X11
 	MOVQ    dst_base+0(FP), DI
 	MOVQ    b_base+24(FP), SI
 	MOVQ    b_len+32(FP), BX
@@ -313,6 +345,10 @@ sgroup:
 	MOVQ  stats_base+72(FP), R12
 	MOVQ  SI, R14
 	MOVQ  BX, R13
+	VMOVUPD Y15, 0(SP)
+	VMOVUPD Y15, 32(SP)
+	VMOVUPD Y15, 64(SP)
+	VMOVUPD Y15, 96(SP)
 
 scol4:
 	CMPQ    R13, $4
@@ -326,6 +362,18 @@ scol4:
 	CLAMP(Y1)
 	CLAMP(Y2)
 	CLAMP(Y3)
+	DOT(R8, Y0, 0(SP))
+	CMPQ    CX, $1
+	JLE     sdot4
+	DOT(R9, Y1, 32(SP))
+	CMPQ    CX, $2
+	JLE     sdot4
+	DOT(R10, Y2, 64(SP))
+	CMPQ    CX, $3
+	JLE     sdot4
+	DOT(R11, Y3, 96(SP))
+
+sdot4:
 	CMPQ    AX, $1
 	JEQ     ssq4
 	JGT     smax4
@@ -396,7 +444,7 @@ snext4:
 	// masked stores write only the real columns.
 stail:
 	TESTQ   R13, R13
-	JZ      snextgroup
+	JZ      sgroupend
 	VMOVUPD 0(R14), Y0
 	VXORPD  Y1, Y1, Y1
 	VXORPD  Y2, Y2, Y2
@@ -414,20 +462,32 @@ stailt:
 	CLAMP(Y1)
 	CLAMP(Y2)
 	CLAMP(Y3)
+	DOTM(R8, Y0, 0(SP))
+	CMPQ       CX, $1
+	JLE        sdott
+	DOTM(R9, Y1, 32(SP))
+	CMPQ       CX, $2
+	JLE        sdott
+	DOTM(R10, Y2, 64(SP))
+	CMPQ       CX, $3
+	JLE        sdott
+	DOTM(R11, Y3, 96(SP))
+
+sdott:
 	CMPQ       AX, $1
 	JEQ        ssqt
 	JGT        smaxt
 	VMASKMOVPD Y0, Y12, (R8)
 	CMPQ       CX, $1
-	JLE        snextgroup
+	JLE        sgroupend
 	VMASKMOVPD Y1, Y12, (R9)
 	CMPQ       CX, $2
-	JLE        snextgroup
+	JLE        sgroupend
 	VMASKMOVPD Y2, Y12, (R10)
 	CMPQ       CX, $3
-	JLE        snextgroup
+	JLE        sgroupend
 	VMASKMOVPD Y3, Y12, (R11)
-	JMP        snextgroup
+	JMP        sgroupend
 
 ssqt:
 	VMASKMOVPD (R12), Y12, Y8
@@ -448,7 +508,7 @@ ssqt:
 
 ssqtend:
 	VMASKMOVPD Y8, Y12, (R12)
-	JMP        snextgroup
+	JMP        sgroupend
 
 smaxt:
 	VMASKMOVPD (R12), Y12, Y8
@@ -470,6 +530,19 @@ smaxt:
 smaxtend:
 	VMASKMOVPD Y8, Y12, (R12)
 
+	// Each real lane's sum, in lane order.
+sgroupend:
+	ROWSUM(0(SP), 8(SP), 16(SP), 24(SP))
+	CMPQ CX, $1
+	JLE  snextgroup
+	ROWSUM(32(SP), 40(SP), 48(SP), 56(SP))
+	CMPQ CX, $2
+	JLE  snextgroup
+	ROWSUM(64(SP), 72(SP), 80(SP), 88(SP))
+	CMPQ CX, $3
+	JLE  snextgroup
+	ROWSUM(96(SP), 104(SP), 112(SP), 120(SP))
+
 snextgroup:
 	ADDQ $32, SI
 	ADDQ $32, DX
@@ -477,6 +550,7 @@ snextgroup:
 	JMP  sgroup
 
 sdone:
+	VMOVSD X11, ret+120(FP)
 	VZEROUPPER
 	RET
 

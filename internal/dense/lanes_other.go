@@ -9,7 +9,7 @@ func gatherLanesAVX2(b, src []float64, off []int) { panic("dense: no AVX2 kernel
 
 func solveLanesAVX2(b, l, lt []float64) { panic("dense: no AVX2 kernels off amd64") }
 
-func scatterLanesAVX2(dst, b []float64, off []int, stats []float64, clamp bool, stat colStat) {
+func scatterLanesAVX2(dst, b []float64, off []int, stats []float64, clamp bool, stat colStat, inner float64) float64 {
 	panic("dense: no AVX2 kernels off amd64")
 }
 

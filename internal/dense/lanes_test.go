@@ -138,8 +138,8 @@ func lvt(c *Cholesky, p, q int) float64 {
 // TestLanesMatchGoPasses runs the whole update on the Go and the AVX2
 // passes and requires the same bits in the factor, norms, Gram and inner
 // product: every R from 1 to 70, row counts 0–40 and 66, thread blocks for
-// T of 1, 2, 3 and 8, TwoNorm, NonNegative and Inner each on and off, and
-// every input flavour. The input must not be written.
+// T of 1, 2, 3 and 8, TwoNorm and NonNegative each on and off, and every
+// input flavour. The update solves in place, from the MTTKRP x.
 func TestLanesMatchGoPasses(t *testing.T) {
 	lanesOrSkip(t)
 	rowCounts := []int{66}
@@ -153,19 +153,15 @@ func TestLanesMatchGoPasses(t *testing.T) {
 			k++
 			nt := threads[k%len(threads)]
 			mode := k / len(threads) // every (T, options) pair recurs
-			opts := UpdateOptions{TwoNorm: mode&1 != 0, NonNegative: mode&2 != 0, Inner: mode&4 != 0}
+			opts := UpdateOptions{TwoNorm: mode&1 != 0, NonNegative: mode&2 != 0}
 			flavour := (k / 32) % flavours
 			ctx := fmt.Sprintf("R=%d rows=%d T=%d %+v flavour=%d", r, rows, nt, opts, flavour)
 			c, x := laneInput(rows, r, flavour, int64(k))
-			x0 := slices.Clone(x.Data)
 
 			run := func(lanes bool) ([]float64, []float64, []float64, float64) {
-				a := tensor.NewMatrix(rows, r)
-				for i := range a.Data {
-					a.Data[i] = 7 // stale contents must not leak through
-				}
+				a := x.Clone()
 				norms, gram := make([]float64, r), tensor.NewMatrix(r, r)
-				inner := updaterWith(r, nt, lanes).Update(c, a, x, opts, norms, gram)
+				inner := updaterWith(r, nt, lanes).Update(c, a, opts, norms, gram)
 				return a.Data, norms, gram.Data, inner
 			}
 			wantA, wantN, wantG, wantI := run(false)
@@ -174,7 +170,6 @@ func TestLanesMatchGoPasses(t *testing.T) {
 			bitEqual(t, gotN, wantN, ctx+" norms")
 			bitEqual(t, gotG, wantG, ctx+" gram")
 			bitEqual(t, []float64{gotI}, []float64{wantI}, ctx+" inner")
-			bitEqual(t, x.Data, x0, ctx+" input")
 		}
 	}
 }
@@ -182,8 +177,8 @@ func TestLanesMatchGoPasses(t *testing.T) {
 // TestLanePassesStayInTheirRows calls the AVX2 passes directly on a row
 // block in the middle of a larger array, next to the Go passes on the same
 // block: both must write the same bits (in the Gram partial, its upper
-// triangle), and neither may touch an element outside the block, at every
-// R from 1 to 70 (both in place and copying from a source, with and
+// triangle) and pass A must return the same inner product, and neither may
+// touch an element outside the block, at every R from 1 to 70 (with and
 // without each option).
 func TestLanePassesStayInTheirRows(t *testing.T) {
 	lanesOrSkip(t)
@@ -201,21 +196,18 @@ func TestLanePassesStayInTheirRows(t *testing.T) {
 			}
 			for variant := 0; variant < 8; variant++ {
 				ctx := fmt.Sprintf("R=%d rows=%d variant=%d", r, rows, variant)
-				nonNeg, inPlace := variant&1 != 0, variant&2 != 0
+				nonNeg := variant&1 != 0
 				stat := []colStat{statNone, statSumSq, statMaxAbs}[variant%3]
-				src := x.Data
 				want, got := slices.Clone(around), slices.Clone(around)
-				if inPlace {
-					copy(want[lo:hi], x.Data)
-					copy(got[lo:hi], x.Data)
-					src = nil
-				}
+				copy(want[lo:hi], x.Data)
+				copy(got[lo:hi], x.Data)
 				wantSt, gotSt := make([]float64, r+guard), make([]float64, r+guard)
-				solvePass(c, want[lo:hi], src, r, nonNeg, stat, wantSt[:r])
+				wantI := solvePass(c, want[lo:hi], r, nonNeg, stat, wantSt[:r], make([]float64, 4*r))
 				b, off := make([]float64, laneRows*r), make([]int, laneRows)
-				solveLanes(c, got[lo:hi], src, r, nonNeg, stat, gotSt[:r], b, off)
+				gotI := solveLanes(c, got[lo:hi], r, nonNeg, stat, gotSt[:r], b, off)
 				bitEqual(t, got, want, ctx+" pass A rows")
 				bitEqual(t, gotSt, wantSt, ctx+" pass A statistic")
+				bitEqual(t, []float64{gotI}, []float64{wantI}, ctx+" pass A inner")
 
 				norms := make([]float64, r)
 				for p := range norms {
@@ -224,16 +216,11 @@ func TestLanePassesStayInTheirRows(t *testing.T) {
 				if variant&4 != 0 {
 					norms = nil
 				}
-				var xs []float64
-				if norms != nil && variant%3 == 1 {
-					xs = x.Data
-				}
 				wantG, gotG := make([]float64, r*r+guard), make([]float64, r*r+guard)
-				wantI := scalePass(want[lo:hi], xs, norms, wantG[:r*r], r)
-				gotI := scaleLanes(got[lo:hi], xs, norms, gotG[:r*r], r)
+				scalePass(want[lo:hi], norms, wantG[:r*r], r)
+				scaleLanes(got[lo:hi], norms, gotG[:r*r], r)
 				bitEqual(t, got, want, ctx+" pass B rows")
 				bitEqual(t, upper(gotG, r), wantG, ctx+" pass B gram")
-				bitEqual(t, []float64{gotI}, []float64{wantI}, ctx+" pass B inner")
 			}
 		}
 	}
@@ -260,10 +247,11 @@ func TestLaneSkipGuards(t *testing.T) {
 		c.finite = false
 		ctx := fmt.Sprintf("R=%d", r)
 		want, got := x.Clone(), x.Clone()
-		solvePass(c, want.Data, nil, r, false, statNone, nil)
+		wantI := solvePass(c, want.Data, r, false, statNone, nil, make([]float64, 4*r))
 		b, off := make([]float64, laneRows*r), make([]int, laneRows)
-		solveLanes(c, got.Data, nil, r, false, statNone, nil, b, off)
+		gotI := solveLanes(c, got.Data, r, false, statNone, nil, b, off)
 		bitEqual(t, got.Data, want.Data, ctx+" solve through a non-finite L")
+		bitEqual(t, []float64{gotI}, []float64{wantI}, ctx+" inner through a non-finite L")
 		if r > 1 && !math.IsNaN(got.At(3, 1)) {
 			t.Fatalf("%s: a +0 row solved through an infinite L gave %v, want NaN", ctx, got.At(3, 1))
 		}
@@ -276,11 +264,10 @@ func TestLaneSkipGuards(t *testing.T) {
 		norms[r/2] = math.NaN()
 		want, got = x.Clone(), x.Clone()
 		wantG, gotG := make([]float64, r*r), make([]float64, r*r)
-		wantI := scalePass(want.Data, x.Data, norms, wantG, r)
-		gotI := scaleLanes(got.Data, x.Data, norms, gotG, r)
+		scalePass(want.Data, norms, wantG, r)
+		scaleLanes(got.Data, norms, gotG, r)
 		bitEqual(t, got.Data, want.Data, ctx+" divide by a NaN norm")
 		bitEqual(t, upper(gotG, r), wantG, ctx+" gram after a NaN norm")
-		bitEqual(t, []float64{gotI}, []float64{wantI}, ctx+" inner after a NaN norm")
 		if !math.IsNaN(got.At(3, r/2)) {
 			t.Fatalf("%s: a +0 row divided by a NaN norm gave %v, want NaN", ctx, got.At(3, r/2))
 		}

@@ -20,23 +20,29 @@ const (
 
 // solvePass is the first of the two blocked row passes every row-
 // proportional kernel of this package runs on: over a block of whole rows
-// of width r it overwrites each row of dst with the same row of src
-// (skipped when src is nil), solves it against c (skipped when c is nil),
-// clamps it at zero when nonNeg is set, and folds it into the column
+// of width r, in place, it solves each row against c (skipped when c is
+// nil), clamps it at zero when nonNeg is set, and folds it into the column
 // statistic stats (len r, not touched for statNone). Rows go four at a
-// time. Every row sees exactly the arithmetic of the unfused CopyFrom →
-// SolveVec → clamp → NormalizeColumns sequence, in the same order.
-func solvePass(c *Cholesky, dst, src []float64, r int, nonNeg bool, stat colStat, stats []float64) {
+// time. Every row sees exactly the arithmetic of the unfused SolveVec →
+// clamp → NormalizeColumns sequence, in the same order.
+//
+// When xs is non-nil (len ≥ 4r) each group's input rows x are kept there
+// across the solve, and solvePass returns Σ rowDot(x, â) over the rows in
+// order, where â is the solved, clamped row: the fit's ⟨X, M⟩ term. It
+// returns 0 otherwise.
+func solvePass(c *Cholesky, rows []float64, r int, nonNeg bool, stat colStat, stats, xs []float64) float64 {
 	if r <= 0 {
-		return
+		return 0
 	}
-	rows := len(dst) / r
-	for i := 0; i < rows; i += 4 {
-		grp := dst[i*r : min(i+4, rows)*r] //gate:allow bounds one window per four-row group, not per element
-		if src != nil {
-			s := src[i*r:][:len(grp)] //gate:allow bounds one window per four-row group, not per element
-			for k, v := range s {
-				grp[k] = v
+	n := len(rows) / r
+	inner := 0.0
+	for i := 0; i < n; i += 4 {
+		grp := rows[i*r : min(i+4, n)*r] //gate:allow bounds one window per four-row group, not per element
+		var xg []float64
+		if xs != nil {
+			xg = xs[:len(grp)] //gate:allow bounds one window per four-row group, not per element
+			for k, v := range grp {
+				xg[k] = v
 			}
 		}
 		if c != nil {
@@ -51,36 +57,71 @@ func solvePass(c *Cholesky, dst, src []float64, r int, nonNeg bool, stat colStat
 				}
 			}
 		}
-		if stat != statNone {
-			foldStat(stats[:r], grp, stat) //gate:allow bounds one window per four-row group, not per element
+		if stat != statNone || xg != nil {
+			inner = foldStat(stats, grp, xg, r, stat, inner)
 		}
 	}
+	return inner
 }
 
-// foldStat folds the rows of grp (each len(st) wide) into the column
-// statistic st. It is kept out of solvePass's loop body so that its loop
-// gets registers of its own.
+// foldStat folds the rows of grp (each r wide) into the column statistic
+// st (len r; not touched for statNone) and, when xg holds the rows'
+// inputs, adds rowDot(x, row) for each row, in row order, to inner, which
+// it returns. It is kept out of solvePass's loop body so that its loops
+// get registers of their own.
 //
 //go:noinline
-func foldStat(st, grp []float64, stat colStat) {
-	r := len(st)
-	if r == 0 {
-		return
+func foldStat(st, grp, xg []float64, r int, stat colStat, inner float64) float64 {
+	if r <= 0 {
+		return inner
 	}
 	for rest := grp; len(rest) >= r; rest = rest[r:] {
 		row := rest[:r]
-		if stat == statSumSq {
+		if len(xg) >= r {
+			inner += rowDot(xg[:r], row)
+			xg = xg[r:]
+		}
+		switch stat {
+		case statSumSq:
+			st := st[:len(row)] //gate:allow bounds one window per row, not per element
 			for j, v := range row {
 				st[j] += v * v
 			}
-			continue
-		}
-		for j, v := range row {
-			if av := math.Abs(v); av > st[j] {
-				st[j] = av
+		case statMaxAbs:
+			st := st[:len(row)] //gate:allow bounds one window per row, not per element
+			for j, v := range row {
+				if av := math.Abs(v); av > st[j] {
+					st[j] = av
+				}
 			}
 		}
 	}
+	return inner
+}
+
+// rowDot returns Σ x[k]·a[k] over the shorter of the two, in the order the
+// AVX2 scatter forms it: four partial sums from +0, one per column residue
+// mod 4, each in column order, then (p0+p1)+(p2+p3). It never returns −0,
+// so adding it to a sum that started at +0 is exact where it is +0.
+func rowDot(x, a []float64) float64 {
+	var p0, p1, p2, p3 float64
+	for len(x) >= 4 && len(a) >= 4 {
+		p0 += x[0] * a[0]
+		p1 += x[1] * a[1]
+		p2 += x[2] * a[2]
+		p3 += x[3] * a[3]
+		x, a = x[4:], a[4:]
+	}
+	if len(x) > 2 && len(a) > 2 {
+		p2 += x[2] * a[2]
+	}
+	if len(x) > 1 && len(a) > 1 {
+		p1 += x[1] * a[1]
+	}
+	if len(x) > 0 && len(a) > 0 {
+		p0 += x[0] * a[0]
+	}
+	return (p0 + p1) + (p2 + p3)
 }
 
 // solve4 overwrites the right-hand sides b0..b3 (each of length n) with the
@@ -126,16 +167,13 @@ func (c *Cholesky) solve4(b0, b1, b2, b3 []float64) {
 // scalePass is the second blocked row pass: over a block of whole rows of
 // width r, four rows at a time, it divides each row by norms (skipped when
 // norms is nil) and folds it into the upper triangle of the r×r Gram
-// partial gram (skipped when gram is nil). When x is non-nil (it then has
-// rows' shape and norms is set) it also returns Σ x·row·norms, the model
-// inner product of the fit. Each element sees exactly the arithmetic of
-// the unfused normalise → Gram → fit sequence, in the same order.
-func scalePass(rows, x, norms, gram []float64, r int) float64 {
+// partial gram (skipped when gram is nil). Each element sees exactly the
+// arithmetic of the unfused normalise → Gram sequence, in the same order.
+func scalePass(rows, norms, gram []float64, r int) {
 	if r <= 0 {
-		return 0
+		return
 	}
 	n := len(rows) / r
-	inner := 0.0
 	for i := 0; i < n; i += 4 {
 		grp := rows[i*r : min(i+4, n)*r] //gate:allow bounds one window per four-row group, not per element
 		if norms != nil {
@@ -144,15 +182,6 @@ func scalePass(rows, x, norms, gram []float64, r int) float64 {
 				row := rest[:r]
 				for j := range row {
 					row[j] /= nr[j]
-				}
-			}
-			if x != nil {
-				xg := x[i*r:][:len(grp)] //gate:allow bounds one window per four-row group, not per element
-				for rest := grp; len(rest) >= r && len(xg) >= r; rest, xg = rest[r:], xg[r:] {
-					row, xr := rest[:r], xg[:r]
-					for p := range row {
-						inner += xr[p] * row[p] * nr[p]
-					}
 				}
 			}
 		}
@@ -193,7 +222,6 @@ func scalePass(rows, x, norms, gram []float64, r int) float64 {
 			upperAXPY(g, v3, r3, p) //gate:allow bounds
 		}
 	}
-	return inner
 }
 
 // upperAXPY adds v·row[q] to g[q] for q ≥ p, unless v is zero.
@@ -255,26 +283,24 @@ type UpdateOptions struct {
 	// TwoNorm scales columns to unit 2-norm, as the first ALS iteration
 	// does, instead of by their max magnitude when it exceeds 1.
 	TwoNorm bool
-	// Inner makes Update return Σ_{i,p} x[i,p]·a[i,p]·norms[p] over the
-	// updated factor: the ⟨X, M⟩ term of the fit, which needs the factor
-	// of the last mode in update order.
-	Inner bool
 }
 
 // Updater runs the fused, row-parallel ALS factor update that replaces the
-// per-mode sequence CopyFrom → SolveRowsInPlace → clamp →
-// NormalizeColumns{,Max}Into → Gram, plus the fit's O(rows·R) inner
-// product. It makes two passes over the par.Blocks row blocks of T
-// threads:
+// per-mode sequence SolveRowsInPlace → clamp → NormalizeColumns{,Max}Into
+// → Gram, plus the fit's O(rows·R) inner product, in the factor's own
+// storage: the factor holds the MTTKRP on entry. It makes two passes over
+// the par.Blocks row blocks of T threads:
 //
-//   - pass A (solvePass) copies each MTTKRP row into the factor, solves it
-//     four rows at a time, clamps it and folds it into the thread's column
-//     statistic; after all threads meet, each reduces the T statistics in
-//     thread order into its own copy of the column norms;
+//   - pass A (solvePass) solves each MTTKRP row in place, four rows at a
+//     time, clamps it, folds it into the thread's column statistic and,
+//     for the fit, adds x·â (the MTTKRP row times the solved, clamped row)
+//     to the thread's inner-product partial; after all threads meet, each
+//     reduces the T statistics in thread order into its own copy of the
+//     column norms;
 //   - pass B (scalePass) divides each row by the norms and folds it into
-//     the thread's upper-triangle Gram partial and, for the fit, its
-//     inner-product partial, which Update reduces in thread order.
+//     the thread's upper-triangle Gram partial.
 //
+// Update reduces the Gram and inner-product partials in thread order.
 // Each row's arithmetic is the unfused sequence's, in the same order, so a
 // one-thread update is bit-identical to it, and a fixed T > 1 is
 // deterministic: only the cross-thread reduction order differs.
@@ -288,8 +314,8 @@ type Updater struct {
 	stats []float64 // t×r column statistics of pass A
 	norms []float64 // t×r reduced column norms, one copy per thread
 	grams []float64 // t×r×r upper-triangle Gram partials of pass B
-	inner []float64 // t fit inner-product partials of pass B
-	b     []float64 // t×16r lane buffers of the AVX2 pass A
+	inner []float64 // t fit inner-product partials of pass A
+	b     []float64 // t×16r lane buffers of pass A (the Go pass keeps four input rows there)
 	off   []int     // t×16 lane row offsets of the AVX2 pass A
 	// met is the rendezvous between the passes of a multi-threaded update:
 	// no thread reduces the column statistics before all have produced
@@ -314,26 +340,28 @@ func NewUpdater(r, t int) *Updater {
 	}
 }
 
-// Update overwrites the factor a with x·V⁻¹ for the V factored in c,
-// scales its columns (see UpdateOptions.TwoNorm), writes the scaling
-// factors to norms and aᵀa to gram, and returns the fit's inner-product
-// term when opts.Inner is set (0 otherwise). x must have a's shape.
-func (u *Updater) Update(c *Cholesky, a, x *tensor.Matrix, opts UpdateOptions, norms []float64, gram *tensor.Matrix) float64 {
+// Update overwrites the factor a, which holds the MTTKRP x on entry, with
+// x·V⁻¹ for the V factored in c, scales its columns (see
+// UpdateOptions.TwoNorm), writes the scaling factors to norms and aᵀa to
+// gram, and returns the fit's inner-product term ⟨X, M⟩ = Σ_{i,p}
+// x[i,p]·â[i,p], where â is the solved, clamped factor before scaling (the
+// scaling factors cancel out of the model's weights).
+func (u *Updater) Update(c *Cholesky, a *tensor.Matrix, opts UpdateOptions, norms []float64, gram *tensor.Matrix) float64 {
 	r := u.r
-	if a.Cols != r || x.Rows != a.Rows || x.Cols != r || c.n != r || len(norms) != r || gram.Rows != r || gram.Cols != r {
-		panic(fmt.Sprintf("dense: Update shapes a %dx%d, x %dx%d, V %d, norms %d, gram %dx%d for rank %d",
-			a.Rows, a.Cols, x.Rows, x.Cols, c.n, len(norms), gram.Rows, gram.Cols, r))
+	if a.Cols != r || c.n != r || len(norms) != r || gram.Rows != r || gram.Cols != r {
+		panic(fmt.Sprintf("dense: Update shapes a %dx%d, V %d, norms %d, gram %dx%d for rank %d",
+			a.Rows, a.Cols, c.n, len(norms), gram.Rows, gram.Cols, r))
 	}
 	n := a.Rows
 	nt := u.t
 	if nt == 1 || n < 2 {
 		// par.Blocks would run one block anyway; skip the closure.
 		nt = 1
-		u.thread(0, 0, n, nt, c, a.Data, x.Data, opts)
+		u.thread(0, 0, n, nt, c, a.Data, opts)
 	} else {
 		u.met.Add(nt)
 		par.Blocks(n, nt, func(th, lo, hi int) { //gate:allow escape multi-threaded launch; the one-thread path above stays allocation-free
-			u.thread(th, lo, hi, nt, c, a.Data, x.Data, opts)
+			u.thread(th, lo, hi, nt, c, a.Data, opts)
 		})
 	}
 
@@ -356,21 +384,21 @@ func (u *Updater) Update(c *Cholesky, a, x *tensor.Matrix, opts UpdateOptions, n
 
 // thread is thread th's share [lo, hi) of one update on nt threads: pass A
 // over its rows, the meeting point, the reduction of the column statistics
-// into its own norms, and pass B into its own partials.
-func (u *Updater) thread(th, lo, hi, nt int, c *Cholesky, a, x []float64, opts UpdateOptions) {
+// into its own norms, and pass B into its own Gram partial.
+func (u *Updater) thread(th, lo, hi, nt int, c *Cholesky, a []float64, opts UpdateOptions) {
 	r := u.r
 	stat := statMaxAbs
 	if opts.TwoNorm {
 		stat = statSumSq
 	}
-	rows, xrows := a[lo*r:hi*r], x[lo*r:hi*r]
+	rows := a[lo*r : hi*r]
 	stats := u.stats[th*r : (th+1)*r]
 	clear(stats)
+	b := u.b[th*laneRows*r : (th+1)*laneRows*r]
 	if u.lanes {
-		b, off := u.b[th*laneRows*r:(th+1)*laneRows*r], u.off[th*laneRows:(th+1)*laneRows]
-		solveLanes(c, rows, xrows, r, opts.NonNegative, stat, stats, b, off)
+		u.inner[th] = solveLanes(c, rows, r, opts.NonNegative, stat, stats, b, u.off[th*laneRows:(th+1)*laneRows])
 	} else {
-		solvePass(c, rows, xrows, r, opts.NonNegative, stat, stats)
+		u.inner[th] = solvePass(c, rows, r, opts.NonNegative, stat, stats, b)
 	}
 	if nt > 1 {
 		u.met.Done()
@@ -380,12 +408,9 @@ func (u *Updater) thread(th, lo, hi, nt int, c *Cholesky, a, x []float64, opts U
 	reduceNorms(norms, u.stats[:nt*r], stat)
 	gram := u.grams[th*r*r : (th+1)*r*r]
 	clear(gram)
-	if !opts.Inner {
-		xrows = nil
-	}
 	if u.lanes {
-		u.inner[th] = scaleLanes(rows, xrows, norms, gram, r)
+		scaleLanes(rows, norms, gram, r)
 	} else {
-		u.inner[th] = scalePass(rows, xrows, norms, gram, r)
+		scalePass(rows, norms, gram, r)
 	}
 }

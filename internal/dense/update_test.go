@@ -88,8 +88,13 @@ func refGram(a, out *tensor.Matrix) {
 	}
 }
 
-// refUpdate is the unfused update cpd.RunWith used to run for one mode.
-func refUpdate(c *Cholesky, a, x *tensor.Matrix, opts UpdateOptions, norms []float64, gram *tensor.Matrix) float64 {
+// refUpdate is the unfused update cpd.RunWith used to run for one mode,
+// from the MTTKRP x into a separate factor a, with the column statistics
+// and the Gram formed over the row blocks of t threads (par.Blocks'
+// split) and reduced in thread order, as the fused update reduces them; at
+// t = 1 it is the unfused sequence itself. It returns the fit's inner
+// product as that sequence formed it, Σ x·a·norms over the scaled factor.
+func refUpdate(c *Cholesky, a, x *tensor.Matrix, opts UpdateOptions, norms []float64, gram *tensor.Matrix, t int) float64 {
 	a.CopyFrom(x)
 	for i := 0; i < a.Rows; i++ {
 		refSolveVec(c, a.Row(i))
@@ -101,19 +106,83 @@ func refUpdate(c *Cholesky, a, x *tensor.Matrix, opts UpdateOptions, norms []flo
 			}
 		}
 	}
-	refNormalize(a, norms, opts.TwoNorm)
-	refGram(a, gram)
-	if !opts.Inner {
-		return 0
+	n, r := a.Rows, a.Cols
+	if t < 1 || n < 2 {
+		t = 1
+	}
+	part := make([]float64, r)
+	for th := 0; th < t; th++ {
+		clear(part)
+		sub := &tensor.Matrix{Rows: (th+1)*n/t - th*n/t, Cols: r, Data: a.Data[th*n/t*r : (th+1)*n/t*r]}
+		refStat(sub, part, opts.TwoNorm)
+		for j, v := range part {
+			switch {
+			case th == 0:
+				norms[j] = v
+			case opts.TwoNorm:
+				norms[j] += v
+			case v > norms[j]:
+				norms[j] = v
+			}
+		}
+	}
+	for j := range norms {
+		if opts.TwoNorm {
+			norms[j] = math.Sqrt(norms[j])
+			if norms[j] == 0 {
+				norms[j] = 1
+			}
+		} else if norms[j] < 1 {
+			norms[j] = 1
+		}
+	}
+	for i := 0; i < n; i++ {
+		row := a.Row(i)
+		for j := range row {
+			row[j] /= norms[j]
+		}
+	}
+	g := tensor.NewMatrix(r, r)
+	for th := 0; th < t; th++ {
+		sub := &tensor.Matrix{Rows: (th+1)*n/t - th*n/t, Cols: r, Data: a.Data[th*n/t*r : (th+1)*n/t*r]}
+		refGram(sub, g)
+		for p := 0; p < r; p++ {
+			for q := p; q < r; q++ {
+				if th == 0 {
+					gram.Set(p, q, g.At(p, q))
+				} else {
+					gram.Set(p, q, gram.At(p, q)+g.At(p, q))
+				}
+			}
+		}
+	}
+	for p := 0; p < r; p++ {
+		for q := p + 1; q < r; q++ {
+			gram.Set(q, p, gram.At(p, q))
+		}
 	}
 	inner := 0.0
-	for i := 0; i < a.Rows; i++ {
+	for i := 0; i < n; i++ {
 		ar, xr := a.Row(i), x.Row(i)
 		for p := range ar {
 			inner += xr[p] * ar[p] * norms[p]
 		}
 	}
 	return inner
+}
+
+// refStat folds the rows of a into the column statistic st: Σ v² for the
+// 2-norm, max |v| otherwise.
+func refStat(a *tensor.Matrix, st []float64, twoNorm bool) {
+	for i := 0; i < a.Rows; i++ {
+		for j, v := range a.Row(i) {
+			if twoNorm {
+				st[j] += v * v
+			} else if av := math.Abs(v); av > st[j] {
+				st[j] = av
+			}
+		}
+	}
 }
 
 // updateCase builds a factored V and an MTTKRP-like right-hand side. With
@@ -178,79 +247,87 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// TestUpdateMatchesUnfusedSequence pins the fused update against the
-// unfused reference: bit-identical on one thread, within 1e-12 relative on
-// 2, 3 and 8, across row counts below T, at T-1, and off the four-row
-// block, ranks 1 to 64, and every option — clamping, ridge, the first
-// iteration's 2-norm, the fit's inner product and a dead column.
+// TestUpdateMatchesUnfusedSequence holds the in-place update to the
+// two-matrix form it replaced (refUpdate, from the MTTKRP into a separate
+// factor): on the Go and the AVX2 passes, at T of 1, 2, 3 and 8, the
+// factor, norms and Gram are bit-identical to it across row counts below
+// T, at T-1, and off the four-row block, ranks 1 to 64, and every option —
+// clamping, ridge, the first iteration's 2-norm, a dead column and rows of
+// +0 and of −0 — and the fit's inner product, now formed in pass A before
+// the scaling, is within 1e-13 relative of the old one. A fixed T repeats
+// its bits.
 func TestUpdateMatchesUnfusedSequence(t *testing.T) {
 	type variant struct {
-		opts    UpdateOptions
-		reg     float64
-		zeroCol bool
+		opts     UpdateOptions
+		reg      float64
+		zeroCol  bool
+		zeroRows bool
 	}
 	variants := []variant{
-		{UpdateOptions{}, 0, false},
-		{UpdateOptions{TwoNorm: true, Inner: true}, 0, false},
-		{UpdateOptions{NonNegative: true, Inner: true}, 0, false},
-		{UpdateOptions{NonNegative: true, TwoNorm: true}, 0.5, false},
-		{UpdateOptions{Inner: true}, 1e-3, false},
-		{UpdateOptions{TwoNorm: true, Inner: true}, 0, true},
-		{UpdateOptions{}, 0, true},
+		{UpdateOptions{}, 0, false, false},
+		{UpdateOptions{TwoNorm: true}, 0, false, true},
+		{UpdateOptions{NonNegative: true}, 0, false, false},
+		{UpdateOptions{NonNegative: true, TwoNorm: true}, 0.5, false, true},
+		{UpdateOptions{}, 1e-3, false, true},
+		{UpdateOptions{TwoNorm: true}, 0, true, false},
+		{UpdateOptions{NonNegative: true}, 0, true, true},
 	}
 	seed := int64(0)
-	for _, threads := range []int{1, 2, 3, 8} {
-		for _, r := range []int{1, 3, 20, 32, 64} {
-			for _, rows := range []int{0, 1, 3, threads - 1, 5, 7, 13, 66} {
-				for vi, vt := range variants {
-					seed++
-					name := fmt.Sprintf("T%d/R%d/rows%d/v%d", threads, r, rows, vi)
-					c, x := updateCase(rows, r, vt.reg, vt.zeroCol && r > 1, seed)
-					want := tensor.NewMatrix(rows, r)
-					wantNorms := make([]float64, r)
-					wantGram := tensor.NewMatrix(r, r)
-					wantInner := refUpdate(c, want, x, vt.opts, wantNorms, wantGram)
-
-					u := NewUpdater(r, threads)
-					got := tensor.NewMatrix(rows, r)
-					for i := range got.Data {
-						got.Data[i] = 7 // stale contents must not leak through
-					}
-					gotNorms := make([]float64, r)
-					gotGram := tensor.NewMatrix(r, r)
-					gotGram.Data[0] = 1e9
-					gotInner := u.Update(c, got, x, vt.opts, gotNorms, gotGram)
-
-					if threads == 1 {
-						if !sameBits(got.Data, want.Data) || !sameBits(gotNorms, wantNorms) ||
-							!sameBits(gotGram.Data, wantGram.Data) || !sameBits([]float64{gotInner}, []float64{wantInner}) {
-							t.Fatalf("%s: one-thread update is not bit-identical to the unfused sequence", name)
+	for _, lanes := range []bool{false, true} {
+		if lanes && !cpu.AVX2 {
+			continue
+		}
+		for _, threads := range []int{1, 2, 3, 8} {
+			for _, r := range []int{1, 3, 20, 32, 64} {
+				for _, rows := range []int{0, 1, 3, threads - 1, 5, 7, 13, 66} {
+					for vi, vt := range variants {
+						seed++
+						name := fmt.Sprintf("lanes%v/T%d/R%d/rows%d/v%d", lanes, threads, r, rows, vi)
+						c, x := updateCase(rows, r, vt.reg, vt.zeroCol && r > 1, seed)
+						if vt.zeroRows {
+							for i := 0; i < rows; i++ {
+								switch i % 5 {
+								case 1:
+									clear(x.Row(i))
+								case 3:
+									for p := range x.Row(i) {
+										x.Row(i)[p] = math.Copysign(0, -1)
+									}
+								}
+							}
 						}
-						continue
-					}
-					for what, d := range map[string]float64{
-						"factor": relDiff(got.Data, want.Data),
-						"norms":  relDiff(gotNorms, wantNorms),
-						"gram":   relDiff(gotGram.Data, wantGram.Data),
-						"inner":  relDiff([]float64{gotInner}, []float64{wantInner}),
-					} {
-						if !(d <= 1e-12) {
-							t.Fatalf("%s: %s differs from the unfused sequence by %g relative", name, what, d)
-						}
-					}
-					if vt.zeroCol && r > 1 && gotNorms[r/2] != 1 {
-						t.Fatalf("%s: dead column norm %g, want 1", name, gotNorms[r/2])
-					}
+						want := tensor.NewMatrix(rows, r)
+						wantNorms := make([]float64, r)
+						wantGram := tensor.NewMatrix(r, r)
+						wantInner := refUpdate(c, want, x, vt.opts, wantNorms, wantGram, threads)
 
-					// A fixed T is deterministic: a second update on the
-					// same inputs reproduces every bit.
-					again := tensor.NewMatrix(rows, r)
-					againNorms := make([]float64, r)
-					againGram := tensor.NewMatrix(r, r)
-					againInner := u.Update(c, again, x, vt.opts, againNorms, againGram)
-					if !sameBits(again.Data, got.Data) || !sameBits(againNorms, gotNorms) ||
-						!sameBits(againGram.Data, gotGram.Data) || againInner != gotInner {
-						t.Fatalf("%s: repeated update on %d threads is not deterministic", name, threads)
+						u := updaterWith(r, threads, lanes)
+						got := x.Clone()
+						gotNorms := make([]float64, r)
+						gotGram := tensor.NewMatrix(r, r)
+						gotGram.Data[0] = 1e9
+						gotInner := u.Update(c, got, vt.opts, gotNorms, gotGram)
+
+						if !sameBits(got.Data, want.Data) || !sameBits(gotNorms, wantNorms) || !sameBits(gotGram.Data, wantGram.Data) {
+							t.Fatalf("%s: the in-place update is not bit-identical to the two-matrix form", name)
+						}
+						if d := relDiff([]float64{gotInner}, []float64{wantInner}); !(d <= 1e-13) {
+							t.Fatalf("%s: inner product %v differs from the two-matrix form's %v by %g relative", name, gotInner, wantInner, d)
+						}
+						if vt.zeroCol && r > 1 && gotNorms[r/2] != 1 {
+							t.Fatalf("%s: dead column norm %g, want 1", name, gotNorms[r/2])
+						}
+
+						// A fixed T is deterministic: a second update on the
+						// same inputs reproduces every bit.
+						again := x.Clone()
+						againNorms := make([]float64, r)
+						againGram := tensor.NewMatrix(r, r)
+						againInner := u.Update(c, again, vt.opts, againNorms, againGram)
+						if !sameBits(again.Data, got.Data) || !sameBits(againNorms, gotNorms) ||
+							!sameBits(againGram.Data, gotGram.Data) || !sameBits([]float64{againInner}, []float64{gotInner}) {
+							t.Fatalf("%s: repeated update on %d threads is not deterministic", name, threads)
+						}
 					}
 				}
 			}
@@ -313,14 +390,14 @@ func TestOneThreadKernelsMatchReference(t *testing.T) {
 // (delicious' mode-1 share), on one and two threads.
 func BenchmarkDenseUpdate(b *testing.B) {
 	const rows = 170000
-	opts := UpdateOptions{Inner: true}
+	var opts UpdateOptions
 	{
 		const r = 32
 		c, x := updateCase(rows, r, 0, false, 1)
 		a, norms, gram := tensor.NewMatrix(rows, r), make([]float64, r), tensor.NewMatrix(r, r)
 		b.Run("unfused", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				refUpdate(c, a, x, opts, norms, gram)
+				refUpdate(c, a, x, opts, norms, gram, 1)
 			}
 		})
 	}
@@ -346,7 +423,10 @@ func BenchmarkDenseUpdate(b *testing.B) {
 					u := updaterWith(r, threads, ps.lanes)
 					b.Run(fmt.Sprintf("%s/R%d/empty%d/T%d", ps.name, r, empty, threads), func(b *testing.B) {
 						for i := 0; i < b.N; i++ {
-							u.Update(c, a, x, opts, norms, gram)
+							// The update solves in place: restore the MTTKRP
+							// first, as the solve's MTTKRP writes it.
+							a.CopyFrom(x)
+							u.Update(c, a, opts, norms, gram)
 						}
 					})
 				}

@@ -160,6 +160,18 @@ type AccumPlan struct {
 // HotK returns the number of hot rows (replica rows per thread).
 func (p *AccumPlan) HotK() int { return len(p.HotIDs) }
 
+// WorkspaceBytes returns what one workspace's buffer for the plan
+// allocates (NewOutBufPlanned): the replicas of threads 1..T−1 under
+// AccumPriv, whose thread 0 accumulates in the output, and the shared
+// region plus T hot slabs under AccumHybrid.
+func (p *AccumPlan) WorkspaceBytes() int64 {
+	row := int64(p.Cols) * 8
+	if p.Strategy == AccumPriv {
+		return int64(p.T-1) * int64(p.Rows) * row
+	}
+	return int64(p.Rows)*row + int64(p.T)*int64(len(p.HotIDs))*row
+}
+
 // String renders the plan for Describe output, e.g.
 // "hybrid(hot=24, direct=16384, cas=3)".
 func (p *AccumPlan) String() string {

@@ -395,6 +395,8 @@ func TestOutBufPlannedStress(t *testing.T) {
 		for launch := 0; launch < launches; launch++ {
 			buf.Reset()
 			par.Do(threads, func(th int) {
+				// A kernel walk's first step: thread 0 clears its slab.
+				buf.beginThread(th)
 				o := buf.Thread(th)
 				for it := 0; it < iters; it++ {
 					for _, r := range rw.PerThread[th] {

@@ -37,13 +37,16 @@ func (s *Scratch) LifeSetPoisoned(p bool) {
 	}
 }
 
-// LifeFill overwrites every accumulation cell of the buffer with v. The
+// LifeFill overwrites every accumulation cell the buffer owns with v. The
 // cpd lifetrace registry poisons released workspaces with NaN and restores
 // +0 (the clean state a completed Reduce leaves) when a workspace is
 // re-acquired from the pool. Any other fill leaves the buffer for the next
-// Reset to clear along its journals.
+// Reset to clear along its journals. A planned priv buffer is unbound
+// first, so a matrix ResetInto bound to a launch that never reduced is
+// not written.
 func (b *OutBuf) LifeFill(v float64) {
 	b.launched = math.Float64bits(v) != 0
+	b.unbind()
 	for _, m := range b.priv {
 		lifeFillMatrix(m, v)
 	}

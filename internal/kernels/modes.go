@@ -30,8 +30,8 @@ func ModeMTTKRP(tree *csf.Tree, factors []*tensor.Matrix, u int, partials *Parti
 // thread processes exactly the source fibers it owns, so no contribution
 // is duplicated; scattered output rows are combined through buf, by the
 // strategy it was planned with. Every order takes the same recursive walk
-// (modeWalk). The caller must Reset buf beforehand and Reduce it
-// afterwards.
+// (modeWalk). The caller must Reset (or ResetInto) buf beforehand and
+// Reduce it afterwards.
 func ModeMTTKRPWith(tree *csf.Tree, factors []*tensor.Matrix, u int, partials *Partials, buf *OutBuf, part *sched.Partition, sc *Scratch) {
 	lifeEnter(tree, sc)
 	d := tree.Order()
@@ -109,6 +109,7 @@ func modeStep(l, d, u, src int) step {
 
 // modeGenericThread is thread th's share of the non-root MTTKRP.
 func modeGenericThread(th int, tree *csf.Tree, factors []*tensor.Matrix, u, src int, partials *Partials, buf *OutBuf, part *sched.Partition, sc *Scratch) {
+	buf.beginThread(th)
 	oLo, oHi := part.OwnedRange(th, src)
 	if oLo >= oHi {
 		return

@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync/atomic"
 
 	"stef/internal/par"
@@ -23,8 +24,9 @@ const DefaultPrivatizeMaxElems = 1 << 24
 type AccumStrategy uint8
 
 const (
-	// AccumPriv gives every thread a full private copy of the output,
-	// reduced at the end (the paper's privatization extreme).
+	// AccumPriv gives every thread a full private slab of the output,
+	// reduced at the end (the paper's privatization extreme); thread 0's
+	// slab is the output itself when the launch is bound to it.
 	AccumPriv AccumStrategy = iota
 	// AccumHybrid privatizes only the hot rows (dense per-thread replicas
 	// indexed through a compact remap); the cold tail goes straight to the
@@ -67,20 +69,34 @@ const (
 // (full privatization below DefaultPrivatizeMaxElems, CAS above), which the
 // baseline engines keep.
 //
-// A planned buffer is clean on reduce: Reduce leaves every accumulation
-// cell +0 as it reads it, so the Reset that starts the next launch has
-// nothing to clear. Reset clears the journals only when the last launch
-// did not complete its Reduce (a walk that panicked, say).
+// A planned priv buffer holds replicas for threads 1..T-1 only: thread 0
+// accumulates in the launch's output itself when ResetInto binds it, or
+// else in one matrix of the buffer's own, and clears the rows of its
+// journal as its walk starts. Reduce then completes that output from the
+// replicas.
+//
+// A planned buffer is clean on reduce: Reduce leaves every replica cell
+// (threads 1..T-1, the hot slabs, the shared region) +0 as it reads it, so
+// the Reset that starts the next launch has nothing to clear. Reset clears
+// the journals only when the last launch did not complete its Reduce (a
+// walk that panicked, say).
 type OutBuf struct {
 	rows, cols int
 	t          int
-	plan       *AccumPlan       // nil for legacy footprint-rule buffers
-	priv       []*tensor.Matrix // AccumPriv / legacy privatized
-	shared     []uint64         // float64 bit patterns: legacy CAS + hybrid cold rows
-	hot        []float64        // AccumHybrid: T contiguous k×cols replicas
-	hotK       int              // hot rows per replica
-	ops        vecOps           // rank-vector primitives chosen by opsFor
-	shadow     outbufShadow     // write-ownership oracle (-tags shadowtrace)
+	plan       *AccumPlan // nil for legacy footprint-rule buffers
+	// priv holds the private replicas (AccumPriv, legacy privatized).
+	// Under a planned AccumPriv, priv[0] is thread 0's slab: the matrix
+	// bound by ResetInto until Reduce or the next Reset, own otherwise.
+	priv []*tensor.Matrix
+	// own is a planned AccumPriv buffer's slab for thread 0 in launches
+	// bound to no output, allocated by the first Reset; Reduce copies it
+	// out.
+	own    *tensor.Matrix
+	shared []uint64     // float64 bit patterns: legacy CAS + hybrid cold rows
+	hot    []float64    // AccumHybrid: T contiguous k×cols replicas
+	hotK   int          // hot rows per replica
+	ops    vecOps       // rank-vector primitives chosen by opsFor
+	shadow outbufShadow // write-ownership oracle (-tags shadowtrace)
 	// launched is set by a planned buffer's Reset and cleared when its
 	// Reduce returns: while set, cells may hold a launch's values.
 	launched bool
@@ -112,13 +128,14 @@ func NewOutBuf(rows, cols, t int, maxPrivElems int64) *OutBuf {
 
 // NewOutBufPlanned returns an accumulation buffer executing the given plan.
 // The plan is shared, read-only; the buffer holds the mutable slabs, so one
-// plan serves any number of concurrent workspaces.
+// plan serves any number of concurrent workspaces. A priv plan allocates
+// T−1 replicas, none at T = 1: thread 0 writes the output (see ResetInto).
 func NewOutBufPlanned(ap *AccumPlan) *OutBuf {
 	b := &OutBuf{rows: ap.Rows, cols: ap.Cols, t: ap.T, plan: ap, ops: opsFor()}
 	switch ap.Strategy {
 	case AccumPriv:
 		b.priv = make([]*tensor.Matrix, ap.T)
-		for th := range b.priv {
+		for th := 1; th < ap.T; th++ {
 			b.priv[th] = tensor.NewMatrix(ap.Rows, ap.Cols)
 		}
 	case AccumHybrid:
@@ -329,14 +346,33 @@ func (b *OutBuf) AddScaled(th, row int, s float64, src []float64) {
 	o.AddScaled(row, s, src)
 }
 
-// Reset prepares the buffer for a launch. A planned buffer is already
-// clean after a completed launch, whose Reduce cleared every cell it read;
-// after a launch that did not complete its Reduce it clears only the rows
-// its journals say were written — per-thread journals for private
-// replicas, the hot slabs and the cold touched list for the hybrid's
+// Reset prepares the buffer for a launch whose Reduce may go into any
+// matrix: a planned priv buffer's thread 0 accumulates in the buffer's own
+// slab, which Reduce copies out. See ResetInto.
+func (b *OutBuf) Reset() { b.reset(nil) }
+
+// ResetInto prepares the buffer for a launch whose Reduce goes into out: a
+// planned priv buffer binds out as thread 0's slab, so thread 0
+// accumulates in out directly and only threads 1..T−1 write replicas. The
+// binding lasts until Reduce(out) or the next Reset; nothing else writes
+// out. Other buffers take ResetInto as Reset.
+//
+// Either form starts a launch. A planned buffer is already clean after a
+// completed launch, whose Reduce cleared every replica cell it read; after
+// a launch that did not complete its Reduce it clears only the rows its
+// journals say were written — per-thread journals for the replicas of
+// threads 1..T−1, the hot slabs and the cold touched list for the hybrid's
 // shared region — instead of the full rows×cols×T footprint, on T
 // threads. Legacy buffers are cleared in full.
-func (b *OutBuf) Reset() {
+func (b *OutBuf) ResetInto(out *tensor.Matrix) {
+	if out.Rows != b.rows || out.Cols != b.cols {
+		panic(fmt.Sprintf("kernels: ResetInto %dx%d, want %dx%d", out.Rows, out.Cols, b.rows, b.cols))
+	}
+	b.reset(out)
+}
+
+// reset starts a launch bound to out, or to no output when out is nil.
+func (b *OutBuf) reset(out *tensor.Matrix) {
 	b.shadowReset()
 	if b.plan == nil {
 		b.resetLegacy()
@@ -346,18 +382,48 @@ func (b *OutBuf) Reset() {
 		b.resetJournals()
 	}
 	b.launched = true
+	if b.plan.Strategy != AccumPriv {
+		return
+	}
+	if out == nil {
+		if b.own == nil {
+			b.own = tensor.NewMatrix(b.rows, b.cols)
+		}
+		out = b.own
+	}
+	b.priv[0] = out
 }
 
-// resetJournals clears the rows of a planned buffer that a launch may have
-// written, on T threads.
+// unbind drops a planned priv buffer's binding to a caller's matrix, so
+// that nothing the buffer does later writes it.
+func (b *OutBuf) unbind() {
+	if b.plan != nil && b.plan.Strategy == AccumPriv {
+		b.priv[0] = b.own
+	}
+}
+
+// beginThread is thread th's first step in a launch. On a planned priv
+// buffer thread 0's slab holds a stale output or an earlier launch's
+// values, so thread 0 clears the rows of its journal, the only rows it
+// writes; Reduce gives every other row its value.
+func (b *OutBuf) beginThread(th int) {
+	if th == 0 && b.plan != nil && b.plan.Strategy == AccumPriv {
+		b.resetPriv(th)
+	}
+}
+
+// resetJournals clears the replica rows of a planned buffer that a launch
+// may have written, on T threads. It leaves thread 0's priv slab alone:
+// thread 0 clears it as its walk starts, and it may be a caller's matrix.
 func (b *OutBuf) resetJournals() {
+	b.unbind()
 	switch b.plan.Strategy {
 	case AccumPriv:
-		if b.t == 1 {
-			b.resetPriv(0)
-			return
-		}
-		par.Do(b.t, func(th int) { b.resetPriv(th) })
+		par.Do(b.t, func(th int) {
+			if th > 0 {
+				b.resetPriv(th)
+			}
+		})
 	case AccumHybrid:
 		if b.t == 1 {
 			clear(b.hot)
@@ -387,10 +453,10 @@ func (b *OutBuf) resetLegacy() {
 	clear(b.shared)
 }
 
-// resetPriv clears thread th's replica along its touched-row journal.
+// resetPriv clears thread th's slab along its touched-row journal.
 func (b *OutBuf) resetPriv(th int) {
-	data := b.priv[th].Data
-	for _, r := range b.plan.PerThread[th] {
+	data, journal := b.priv[th].Data, b.plan.PerThread[th]
+	for _, r := range journal {
 		base := int(r) * b.cols
 		clear(data[base : base+b.cols]) //gate:allow bounds journal rows are data-dependent
 	}
@@ -409,8 +475,10 @@ func (b *OutBuf) resetCold(lo, hi int) {
 // Planned buffers read only the rows the plan proves touched: single-writer
 // rows copy exactly one replica, hot rows are folded with a parallel tree
 // combine, cold rows stream out of the shared region, untouched rows are
-// zeroed. A planned buffer clears each cell it reads, so it is clean when
-// Reduce returns. Call Reduce once per kernel launch.
+// zeroed. A planned priv buffer completes thread 0's slab in place — out
+// itself when ResetInto bound it, else its own slab, then copied into out —
+// and unbinds. A planned buffer clears each replica cell it reads, so it is
+// clean when Reduce returns. Call Reduce once per kernel launch.
 func (b *OutBuf) Reduce(out *tensor.Matrix) {
 	if out.Rows != b.rows || out.Cols != b.cols {
 		panic(fmt.Sprintf("kernels: Reduce into %dx%d, want %dx%d", out.Rows, out.Cols, b.rows, b.cols))
@@ -421,11 +489,19 @@ func (b *OutBuf) Reduce(out *tensor.Matrix) {
 	}
 	switch b.plan.Strategy {
 	case AccumPriv:
-		if b.t == 1 {
-			b.reducePrivRows(out, 0, b.rows)
-		} else {
-			par.Blocks(b.rows, b.t, func(_, lo, hi int) { b.reducePrivRows(out, lo, hi) })
+		slab := b.priv[0]
+		if slab != out && slab != b.own {
+			panic("kernels: Reduce into another matrix than the one ResetInto bound")
 		}
+		if b.t == 1 {
+			b.reducePrivRows(0, b.rows)
+		} else {
+			par.Blocks(b.rows, b.t, func(_, lo, hi int) { b.reducePrivRows(lo, hi) })
+		}
+		if slab != out {
+			out.CopyFrom(slab)
+		}
+		b.unbind()
 	case AccumHybrid:
 		b.combineHot()
 		if b.t == 1 {
@@ -461,27 +537,39 @@ func (b *OutBuf) combineHot() {
 	}
 }
 
-// reducePrivRows reduces private replicas into out rows [lo, hi), clearing
-// each replica row it reads: untouched rows are zeroed, single-writer rows
-// copy that writer's replica row, and multi-writer rows sum every replica.
-func (b *OutBuf) reducePrivRows(out *tensor.Matrix, lo, hi int) {
+// reducePrivRows completes rows [lo, hi) of thread 0's slab from the
+// replicas of threads 1..T−1, clearing each replica row it reads.
+// Untouched rows are zeroed; a row whose single writer is thread 0 already
+// holds its value; a row of a single writer th ≥ 1 copies that replica's
+// row; a row of several writers gets replicas 1..T−1 added in thread order
+// onto thread 0's partial, or onto +0 where thread 0's journal lacks the
+// row. These are the operations of a reduce that copies replica 0 and adds
+// the rest, so the sums keep their bits, −0 included.
+func (b *OutBuf) reducePrivRows(lo, hi int) {
 	remap := b.plan.Remap
+	slab := b.priv[0]
+	j0 := b.plan.PerThread[0]
+	k := sort.Search(len(j0), func(i int) bool { return int(j0[i]) >= lo })
 	for i, w := range remap[lo:hi] { //gate:allow bounds row block bounds from par.Blocks
 		r := lo + i
-		dst := out.Row(r) //gate:allow bounds row index within the par.Blocks block
 		switch {
+		case w == 0:
 		case w == RemapUntouched:
-			clear(dst)
-		case w >= 0:
+			clear(slab.Row(r)) //gate:allow bounds row index within the par.Blocks block
+		case w > 0:
 			src := b.priv[w].Row(r) //gate:allow bounds writer thread id from the census, bounded by T
-			copy(dst, src)
+			copy(slab.Row(r), src)  //gate:allow bounds row index within the par.Blocks block
 			clear(src)
 		default:
-			src := b.priv[0].Row(r) //gate:allow bounds replica row addressed within the block
-			copy(dst, src)
-			clear(src)
+			dst := slab.Row(r) //gate:allow bounds row index within the par.Blocks block
+			for k < len(j0) && int(j0[k]) < r {
+				k++
+			}
+			if k == len(j0) || int(j0[k]) != r { //gate:allow bounds journal cursor checked against its length
+				clear(dst)
+			}
 			for th := 1; th < b.t; th++ {
-				src = b.priv[th].Row(r) //gate:allow bounds replica index bounded by the thread loop
+				src := b.priv[th].Row(r) //gate:allow bounds replica index bounded by the thread loop
 				b.ops.addScaled(dst, 1, src)
 				clear(src)
 			}

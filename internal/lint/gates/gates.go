@@ -143,6 +143,10 @@ type Result struct {
 	Stale []StaleAllow
 	// ShapeViolations are failed code-shape assertions (shape.go).
 	ShapeViolations []ShapeViolation
+	// Missing lists the manifest rules whose function no gated file
+	// declares: a hot function that was renamed or deleted would
+	// otherwise leave the gates without a word.
+	Missing []MissingFunc
 	// Toolchain is the observed compiler version (`go env GOVERSION`).
 	Toolchain string
 	// BaselineToolchain is the stamp read from the baseline file ("" when
@@ -170,7 +174,14 @@ func (r *Result) ToolchainStale() bool {
 // toolchain. Improvements do not fail the gate.
 func (r *Result) OK() bool {
 	return len(r.Violations) == 0 && len(r.Regressions) == 0 && len(r.Stale) == 0 &&
-		len(r.ShapeViolations) == 0 && !r.ToolchainStale()
+		len(r.ShapeViolations) == 0 && len(r.Missing) == 0 && !r.ToolchainStale()
+}
+
+// MissingFunc is a manifest rule whose function no gated file declares.
+type MissingFunc struct{ Rule Rule }
+
+func (m MissingFunc) String() string {
+	return fmt.Sprintf("manifest: hot function %s is declared in no gated package (renamed or deleted?); update the manifest", m.Rule.Func)
 }
 
 func posOf(d Diag) string { return fmt.Sprintf("%s:%d:%d", d.File, d.Line, d.Col) }
@@ -207,6 +218,11 @@ func Check(root string, m *Manifest, baseline *Baseline) (*Result, error) {
 	// still count toward MaxBounds) and may mark shape directives used, so
 	// they run before the stale sweep.
 	res.ShapeViolations = checkShapes(m, ParseAsm(out), diags, idx)
+	for _, rule := range m.Rules {
+		if !idx.declares(rule.Func) {
+			res.Missing = append(res.Missing, MissingFunc{Rule: rule})
+		}
+	}
 	for _, d := range diags {
 		if path.IsAbs(d.File) {
 			// Generic standard-library code a gated package instantiates
@@ -477,6 +493,18 @@ func (idx *index) addFile(fset *token.FileSet, relFile string, f *ast.File) {
 			byLine[pos.Line+1] = append(byLine[pos.Line+1], ga)
 		}
 	}
+}
+
+// declares reports whether some indexed file declares the function fn.
+func (idx *index) declares(fn string) bool {
+	for _, spans := range idx.funcs {
+		for _, sp := range spans {
+			if sp.name == fn {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // funcName renders a FuncDecl name, prefixing methods with the base name

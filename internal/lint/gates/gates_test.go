@@ -212,6 +212,32 @@ func TestCheckFixture(t *testing.T) {
 	}
 }
 
+// TestCheckFixtureMissingFunc pins the manifest's own check: a rule
+// naming a function that no gated file declares (here one deleted from
+// the fixture, next to the real Hot) is reported and fails OK(), so a
+// renamed hot function cannot leave the gates silently.
+func TestCheckFixtureMissingFunc(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("testdata", "src", "gatesfix"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := fixtureManifest()
+	m.Rules = append(m.Rules, Rule{Func: "gatesfix.Gone", Note: "fixture: a hot function since deleted"})
+	res, err := Check(root, m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Missing) != 1 || res.Missing[0].Rule.Func != "gatesfix.Gone" {
+		t.Fatalf("missing functions %v, want exactly gatesfix.Gone", res.Missing)
+	}
+	if res.OK() {
+		t.Error("a manifest rule naming a missing function must not pass OK()")
+	}
+	if !strings.Contains(res.Missing[0].String(), "gatesfix.Gone") {
+		t.Errorf("finding %q does not name the function", res.Missing[0])
+	}
+}
+
 // TestCheckFixtureBaselineRatchet runs the fixture twice: an empty baseline
 // must report the out-of-loop diagnostics as regressions, and a baseline
 // equal to the observed counts must be clean.
@@ -296,6 +322,9 @@ func TestRepoGatesClean(t *testing.T) {
 	}
 	for _, v := range res.ShapeViolations {
 		t.Errorf("shape violation: %v", v)
+	}
+	for _, m := range res.Missing {
+		t.Errorf("%v", m)
 	}
 	for _, s := range res.Stale {
 		t.Errorf("stale allow: %v", s)

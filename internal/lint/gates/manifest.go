@@ -82,7 +82,8 @@ func Default() *Manifest {
 			{Func: "kernels.OutBufThread.NodePushOut", Note: "a level d-4 node's children pushed down to their fibers' output rows (u = d-2): fused on a private slab, hadamardInto then RunOut per node elsewhere"},
 			{Func: "kernels.OutBufThread.NodePushScatter", Note: "a level d-4 node's children pushed down to the leaf scatter (u = d-1): fused on a private slab, hadamardInto then RunScatter per node elsewhere"},
 			{Func: "kernels.OutBuf.Reduce", Note: "touched-row reduction driver, O(touched·R) per mode solve"},
-			{Func: "kernels.OutBuf.reducePrivRows", Note: "journal-guided privatized reduction loop, per touched row"},
+			{Func: "kernels.OutBuf.reducePrivRows", Note: "journal-guided privatized reduction loop, per touched row: completes thread 0's slab (the bound output) from replicas 1..T-1"},
+			{Func: "kernels.OutBuf.resetPriv", Note: "a replica's journal clear: thread 0's slab at the start of every launch, the other replicas after an abandoned one, O(touched·R)"},
 			{Func: "kernels.OutBuf.reduceHybridRows", Note: "hot-slab combine + cold-row copy loop, per touched row"},
 			{Func: "kernels.OutBuf.combineHot", Note: "log-T tree combine of the hot replica slabs"},
 			{Func: "kernels.CountRowWrites", Note: "O(nnz) write census behind every accumulation plan"},
@@ -101,11 +102,12 @@ func Default() *Manifest {
 			{Func: "par.Do", Note: "thread launcher wrapping every parallel kernel"},
 			{Func: "sched.NewPartition", Note: "nnz-balanced partition walk (Alg. 3), O(nnz) leaf scan at build time"},
 			{Func: "dense.Cholesky.solve4", Note: "four-row interleaved SPD solve, O(R²) per factor row in every ALS mode update"},
-			{Func: "dense.solvePass", Note: "dense update pass A (copy, solve, clamp, column statistic), once per factor row per mode"},
-			{Func: "dense.scalePass", Note: "dense update pass B (normalise, Gram partial, fit inner product), O(R²) per factor row per mode"},
-			{Func: "dense.foldStat", Note: "pass A's column statistic (sum of squares or max magnitude), once per factor row per mode"},
-			{Func: "dense.solveLanes", Note: "AVX2 pass A glue: the +0-row skip and the 16-row lane groups, once per factor row per mode"},
-			{Func: "dense.scaleLanes", Note: "AVX2 pass B glue: the +0-row skip, the divide and four-row Gram calls and the fit inner product, once per factor row per mode"},
+			{Func: "dense.solvePass", Note: "dense update pass A (solve in place, clamp, column statistic, the fit's <X, M>), once per factor row per mode"},
+			{Func: "dense.scalePass", Note: "dense update pass B (normalise, Gram partial), O(R²) per factor row per mode"},
+			{Func: "dense.foldStat", Note: "pass A's column statistic (sum of squares or max magnitude) and <X, M> row sums, once per factor row per mode"},
+			{Func: "dense.rowDot", Note: "pass A's <X, M> share of one row on the Go pass, in the AVX2 scatter's order, once per factor row per mode"},
+			{Func: "dense.solveLanes", Note: "AVX2 pass A glue: the +0-row skip and the 16-row lane groups, whose scatter also forms <X, M>, once per factor row per mode"},
+			{Func: "dense.scaleLanes", Note: "AVX2 pass B glue: the +0-row skip, the divide and four-row Gram calls, once per factor row per mode"},
 			{Func: "dense.gramLanes", Note: "solve start-up's block Gram on AVX2: the +0-row skip and the four-row Gram calls, once per initial factor row"},
 			{Func: "dense.GramStream.Add", Note: "solve start-up's block Gram dispatch, once per block of initial factor rows"},
 			{Func: "tensor.uniforms", Note: "solve start-up's Float64 conversion, once per initial factor entry"},
@@ -134,8 +136,12 @@ func Default() *Manifest {
 				MaxCalls: 0, MaxLoopCalls: 0, MaxBounds: Unchecked, MinFPMul: 8, MaxLoopFrameLoads: Unchecked,
 			},
 			{
-				Func: "dense.solvePass", Note: "pass A: per four-row group, one call to the call-free solve and one to the column fold",
+				Func: "dense.solvePass", Note: "pass A: per four-row group, one call to the call-free solve and one to the column and <X, M> fold",
 				MaxCalls: 2, MaxLoopCalls: 2, MaxBounds: Unchecked, MinFPMul: 0, MaxLoopFrameLoads: Unchecked,
+			},
+			{
+				Func: "dense.rowDot", Note: "<X, M> row dot: call-free, four partial sums per step",
+				MaxCalls: 0, MaxLoopCalls: 0, MaxBounds: Unchecked, MinFPMul: 4, MaxLoopFrameLoads: Unchecked,
 			},
 			{
 				Func: "dense.scalePass", Note: "pass B: call-free, the 4-row Gram update multiplies four rows per element",

@@ -155,10 +155,11 @@ func (p *Params) AttachAccum(stats []RowStats, threads int, privCap int64) {
 }
 
 // Privatized is the accumulation rule, decided here and nowhere else: the
-// non-root output at CSF level u gets a full private copy per thread when
-// one thread runs or when the T copies (rows·R·T elements) fit PrivCap;
-// otherwise it takes the hybrid strategy. The model prices that strategy
-// (AccumCost) and core plans it.
+// non-root output at CSF level u is privatized — every thread accumulates
+// in a full rows×R slab, thread 0's being the output itself — when one
+// thread runs or when rows·R·T elements fit PrivCap; otherwise it takes
+// the hybrid strategy. The model prices that strategy (AccumCost) and core
+// plans it.
 func (p Params) Privatized(u int) bool {
 	return p.T <= 1 || int64(p.Dims[u])*int64(p.R)*int64(p.T) <= p.PrivCap
 }

@@ -60,7 +60,7 @@ go test -race -run 'Arena|CSFBacking' . ./internal/csf/ ./internal/lint/
 
 # Race build: the kernels run the Go rank-vector loops (see above).
 echo "==> go test -race -tags shadowtrace (dynamic write-disjointness oracle)"
-go test -race -tags shadowtrace ./internal/kernels/ ./internal/cpd/
+go test -race -tags shadowtrace ./internal/kernels/ ./internal/cpd/ ./internal/core/
 
 # Race build: the kernels run the Go rank-vector loops (see above).
 echo "==> go test -race -tags lifetrace (dynamic lifetime oracle: PROT_NONE quarantine, workspace poisoning)"

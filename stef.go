@@ -62,10 +62,11 @@ type Options struct {
 	// CacheBytes parameterises STeF's data-movement model (0 = default).
 	CacheBytes int64
 	// MaxPrivElems bounds per-thread output privatization in the MTTKRP
-	// buffers (0 = engine default, 2^24 elements). stef and stef2 give
-	// every thread a private copy of a non-root output whose rows·R·T
-	// fits it, and take the hybrid strategy past it; the baselines scatter
-	// past it with CAS adds.
+	// buffers (0 = engine default, 2^24 elements). stef and stef2
+	// privatize a non-root output whose rows·R·T fits it — thread 0
+	// accumulates in the output itself and every thread after the first
+	// gets a private copy — and take the hybrid strategy past it; the
+	// baselines scatter past it with CAS adds.
 	MaxPrivElems int64
 	// Reorder optionally relabels tensor indices before decomposition to
 	// improve locality: "" (none), "lexi" (Lexi-Order) or "bfsmcs"
