@@ -58,8 +58,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		variant.Config.Save = cfg.Save
-		eng := core.NewEngine(variant)
+		eng := core.NewEngine(variant.WithSave(cfg.Save))
 		el := experiments.TimeIteration(eng, t.Dims, rank, 3)
 		entries = append(entries, entry{cfg.Swap, cfg.Save, cfg.Cost.Total(), el.Seconds()})
 	}

@@ -165,7 +165,7 @@ func TestTensorInfo(t *testing.T) {
 
 // TestTensorInfoBreakdownTotalsModeledCost holds tensorinfo's per-mode
 // breakdown to the plan printed above it: the "all" row's reads, writes
-// and total are the modeled cost's, accumulation term included.
+// and total are the modeled cost's.
 func TestTensorInfoBreakdownTotalsModeledCost(t *testing.T) {
 	code, out, errb := run(t, infoEntry, "-tensor", "uber", "-rank", "8", "-threads", "2")
 	if code != 0 {

@@ -152,9 +152,9 @@ func RunTensorInfo(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "slice-partition imbalance:    %.1f%%\n", sched.ImbalancePct(sp.SliceLoads(tree)))
 	fmt.Fprintf(stdout, "balanced-partition imbalance: %.1f%%\n", sched.ImbalancePct(bp.Loads()))
 
-	// An arena tree keeps its packed layout, so plan over the tree itself;
-	// a freshly loaded tensor gets the full planner (including the swap
-	// decision, which needs the COO).
+	// An arena tree is planned in its packed layout: deriving the swapped
+	// one would copy the mapped levels to the heap, the copy that opening
+	// an arena avoids. A freshly loaded tensor's plan may also swap.
 	var (
 		plan *core.Plan
 		err  error
@@ -169,7 +169,7 @@ func RunTensorInfo(args []string, stdout, stderr io.Writer) int {
 	}
 	plan.Describe(stdout)
 
-	// The plan's own parameters carry the accumulation term, so the
+	// The plan's own parameters priced the configuration, so the
 	// breakdown totals the modeled cost printed above.
 	fmt.Fprintln(stdout, "\nper-mode data-movement breakdown (chosen configuration):")
 	plan.Params.Explain(stdout, plan.Config.Save)

@@ -278,6 +278,58 @@ func TestDescribeKernelLine(t *testing.T) {
 	}
 }
 
+// TestWithSaveMatchesReference re-plans vast-2015-mc1-3d, at a twentieth
+// of its non-zeros, R 8 and T 3, planned with SaveAll, without its memo:
+// every mode's MTTKRP must hold to kernels.Reference within 1e-9.
+// Overwriting Config.Save alone kept the census of the memoized walk, and
+// mode 0 then missed by 2.85.
+func TestWithSaveMatchesReference(t *testing.T) {
+	const rank = 8
+	p, err := tensor.ProfileByName("vast-2015-mc1-3d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.NNZ /= 20
+	tt := p.Generate()
+	all, err := NewPlan(tt, Options{Rank: rank, Threads: 3, SaveRule: SaveAll})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := all.WithSave(make([]bool, tt.Order()))
+	if plan.MemoBytes != 0 || plan.Config.Cost != plan.Params.IterationCost(plan.Config.Save) {
+		t.Fatalf("WithSave kept the memoized plan's accounting: memo %d bytes, cost %v", plan.MemoBytes, plan.Config.Cost)
+	}
+	eng := NewEngine(plan)
+	factors := tensor.RandomFactors(tt.Dims, rank, 1)
+	ws := eng.NewWorkspace()
+	for pos, m := range eng.UpdateOrder() {
+		out := tensor.NewMatrix(tt.Dims[m], rank)
+		eng.Compute(ws, pos, factors, out)
+		want := kernels.Reference(tt, factors, m)
+		if diff := out.MaxAbsDiff(want); diff > 1e-9*(1+want.NormFrobenius()) {
+			t.Errorf("mode %d: MTTKRP differs from the reference by %g", m, diff)
+		}
+	}
+}
+
+// TestWithSaveSameSaveIsIdentity holds WithSave of a plan's own memo set to
+// that plan's configuration, memo bytes and accumulation plans.
+func TestWithSaveSameSaveIsIdentity(t *testing.T) {
+	for _, dims := range [][]int{{8, 30, 50}, {6, 20, 30, 10}, {5, 6, 7, 8, 9}} {
+		tt := tensor.Random(dims, 900, nil, 9)
+		for _, rule := range []SaveRule{SaveModel, SaveAll, SaveNone} {
+			p, err := NewPlan(tt, Options{Rank: 8, Threads: 3, SaveRule: rule})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := p.WithSave(p.Config.Save)
+			if !reflect.DeepEqual(q.Config, p.Config) || !reflect.DeepEqual(q.Accum, p.Accum) || q.MemoBytes != p.MemoBytes {
+				t.Errorf("dims %v rule %v: WithSave of the plan's own memo set changed the plan", dims, rule)
+			}
+		}
+	}
+}
+
 func TestLeafRootedPerm(t *testing.T) {
 	got := leafRootedPerm([]int{2, 0, 3, 1})
 	want := []int{1, 2, 0, 3}

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"stef/internal/csf"
@@ -66,10 +67,10 @@ type Options struct {
 	// base CSF's leaf mode handles that mode's MTTKRP.
 	SecondCSF bool
 	// MaxPrivElems is the privatization cap of the accumulation rule
-	// (model.Params.Privatized): a non-root output is privatized when
-	// rows·R·T fits it — thread 0 accumulates in the output, each other
-	// thread in a private copy — and takes the hybrid strategy otherwise
-	// (default kernels.DefaultPrivatizeMaxElems).
+	// (kernels.Privatize): a non-root output is privatized when rows·R·T
+	// fits it — thread 0 accumulates in the output, each other thread in a
+	// private copy — and takes the hybrid strategy otherwise (default
+	// kernels.DefaultPrivatizeMaxElems).
 	MaxPrivElems int64
 }
 
@@ -108,8 +109,8 @@ type Plan struct {
 	// AllConfigs lists every evaluated configuration (diagnostics).
 	AllConfigs []model.Config
 	// PreprocessTime is the time spent in the Algorithm 9 counting pass,
-	// the row-write census and the model search — the quantity of
-	// Figure 5.
+	// the model search and the row-write census of the accumulation plans
+	// — the quantity of Figure 5.
 	PreprocessTime time.Duration
 	// BuildTime is the CSF construction time, including the derivation of
 	// the swapped layout and STeF2's second tree (not part of Fig. 5,
@@ -117,9 +118,9 @@ type Plan struct {
 	BuildTime time.Duration
 	// MemoBytes, CSFBytes and FactorBytes give Table II's accounting.
 	MemoBytes, CSFBytes, FactorBytes int64
-	// Params is the model parameterisation of the chosen layout with
-	// row-write stats attached, so AccumCost is callable on it
-	// (diagnostics, model-accuracy checks).
+	// Params is the Section IV model parameterisation of the chosen
+	// layout, on which Config.Cost was priced (diagnostics, model-accuracy
+	// checks).
 	Params model.Params
 	// Accum[u] is the accumulation plan for the level-u MTTKRP output.
 	// Accum[0] is always nil (the root accumulates through boundary
@@ -154,40 +155,63 @@ func (p *Plan) AccumBytes() int64 {
 // execution decision.
 func NewPlan(t *tensor.Tensor, opts Options) (*Plan, error) {
 	opts = opts.withDefaults()
-	d := t.Order()
-	if d < 3 {
+	if d := t.Order(); d < 3 {
 		return nil, fmt.Errorf("core: order-%d tensor; STeF needs at least 3 modes", d)
 	}
-	p := &Plan{Opts: opts}
+	start := time.Now()
+	base := csf.Build(t, tensor.LengthSortedPerm(t.Dims))
+	return plan(base, t, opts, time.Since(start)), nil
+}
 
-	buildStart := time.Now()
-	basePerm := tensor.LengthSortedPerm(t.Dims)
-	baseTree := csf.Build(t, basePerm)
-	p.BuildTime = time.Since(buildStart)
+// NewPlanFromTree fixes every execution decision for a pre-built CSF tree
+// — typically one opened zero-copy from an arena file (csf.OpenArena) —
+// without the COO tensor. The tree keeps its layout (see plan), so
+// SwapAlways and SwapOpposite are rejected, and SecondCSF because the
+// auxiliary tree is built from the COO.
+//
+// The caller keeps ownership of the tree's backing: closing an arena while
+// the returned plan is in use invalidates every kernel's view of it.
+func NewPlanFromTree(tree *csf.Tree, opts Options) (*Plan, error) {
+	opts = opts.withDefaults()
+	if d := tree.Order(); d < 3 {
+		return nil, fmt.Errorf("core: order-%d tree; STeF needs at least 3 modes", d)
+	}
+	if opts.SecondCSF {
+		return nil, fmt.Errorf("core: SecondCSF needs the COO tensor to build the auxiliary tree; plan from the tensor instead")
+	}
+	if opts.SwapRule == SwapAlways || opts.SwapRule == SwapOpposite {
+		return nil, fmt.Errorf("core: swap rules do not apply to a pre-built tree; it keeps the layout it was built in")
+	}
+	return plan(tree, nil, opts, 0), nil
+}
 
-	// Preprocessing (Fig. 5): Algorithm 9, the row-write census for the
-	// accumulation-cost term, and the exhaustive model search.
+// plan fixes every execution decision for base, a CSF of order >= 3,
+// whose construction took buildTime. coo is the tensor base was built
+// from, or nil for a pre-built tree.
+//
+// Only with the COO is the swapped layout searched: Algorithm 9 counts its
+// level d-2 fibers and the model prices both layouts. A pre-built tree
+// keeps the layout it was built in, because SwapLastTwo would copy an
+// mmap'd tree's levels to the heap, which is the copy that opening an
+// arena avoids. The swap rule then fixes the layout, and the memo set is
+// the cheapest for that layout unless the save rule forces it; under
+// SwapModel and SaveModel that is model.Search's pick.
+//
+// Algorithm 9, the model search and the write census of the accumulation
+// plans are the Fig. 5 preprocessing; the swap derivation and STeF2's
+// second tree count as build time.
+func plan(base *csf.Tree, coo *tensor.Tensor, opts Options, buildTime time.Duration) *Plan {
+	d := base.Order()
+	p := &Plan{Opts: opts, BuildTime: buildTime}
+
 	preStart := time.Now()
-	baseParams := model.ParamsForCache(baseTree.Dims(), baseTree.FiberCounts(), opts.Rank, opts.CacheBytes)
-	baseParams.AttachAccum(levelRowStats(baseTree), opts.Threads, opts.MaxPrivElems)
+	baseParams := model.ParamsForCache(base.Dims(), base.FiberCounts(), opts.Rank, opts.CacheBytes)
 	var swappedParams model.Params
-	if opts.SwapRule != SwapNever {
-		// One Algorithm 9 scan yields both the swapped layout's row-write
-		// histograms and, as the d2 histogram's total, its fiber count.
-		d2, leaf := baseTree.SwappedRowCounts(opts.Threads)
-		var swappedFibers int64
-		for _, c := range d2 {
-			swappedFibers += c
-		}
-		swappedParams = model.SwappedParams(baseParams, swappedFibers)
-		swappedParams.AttachAccum(swappedRowStats(baseParams.Accum, d2, leaf), opts.Threads, opts.MaxPrivElems)
+	if coo != nil && opts.SwapRule != SwapNever {
+		swappedParams = model.SwappedParams(baseParams, base.CountSwappedFibers(opts.Threads))
 	}
 	best, all := model.Search(baseParams, swappedParams)
 	p.AllConfigs = all
-	p.Config = best
-	p.PreprocessTime = time.Since(preStart)
-
-	// Apply the swap rule.
 	swap := best.Swap
 	switch opts.SwapRule {
 	case SwapNever:
@@ -197,204 +221,104 @@ func NewPlan(t *tensor.Tensor, opts Options) (*Plan, error) {
 	case SwapOpposite:
 		swap = !best.Swap
 	}
-	chosenParams := baseParams
-	if swap != best.Swap || opts.SaveRule != SaveModel {
-		// Re-derive the save vector for the layout actually used.
-		if swap {
-			chosenParams = swappedParams
-		}
-		bestForLayout := bestSaveFor(chosenParams)
-		p.Config = model.Config{Swap: swap, Save: bestForLayout, Cost: chosenParams.IterationCost(bestForLayout)}
-	} else if swap {
-		chosenParams = swappedParams
+	p.Params = baseParams
+	if swap {
+		p.Params = swappedParams
 	}
-
-	// Apply the save rule.
+	var save []bool
 	switch opts.SaveRule {
 	case SaveAll:
-		save := make([]bool, d)
+		save = make([]bool, d)
 		for l := 1; l <= d-2; l++ {
 			save[l] = true
 		}
-		p.Config.Save = save
-		p.Config.Cost = chosenParams.IterationCost(save)
 	case SaveNone:
-		p.Config.Save = make([]bool, d)
-		p.Config.Cost = chosenParams.IterationCost(p.Config.Save)
+		save = make([]bool, d)
+	default:
+		save = bestSaveFor(p.Params)
 	}
+	p.Config = model.Config{Swap: swap, Save: save, Cost: p.Params.IterationCost(save)}
+	p.PreprocessTime = time.Since(preStart)
 
-	// Materialise the chosen layout: the swapped tree is derived from the
-	// base tree, not rebuilt from the COO.
+	p.Tree = base
 	if swap {
 		start := time.Now()
-		baseTree = baseTree.SwapLastTwo(opts.Threads)
+		p.Tree = base.SwapLastTwo(opts.Threads)
 		p.BuildTime += time.Since(start)
 	}
-	p.Tree = baseTree
-	if opts.SliceSched {
-		p.Part = sched.NewSlicePartitionNNZ(p.Tree, opts.Threads).ToPartition(p.Tree)
-	} else {
-		p.Part = sched.NewPartition(p.Tree, opts.Threads)
-	}
-
+	p.Part = partition(p.Tree, opts)
 	if opts.SecondCSF {
 		start := time.Now()
-		perm2 := leafRootedPerm(p.Tree.Perm())
-		p.Tree2 = csf.Build(t, perm2)
-		if opts.SliceSched {
-			p.Part2 = sched.NewSlicePartitionNNZ(p.Tree2, opts.Threads).ToPartition(p.Tree2)
-		} else {
-			p.Part2 = sched.NewPartition(p.Tree2, opts.Threads)
-		}
+		p.Tree2 = csf.Build(coo, leafRootedPerm(p.Tree.Perm()))
+		p.Part2 = partition(p.Tree2, opts)
 		p.BuildTime += time.Since(start)
 	}
 
-	// Resolve the accumulation plans for the final layout and partition:
-	// the write census walks the same clamped spans as the kernels, so its
-	// single-writer proofs hold for exactly this execution. Part of the
-	// Fig. 5 preprocessing cost.
-	accumStart := time.Now()
+	start := time.Now()
 	p.buildAccum()
-	p.PreprocessTime += time.Since(accumStart)
+	p.PreprocessTime += time.Since(start)
 
 	// Table II accounting.
-	p.MemoBytes = p.Params.MemoBytes(p.Config.Save)
+	p.MemoBytes = p.Params.MemoBytes(save)
 	p.CSFBytes = p.Tree.Bytes()
 	if p.Tree2 != nil {
 		p.CSFBytes += p.Tree2.Bytes()
 	}
-	for _, n := range t.Dims {
+	for _, n := range base.Dims() {
 		p.FactorBytes += int64(n) * int64(opts.Rank) * 8
 	}
-	return p, nil
+	return p
 }
 
-// NewPlanFromTree fixes every execution decision for a pre-built CSF tree
-// — typically one opened zero-copy from an arena file (csf.OpenArena) —
-// without the COO tensor. The tree's layout is taken as-is: no reorder, no
-// CSF build, and no layout swap (a pre-built tree is planned in the layout
-// it was built in), so planning reduces to the memoization search, the
-// partition, and the row-write census for the accumulation plans.
-// SwapAlways/SwapOpposite are rejected for that reason, and SecondCSF
-// because the auxiliary tree is built from the COO.
-//
-// The caller keeps ownership of the tree's backing: closing an arena while
-// the returned plan is in use invalidates every kernel's view of it.
-func NewPlanFromTree(tree *csf.Tree, opts Options) (*Plan, error) {
-	opts = opts.withDefaults()
-	d := tree.Order()
-	if d < 3 {
-		return nil, fmt.Errorf("core: order-%d tree; STeF needs at least 3 modes", d)
-	}
-	if opts.SecondCSF {
-		return nil, fmt.Errorf("core: SecondCSF needs the COO tensor to build the auxiliary tree; plan from the tensor instead")
-	}
-	if opts.SwapRule == SwapAlways || opts.SwapRule == SwapOpposite {
-		return nil, fmt.Errorf("core: swap rules do not apply to a pre-built tree; it keeps the layout it was built in")
-	}
-	p := &Plan{Opts: opts}
-
-	// Memoization search over the fixed layout (the Fig. 5 preprocessing,
-	// minus Algorithm 9 — with no swap on the table the swapped layout is
-	// never costed).
-	preStart := time.Now()
-	params := model.ParamsForCache(tree.Dims(), tree.FiberCounts(), opts.Rank, opts.CacheBytes)
-	params.AttachAccum(levelRowStats(tree), opts.Threads, opts.MaxPrivElems)
-	save := bestSaveFor(params)
-	switch opts.SaveRule {
-	case SaveAll:
-		save = make([]bool, d)
-		for l := 1; l <= d-2; l++ {
-			save[l] = true
-		}
-	case SaveNone:
-		save = make([]bool, d)
-	}
-	p.Config = model.Config{Save: save, Cost: params.IterationCost(save)}
-	p.AllConfigs = []model.Config{p.Config}
-	p.PreprocessTime = time.Since(preStart)
-
-	p.Tree = tree
+// partition distributes tree's work over the threads: non-zero-balanced
+// (Alg. 3), or slice-granular under SliceSched.
+func partition(tree *csf.Tree, opts Options) *sched.Partition {
 	if opts.SliceSched {
-		p.Part = sched.NewSlicePartitionNNZ(p.Tree, opts.Threads).ToPartition(p.Tree)
-	} else {
-		p.Part = sched.NewPartition(p.Tree, opts.Threads)
+		return sched.NewSlicePartitionNNZ(tree, opts.Threads).ToPartition(tree)
 	}
-
-	accumStart := time.Now()
-	p.buildAccum()
-	p.PreprocessTime += time.Since(accumStart)
-
-	p.MemoBytes = p.Params.MemoBytes(p.Config.Save)
-	p.CSFBytes = p.Tree.Bytes()
-	for _, n := range tree.Dims() {
-		p.FactorBytes += int64(n) * int64(opts.Rank) * 8
-	}
-	return p, nil
+	return sched.NewPartition(tree, opts.Threads)
 }
 
-// levelRowStats condenses every level's row-write histogram for the
-// model's accumulation-cost term.
-func levelRowStats(tree *csf.Tree) []model.RowStats {
-	d := tree.Order()
-	stats := make([]model.RowStats, d)
-	for u := 1; u < d; u++ {
-		stats[u] = model.NewRowStats(tree.LevelRowCounts(u))
+// WithSave returns the plan with its memo set replaced by save: the same
+// tree, partition and options, with that memo set's modeled cost, memo
+// bytes and accumulation plans. The accumulation plans need a fresh
+// census, because a mode's write spans depend on the level it reads from;
+// overwriting Config.Save alone would leave plans whose single-writer
+// proofs do not hold for the walks the kernels then take.
+func (p *Plan) WithSave(save []bool) *Plan {
+	d := p.Tree.Order()
+	if len(save) != d || save[0] || save[d-1] {
+		panic(fmt.Sprintf("core: WithSave(%v) on an order-%d plan: only levels 1..d-2 can be memoized", save, d))
 	}
-	return stats
+	q := *p
+	save = slices.Clone(save)
+	q.Config = model.Config{Swap: p.Config.Swap, Save: save, Cost: p.Params.IterationCost(save)}
+	q.MemoBytes = q.Params.MemoBytes(save)
+	q.buildAccum()
+	return &q
 }
 
-// swappedRowStats derives the swapped layout's row stats without building
-// the swapped tree: levels 1..d-3 are unchanged, the last two come from
-// the histograms of the extended Algorithm 9 scan (csf.SwappedRowCounts).
-func swappedRowStats(baseStats []model.RowStats, d2, leaf []int64) []model.RowStats {
-	d := len(baseStats)
-	stats := make([]model.RowStats, d)
-	copy(stats[:d-2], baseStats[:d-2])
-	stats[d-2] = model.NewRowStats(d2)
-	stats[d-1] = model.NewRowStats(leaf)
-	return stats
-}
-
-// buildAccum fixes the accumulation plan for every non-root mode. The
-// exact row-write census over the final tree and partition runs first; its
-// counts and single/multi-writer classification replace the search-time
-// histogram estimates, so the stored Params price the partition actually
-// used. Each level takes the strategy of the model's accumulation rule
-// (Params.Privatized).
+// buildAccum fixes the accumulation plan of every non-root mode. The write
+// census walks the same clamped spans over the final tree and partition as
+// the kernels, under the plan's memo set, so its single-writer proofs hold
+// for exactly this execution; kernels.Privatize picks each level's
+// strategy. Under STeF2 the leaf mode runs as the auxiliary tree's root and
+// has no plan.
 func (p *Plan) buildAccum() {
 	opts := p.Opts
 	d := p.Tree.Order()
-	params := model.ParamsForCache(p.Tree.Dims(), p.Tree.FiberCounts(), opts.Rank, opts.CacheBytes)
-	stats := make([]model.RowStats, d)
-	rws := make([]*kernels.RowWrites, d)
-	for u := 1; u < d; u++ {
-		if u == d-1 && p.Tree2 != nil {
-			// STeF2 runs the leaf mode as the auxiliary CSF's root: no
-			// census, so the level keeps its histogram stats.
-			stats[u] = model.NewRowStats(p.Tree.LevelRowCounts(u))
-			continue
-		}
-		src := model.SourceLevel(p.Config.Save, u)
-		rws[u] = kernels.CountRowWrites(p.Tree, p.Part, u, src)
-		st := model.NewRowStats(rws[u].Counts)
-		st.MultiMass = rws[u].MultiWriterMass()
-		st.MultiExact = true
-		stats[u] = st
-	}
-	params.AttachAccum(stats, opts.Threads, opts.MaxPrivElems)
-	p.Params = params
 	p.Accum = make([]*kernels.AccumPlan, d)
 	hotBudget := (opts.CacheBytes / 8) / 2
 	for u := 1; u < d; u++ {
-		if rws[u] == nil {
+		if u == d-1 && p.Tree2 != nil {
 			continue
 		}
+		rw := kernels.CountRowWrites(p.Tree, p.Part, u, model.SourceLevel(p.Config.Save, u))
 		strat := kernels.AccumHybrid
-		if params.Privatized(u) {
+		if kernels.Privatize(p.Tree.Dim(u), opts.Rank, opts.Threads, opts.MaxPrivElems) {
 			strat = kernels.AccumPriv
 		}
-		p.Accum[u] = kernels.PlanAccum(rws[u], opts.Rank, opts.Threads, strat, hotBudget)
+		p.Accum[u] = kernels.PlanAccum(rw, opts.Rank, opts.Threads, strat, hotBudget)
 	}
 }
 

@@ -96,7 +96,10 @@ type Options struct {
 	// Threads is the worker count of the dense factor update (default 1);
 	// the engine's MTTKRP runs on the threads it was built with. A
 	// one-thread solve is bit-identical for every engine; more threads
-	// change only the order of the cross-thread reductions.
+	// change the order of the cross-thread reductions, and for the taco
+	// engine more than that: its dynamic chunking hands slices to workers
+	// in arrival order, so at T > 1 its non-root sums differ in the last
+	// bits from one call to the next.
 	Threads int
 }
 

@@ -140,16 +140,22 @@ func TestCountSwappedFibers(t *testing.T) {
 // already-cloned tensor value.
 func tr2Perm(tt *tensor.Tensor) *tensor.Tensor { return tt.Clone() }
 
+// TestSwappedFiberCountsSharesPrefixLevels pins what model.SwappedParams
+// assumes of the swapped layout: its fiber counts equal the base tree's at
+// levels 0..d-3 and at the leaves, and Algorithm 9's count at level d-2.
 func TestSwappedFiberCountsSharesPrefixLevels(t *testing.T) {
 	tt := testTensor(t, []int{6, 7, 8, 9}, 250, 5)
 	tree := Build(tt, nil)
-	sc := tree.SwappedFiberCounts(3)
+	sc := tree.SwapLastTwo(3).FiberCounts()
 	fc := tree.FiberCounts()
 	d := tree.Order()
 	for l := 0; l < d-2; l++ {
 		if sc[l] != fc[l] {
 			t.Errorf("level %d: swapped count %d != original %d", l, sc[l], fc[l])
 		}
+	}
+	if want := tree.CountSwappedFibers(3); sc[d-2] != want {
+		t.Errorf("level %d: swapped count %d, want Algorithm 9's %d", d-2, sc[d-2], want)
 	}
 	if sc[d-1] != int64(tree.NNZ()) {
 		t.Errorf("leaf level count %d, want %d", sc[d-1], tree.NNZ())

@@ -25,7 +25,7 @@ func (tr *Tree) CountSwappedFibers(t int) int64 {
 	}
 	gLevel := d - 3 // grandparents of leaves
 	numG := len(tr.fids[gLevel])
-	counts := make([]int64, maxInt(t, 1))
+	counts := make([]int64, max(t, 1))
 	par.Blocks(numG, t, func(th, lo, hi int) {
 		observed := make([]int64, tr.dims[d-1])
 		for i := range observed {
@@ -168,86 +168,4 @@ func (tr *Tree) SwapLastTwo(t int) *Tree {
 	out.fids[d-2], out.ptr[d-2] = swFid, swPtr
 	out.fids[d-1], out.vals = swLeaf, swVals
 	return out
-}
-
-// SwappedFiberCounts returns the per-level fiber counts the tree would have
-// under the swapped last-two-mode order: identical to FiberCounts for
-// levels 0..d-3, CountSwappedFibers at level d-2, and nnz at the leaf.
-func (tr *Tree) SwappedFiberCounts(t int) []int64 {
-	d := tr.Order()
-	c := tr.FiberCounts()
-	c[d-2] = tr.CountSwappedFibers(t)
-	return c
-}
-
-// LevelRowCounts returns the per-row write histogram of the level-l MTTKRP
-// output: counts[r] = number of level-l nodes whose fiber id is r (for the
-// leaf level, the number of non-zeros in mode-(d-1) slice r). This is the
-// input of the data-movement model's accumulation-cost term.
-func (tr *Tree) LevelRowCounts(l int) []int64 {
-	counts := make([]int64, tr.dims[l])
-	for _, f := range tr.fids[l] {
-		counts[f]++
-	}
-	return counts
-}
-
-// SwappedRowCounts extends the Algorithm 9 scan to the row-write
-// histograms of the swapped layout's last two levels, again without
-// building the swapped tree: d2[r] counts the swapped level-(d-2) fibers
-// with fiber id r (one per distinct (prefix, r) pair — the original leaf
-// mode becomes level d-2), and leaf[r] counts the swapped non-zeros with
-// leaf id r (the original level-(d-2) fiber ids; the swap permutes
-// coordinates within paths, so slice r keeps its nnz). Levels 0..d-3 are
-// unchanged by the swap — LevelRowCounts on the base tree covers them.
-// The d2 histogram's total equals CountSwappedFibers.
-func (tr *Tree) SwappedRowCounts(t int) (d2, leaf []int64) {
-	d := tr.Order()
-	if d < 3 {
-		panic("csf: SwappedRowCounts needs order >= 3")
-	}
-	leaf = make([]int64, tr.dims[d-2])
-	for n, f := range tr.fids[d-2] {
-		leaf[f] += tr.ptr[d-2][n+1] - tr.ptr[d-2][n]
-	}
-	gLevel := d - 3
-	numG := len(tr.fids[gLevel])
-	nT := maxInt(t, 1)
-	slabs := make([][]int64, nT)
-	par.Blocks(numG, t, func(th, lo, hi int) {
-		observed := make([]int64, tr.dims[d-1])
-		for i := range observed {
-			observed[i] = -1
-		}
-		local := make([]int64, tr.dims[d-1])
-		for g := lo; g < hi; g++ {
-			for p := tr.ptr[gLevel][g]; p < tr.ptr[gLevel][g+1]; p++ {
-				for k := tr.ptr[d-2][p]; k < tr.ptr[d-2][p+1]; k++ {
-					lf := tr.fids[d-1][k]
-					if observed[lf] != int64(g) {
-						observed[lf] = int64(g)
-						local[lf]++
-					}
-				}
-			}
-		}
-		slabs[th] = local
-	})
-	d2 = make([]int64, tr.dims[d-1])
-	for _, local := range slabs {
-		if local == nil {
-			continue
-		}
-		for r, c := range local {
-			d2[r] += c
-		}
-	}
-	return d2, leaf
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

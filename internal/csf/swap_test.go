@@ -39,19 +39,11 @@ func TestCountSwappedFibersProperty(t *testing.T) {
 		if tree.CountSwappedFibers(threads) != want {
 			return false
 		}
-		// The planner takes the count as the d2 histogram's total.
-		d2, _ := tree.SwappedRowCounts(threads)
-		var sum int64
-		for _, c := range d2 {
-			sum += c
-		}
-		if sum != want {
-			return false
-		}
-		// SwappedFiberCounts must agree with the materialized tree at every
-		// level: the prefix levels are untouched by the swap, level d-2 is
-		// the counted quantity, and the leaf level is nnz either way.
-		sc := tree.SwappedFiberCounts(threads)
+		// The model prices the swapped layout as the base counts with the
+		// count at level d-2: the prefix levels are untouched by the swap,
+		// and the leaf level is nnz either way.
+		sc := tree.FiberCounts()
+		sc[d-2] = want
 		fc := swapped.FiberCounts()
 		for l := 0; l < d; l++ {
 			if sc[l] != fc[l] {

@@ -56,8 +56,7 @@ func (s *Suite) ModelAccuracy(rank int) ([]ModelAccuracyRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			variant.Config.Save = cfg.Save
-			eng := core.NewEngine(variant)
+			eng := core.NewEngine(variant.WithSave(cfg.Save))
 			el := TimeIteration(eng, tt.Dims, rank, s.Opts.Reps).Seconds()
 			predicted = append(predicted, float64(cfg.Cost.Total()))
 			measured = append(measured, el)

@@ -115,19 +115,6 @@ func CountRowWrites(tree *csf.Tree, part *sched.Partition, u, src int) *RowWrite
 	return rw
 }
 
-// MultiWriterMass returns the write mass landing on rows the census proved
-// are written by more than one thread — the model's exact MultiMass input
-// for the final layout.
-func (rw *RowWrites) MultiWriterMass() int64 {
-	var mass int64
-	for r, w := range rw.Writer {
-		if w == RemapColdCAS {
-			mass += rw.Counts[r]
-		}
-	}
-	return mass
-}
-
 // AccumPlan fixes, for one non-root MTTKRP output, how the scattered row
 // contributions of T threads are combined: the strategy, the row remap, the
 // hot-row set, and the touched-row journals that make Reset and Reduce

@@ -172,6 +172,44 @@ func TestOutBufAtomicMatchesPrivatized(t *testing.T) {
 	}
 }
 
+// TestPrivatizeRule pins the accumulation rule that planned and legacy
+// buffers share: one thread always privatizes, even under a one-element
+// cap; t copies that fit the cap exactly privatize and one element more
+// does not; a cap <= 0 is the default; the footprint of a huge output does
+// not overflow; and NewOutBuf's legacy buffer follows the rule.
+func TestPrivatizeRule(t *testing.T) {
+	const rows, cols, threads = 2_000_000, 8, 8
+	foot := int64(rows * cols * threads)
+	for _, tc := range []struct {
+		rows, cols, t int
+		cap           int64
+		want          bool
+	}{
+		{100, 8, 1, 1, true},
+		{3, 8, 2, 1, false},
+		{rows, cols, threads, foot, true},
+		{rows, cols, threads, foot - 1, false},
+		{1_000_000, 16, 8, 0, false},
+		{1 << 20, 2, 8, 0, true},
+		{1<<20 + 1, 2, 8, 0, false},
+		{math.MaxInt32, 64, 8, math.MaxInt64, true},
+		{math.MaxInt32, 64, 8, 1 << 39, false},
+	} {
+		if got := Privatize(tc.rows, tc.cols, tc.t, tc.cap); got != tc.want {
+			t.Errorf("Privatize(%d, %d, %d, %d) = %v, want %v", tc.rows, tc.cols, tc.t, tc.cap, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		t   int
+		cap int64
+	}{{1, 1}, {2, 1}, {4, 0}, {4, 40*8*4 - 1}, {4, 40 * 8 * 4}} {
+		b := NewOutBuf(40, 8, tc.t, tc.cap)
+		if got, want := b.Privatized(), Privatize(40, 8, tc.t, tc.cap); got != want {
+			t.Errorf("NewOutBuf(40, 8, %d, %d) privatized %v, the rule says %v", tc.t, tc.cap, got, want)
+		}
+	}
+}
+
 func TestOutBufResetReuse(t *testing.T) {
 	b := NewOutBuf(3, 2, 2, 0)
 	b.AddScaled(0, 1, 2.0, []float64{1, 1})

@@ -19,6 +19,20 @@ import (
 // the hot rows only.
 const DefaultPrivatizeMaxElems = 1 << 24
 
+// Privatize is the accumulation rule, decided here and nowhere else: t
+// threads scattering into a rows×cols output each get a full private copy
+// when one thread runs or when the t copies, rows·cols·t elements, fit
+// maxPrivElems (<= 0 selects DefaultPrivatizeMaxElems). The footprint is
+// computed in int64, so huge outputs cannot overflow the check on 32-bit
+// platforms. Planned buffers then take AccumPriv or AccumHybrid, legacy
+// buffers full privatization or CAS.
+func Privatize(rows, cols, t int, maxPrivElems int64) bool {
+	if maxPrivElems <= 0 {
+		maxPrivElems = DefaultPrivatizeMaxElems
+	}
+	return t == 1 || int64(rows)*int64(cols)*int64(t) <= maxPrivElems
+}
+
 // AccumStrategy selects how an OutBuf combines the scattered row
 // contributions of T threads.
 type AccumStrategy uint8
@@ -65,9 +79,9 @@ const (
 // buffer is either *planned* — built from an AccumPlan whose counting pass
 // fixed the per-row mechanics (hot replicas, direct stores, CAS) and whose
 // touched-row journals make Reset and Reduce proportional to the rows
-// actually written — or *legacy*, using the binary footprint rule
-// (full privatization below DefaultPrivatizeMaxElems, CAS above), which the
-// baseline engines keep.
+// actually written — or *legacy*, taking full privatization where
+// Privatize allows it and CAS past the cap, which the baseline engines
+// keep.
 //
 // A planned priv buffer holds replicas for threads 1..T-1 only: thread 0
 // accumulates in the launch's output itself when ResetInto binds it, or
@@ -103,19 +117,13 @@ type OutBuf struct {
 }
 
 // NewOutBuf returns a legacy accumulation buffer for a rows×cols output
-// shared by t threads, privatized iff rows·cols·t fits maxPrivElems
-// (<= 0 selects DefaultPrivatizeMaxElems). The footprint is computed in
-// int64 so huge outputs cannot overflow the check on 32-bit platforms.
+// shared by t threads: privatized when Privatize says so, CAS otherwise.
 func NewOutBuf(rows, cols, t int, maxPrivElems int64) *OutBuf {
-	if maxPrivElems <= 0 {
-		maxPrivElems = DefaultPrivatizeMaxElems
-	}
 	if rows < 0 || cols < 0 || t < 1 {
 		panic(fmt.Sprintf("kernels: NewOutBuf(rows=%d, cols=%d, t=%d)", rows, cols, t))
 	}
 	b := &OutBuf{rows: rows, cols: cols, t: t, ops: opsFor()}
-	elems := int64(rows) * int64(cols)
-	if t == 1 || elems*int64(t) <= maxPrivElems {
+	if Privatize(rows, cols, t, maxPrivElems) {
 		b.priv = make([]*tensor.Matrix, t)
 		for th := range b.priv {
 			b.priv[th] = tensor.NewMatrix(rows, cols)

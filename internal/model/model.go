@@ -18,6 +18,12 @@
 // spirit — what matters to the search is that memoization trades m_k·R
 // reads plus a one-time m_k·R write against re-traversing every level
 // below k).
+//
+// As in the paper, each non-root MTTKRP writes its scattered output as one
+// DM_factor write per level-u fiber. The model does not price how the T
+// threads' rows are combined, and it has no T: the kernels' footprint rule
+// (kernels.Privatize) fixes each level's accumulation from the mode length,
+// R and T alone, the same way for every configuration of a layout.
 package model
 
 import (
@@ -41,13 +47,6 @@ type Params struct {
 	// Fibers[l] is the fiber (node) count at CSF level l; Fibers[d-1]
 	// is the non-zero count.
 	Fibers []int64
-
-	// T, Accum and PrivCap arm the accumulation-cost extension (see
-	// AttachAccum in accum.go); zero values leave the base Section IV
-	// model unchanged.
-	T       int
-	Accum   []RowStats
-	PrivCap int64
 }
 
 // ParamsForCache builds Params from level dims and fiber counts with a
@@ -155,14 +154,8 @@ func (p Params) ModeCost(save []bool, u int) Cost {
 	if src < d-1 {
 		c.Reads += p.Fibers[src] * int64(p.R)
 	}
-	// Output accumulation: the flat DM_factor write approximation, or —
-	// when row-write stats are attached — the scatter + Reset/Reduce term
-	// of the strategy the accumulation rule picks (see accum.go).
-	if p.Accum != nil && u < len(p.Accum) {
-		c = c.Add(p.AccumCost(u))
-	} else {
-		c.Writes += p.dmFactor(u, p.Fibers[u])
-	}
+	// The scattered output: one DM_factor write per level-u fiber.
+	c.Writes += p.dmFactor(u, p.Fibers[u])
 	return c
 }
 

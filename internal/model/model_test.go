@@ -43,6 +43,28 @@ func TestSourceLevel(t *testing.T) {
 	}
 }
 
+// TestModeCostChargesOutputWrite pins the output term of Section IV: the
+// root writes its whole output and every memoized partial once, and each
+// non-root MTTKRP one DM_factor write per level-u fiber, whatever the memo
+// set.
+func TestModeCostChargesOutputWrite(t *testing.T) {
+	p := params3()
+	for _, save := range EnumerateSaves(3) {
+		want := int64(p.Dims[0]) * int64(p.R)
+		if save[1] {
+			want += p.Fibers[1] * int64(p.R)
+		}
+		if got := p.ModeCost(save, 0).Writes; got != want {
+			t.Errorf("save %v: root writes %d, want %d", save, got, want)
+		}
+		for u := 1; u < 3; u++ {
+			if got, want := p.ModeCost(save, u).Writes, p.dmFactor(u, p.Fibers[u]); got != want {
+				t.Errorf("save %v: level %d writes %d, want the DM_factor write %d", save, u, got, want)
+			}
+		}
+	}
+}
+
 func TestSaveNoneIsBaselineIdentity(t *testing.T) {
 	p := params3()
 	none := make([]bool, 3)

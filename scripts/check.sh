@@ -52,6 +52,9 @@ go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 65000x ./internal/frostt/
 echo "==> FuzzBuild smoke (block-parallel CSF build and derived swap against the append-built reference, 30000 inputs)"
 go test -run '^$' -fuzz '^FuzzBuild$' -fuzztime 30000x ./internal/csf/
 
+echo "==> FuzzOpenArena smoke (arbitrary arena bytes: no panic, no allocation the file cannot back, accepted trees round-trip, 20000 inputs)"
+go test -run '^$' -fuzz '^FuzzOpenArena$' -fuzztime 20000x ./internal/csf/
+
 echo "==> FuzzEngines smoke (every engine's MTTKRP against kernels.Reference, and a 3-iteration solve, on generated small tensors, 2000 inputs)"
 go test -run '^$' -fuzz '^FuzzEngines$' -fuzztime 2000x .
 

@@ -57,7 +57,9 @@ type Options struct {
 	Seed int64
 	// Engine selects the MTTKRP engine: "stef" (default), "stef2",
 	// "splatt-1", "splatt-2", "splatt-all", "adatm", "alto", "taco",
-	// "hicoo", "dtree" or "naive".
+	// "hicoo", "dtree" or "naive". At Threads > 1, "taco" schedules its
+	// slices dynamically, so its non-root MTTKRPs, and with them the
+	// solve, differ in the last bits from run to run.
 	Engine string
 	// CacheBytes parameterises STeF's data-movement model (0 = default).
 	CacheBytes int64
