@@ -172,42 +172,69 @@ func TestOutBufAtomicMatchesPrivatized(t *testing.T) {
 	}
 }
 
-// TestPrivatizeRule pins the accumulation rule that planned and legacy
-// buffers share: one thread always privatizes, even under a one-element
-// cap; t copies that fit the cap exactly privatize and one element more
-// does not; a cap <= 0 is the default; the footprint of a huge output does
-// not overflow; and NewOutBuf's legacy buffer follows the rule.
-func TestPrivatizeRule(t *testing.T) {
-	const rows, cols, threads = 2_000_000, 8, 8
-	foot := int64(rows * cols * threads)
-	for _, tc := range []struct {
-		rows, cols, t int
-		cap           int64
-		want          bool
-	}{
-		{100, 8, 1, 1, true},
-		{3, 8, 2, 1, false},
-		{rows, cols, threads, foot, true},
-		{rows, cols, threads, foot - 1, false},
-		{1_000_000, 16, 8, 0, false},
-		{1 << 20, 2, 8, 0, true},
-		{1<<20 + 1, 2, 8, 0, false},
-		{math.MaxInt32, 64, 8, math.MaxInt64, true},
-		{math.MaxInt32, 64, 8, 1 << 39, false},
-	} {
+// privatizeCase is one input of the accumulation rule Privatize, which
+// planned and legacy buffers share, with the answer the rule must give.
+type privatizeCase struct {
+	rows, cols, t int
+	cap           int64
+	want          bool
+}
+
+// checkPrivatize holds Privatize to each case and, where the output is
+// small enough to allocate t copies of, NewOutBuf's legacy buffer too.
+func checkPrivatize(t *testing.T, cases []privatizeCase) {
+	t.Helper()
+	for _, tc := range cases {
 		if got := Privatize(tc.rows, tc.cols, tc.t, tc.cap); got != tc.want {
 			t.Errorf("Privatize(%d, %d, %d, %d) = %v, want %v", tc.rows, tc.cols, tc.t, tc.cap, got, tc.want)
 		}
-	}
-	for _, tc := range []struct {
-		t   int
-		cap int64
-	}{{1, 1}, {2, 1}, {4, 0}, {4, 40*8*4 - 1}, {4, 40 * 8 * 4}} {
-		b := NewOutBuf(40, 8, tc.t, tc.cap)
-		if got, want := b.Privatized(), Privatize(40, 8, tc.t, tc.cap); got != want {
-			t.Errorf("NewOutBuf(40, 8, %d, %d) privatized %v, the rule says %v", tc.t, tc.cap, got, want)
+		if int64(tc.rows)*int64(tc.cols)*int64(tc.t) > 1<<12 {
+			continue
+		}
+		if got := NewOutBuf(tc.rows, tc.cols, tc.t, tc.cap).Privatized(); got != tc.want {
+			t.Errorf("NewOutBuf(%d, %d, %d, %d) privatized %v, the rule says %v", tc.rows, tc.cols, tc.t, tc.cap, got, tc.want)
 		}
 	}
+}
+
+// TestPrivatizeSingleThread: one thread always privatizes, even under a
+// one-element cap that fits no output, because it pays no reduction; two
+// threads under the same cap do not.
+func TestPrivatizeSingleThread(t *testing.T) {
+	checkPrivatize(t, []privatizeCase{
+		{100, 8, 1, 1, true},
+		{40, 8, 1, 1, true},
+		{math.MaxInt32, 64, 1, 1, true},
+		{3, 8, 2, 1, false},
+		{40, 8, 2, 1, false},
+	})
+}
+
+// TestPrivatizeOverCap: an output whose t copies exceed the cap is not
+// privatized, whether the cap is given or defaulted (cap <= 0), and the
+// footprint of a huge output does not overflow into a false fit.
+func TestPrivatizeOverCap(t *testing.T) {
+	checkPrivatize(t, []privatizeCase{
+		{1_000_000, 16, 8, 0, false},
+		{1<<20 + 1, 2, 8, 0, false},
+		{math.MaxInt32, 64, 8, 1 << 39, false},
+		{40, 8, 4, 40*8*4 - 1, false},
+	})
+}
+
+// TestPrivatizeUnderCap: t copies that fit the cap exactly privatize and
+// one element more does not, with the cap given or defaulted.
+func TestPrivatizeUnderCap(t *testing.T) {
+	const rows, cols, threads = 2_000_000, 8, 8
+	foot := int64(rows * cols * threads)
+	checkPrivatize(t, []privatizeCase{
+		{rows, cols, threads, foot, true},
+		{rows, cols, threads, foot - 1, false},
+		{1 << 20, 2, 8, 0, true},
+		{math.MaxInt32, 64, 8, math.MaxInt64, true},
+		{40, 8, 4, 40 * 8 * 4, true},
+		{40, 8, 4, 0, true},
+	})
 }
 
 func TestOutBufResetReuse(t *testing.T) {
